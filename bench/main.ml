@@ -62,58 +62,20 @@ let budget = 64
 
 (* ---- JSON artifacts --------------------------------------------------
    Every perf section that leaves a machine-readable trail (BENCH_*.json)
-   writes it through this one helper instead of hand-rolling printf
-   JSON: a top-level object with one field per line, arrays with one
-   element per line, and element objects rendered inline. *)
+   writes it through [write_json]: a [Srfa_util.Json] object in the
+   line-per-member layout, plus the bench's number formats. *)
 module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Num of string  (* preformatted numeric, e.g. "%.1f" of a ns value *)
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+  include Srfa_util.Json
 
-  let float f = if Float.is_finite f then Num (Printf.sprintf "%.3f" f) else Null
-  let ns f = Num (Printf.sprintf "%.1f" f)
+  let float f = if Float.is_finite f then fixed 3 f else Null
+  let ns f = fixed 1 f
   let opt f = function Some v -> f v | None -> Null
-
-  let rec inline = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Int i -> string_of_int i
-    | Num s -> s
-    | Str s -> Printf.sprintf "%S" s
-    | Arr xs -> "[" ^ String.concat ", " (List.map inline xs) ^ "]"
-    | Obj fields ->
-      "{ "
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (inline v)) fields)
-      ^ " }"
 end
 
 let write_json file (fields : (string * Json.t) list) =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n";
-  let nf = List.length fields in
-  List.iteri
-    (fun i (k, v) ->
-      let last = if i = nf - 1 then "" else "," in
-      match v with
-      | Json.Arr elems ->
-        Printf.fprintf oc "  %S: [\n" k;
-        let ne = List.length elems in
-        List.iteri
-          (fun j e ->
-            Printf.fprintf oc "    %s%s\n" (Json.inline e)
-              (if j = ne - 1 then "" else ","))
-          elems;
-        Printf.fprintf oc "  ]%s\n" last
-      | v -> Printf.fprintf oc "  %S: %s%s\n" k (Json.inline v) last)
-    fields;
-  Printf.fprintf oc "}\n";
-  close_out oc;
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_lines (Json.Obj fields));
+      output_char oc '\n');
   Printf.printf "wrote %s\n" file
 
 let section title =
@@ -1151,7 +1113,7 @@ let perf_certify () =
       ("benchmark", Json.Str "perf-certify");
       ("unit", Json.Str "ns/evaluation");
       ("budget", Json.Int budget);
-      ("overhead_target_x", Json.Num "3.0");
+      ("overhead_target_x", Json.Raw "3.0");
       ( "points",
         Json.Arr
           (List.map
@@ -1550,8 +1512,8 @@ let perf_core () =
       ( "targets",
         Json.Obj
           [
-            ("bic_speedup_min_x", Json.Num "5.0");
-            ("alloc_reduction_min_x", Json.Num "10.0");
+            ("bic_speedup_min_x", Json.Raw "5.0");
+            ("alloc_reduction_min_x", Json.Raw "10.0");
           ] );
       ( "checks",
         Json.Obj
@@ -1784,7 +1746,7 @@ let perf_serve () =
       ( "targets",
         Json.Obj
           [
-            ("bic_hit_speedup_min_x", Json.Num "10.0");
+            ("bic_hit_speedup_min_x", Json.Raw "10.0");
             ("campaign_e_internal_max", Json.Int 0);
           ] );
       ( "checks",

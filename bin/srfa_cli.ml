@@ -359,19 +359,6 @@ let named_kernel_conv =
   let print ppf (name, _) = Format.fprintf ppf "%s" name in
   Arg.conv (parse, print)
 
-let json_of_point (p : Srfa_core.Flow.sweep_point) =
-  let r = p.Srfa_core.Flow.report in
-  Printf.sprintf
-    "{\"kernel\": %S, \"algorithm\": %S, \"version\": %S, \"budget\": %d, \
-     \"registers\": %d, \"cycles\": %d, \"memory_cycles\": %d, \
-     \"ram_accesses\": %d, \"exec_time_us\": %.3f}"
-    p.Srfa_core.Flow.kernel
-    (Srfa_core.Allocator.name p.Srfa_core.Flow.algorithm)
-    r.Srfa_estimate.Report.version p.Srfa_core.Flow.budget
-    r.Srfa_estimate.Report.total_registers r.Srfa_estimate.Report.cycles
-    r.Srfa_estimate.Report.memory_cycles r.Srfa_estimate.Report.ram_accesses
-    r.Srfa_estimate.Report.exec_time_us
-
 let sweep_cmd =
   let kernels_pos =
     Arg.(
@@ -438,15 +425,7 @@ let sweep_cmd =
           Srfa_core.Flow.sweep ~algorithms ~budgets ?trace ~pool kernels)
     in
     finish ();
-    if json then begin
-      print_endline "[";
-      List.iteri
-        (fun i p ->
-          Printf.printf "  %s%s\n" (json_of_point p)
-            (if i = List.length points - 1 then "" else ","))
-        points;
-      print_endline "]"
-    end
+    if json then print_endline (Srfa_core.Flow.Core.sweep_json points)
     else begin
       let table =
         Srfa_util.Texttable.create
@@ -740,36 +719,35 @@ let explore_cmd =
 
 (* rebudget: replay a budget-event stream against a live allocation *)
 
-(* The events file is JSON (parsed with the serve protocol's dependency-
-   free parser): either a bare array of events, or an object
+(* The events file is JSON: either a bare array of events, or an object
    {"initial": N, "events": [...]} that also pins the opening budget.
    Each event is an absolute target — a bare integer or {"budget": N} —
    or a relative {"delta": D} against the previous effective budget. *)
 let rebudget_events_of_json ~initial json =
-  let module P = Srfa_server.Protocol in
+  let module J = Srfa_util.Json in
   let bad what = failwith (Printf.sprintf "events file: %s" what) in
   let initial, events =
     match json with
-    | P.Arr events -> (initial, events)
-    | P.Obj _ as obj ->
+    | J.Arr events -> (initial, events)
+    | J.Obj _ as obj ->
       let initial =
-        match P.member "initial" obj with
-        | Some (P.Int n) -> n
+        match J.member "initial" obj with
+        | Some (J.Int n) -> n
         | None -> initial
         | Some _ -> bad "\"initial\" must be an integer"
       in
-      (match P.member "events" obj with
-      | Some (P.Arr events) -> (initial, events)
+      (match J.member "events" obj with
+      | Some (J.Arr events) -> (initial, events)
       | _ -> bad "expected an \"events\" array")
     | _ -> bad "expected an array of events or an object with one"
   in
   let last = ref initial in
   let absolute = function
-    | P.Int n -> n
-    | P.Obj _ as obj -> (
-      match (P.member "budget" obj, P.member "delta" obj) with
-      | Some (P.Int n), None -> n
-      | None, Some (P.Int d) -> !last + d
+    | J.Int n -> n
+    | J.Obj _ as obj -> (
+      match (J.member "budget" obj, J.member "delta" obj) with
+      | Some (J.Int n), None -> n
+      | None, Some (J.Int d) -> !last + d
       | _ -> bad "event objects carry \"budget\" or \"delta\" (integer)")
     | _ -> bad "events are integers or {\"budget\"|\"delta\": N} objects"
   in
@@ -812,8 +790,8 @@ let rebudget_cmd =
       let text =
         In_channel.with_open_text events_file In_channel.input_all
       in
-      try Srfa_server.Protocol.parse_json text
-      with Srfa_server.Protocol.Malformed why ->
+      try Srfa_util.Json.parse text
+      with Srfa_util.Json.Malformed why ->
         failwith (Printf.sprintf "events file: %s" why)
     in
     let initial, events = rebudget_events_of_json ~initial json in
@@ -822,19 +800,25 @@ let rebudget_cmd =
       Flow.Core.rebudget Flow.default_config prepared ~initial ~events
     in
     if json_out then
+      let module J = Srfa_util.Json in
       List.iteri
         (fun k (s : Flow.Core.rebudget_step) ->
           let r = s.Flow.Core.report in
-          Format.printf
-            "{\"event\": %d, \"requested\": %d, \"effective\": %d, \
-             \"clamped\": %b, \"memoized\": %b, \"freed\": %d, \
-             \"respent\": %d, \"registers\": %d, \"cycles\": %d, \
-             \"memory_cycles\": %d}@."
-            (k - 1) s.Flow.Core.requested s.Flow.Core.effective
-            s.Flow.Core.clamped s.Flow.Core.memoized s.Flow.Core.freed
-            s.Flow.Core.respent r.Srfa_estimate.Report.total_registers
-            r.Srfa_estimate.Report.cycles
-            r.Srfa_estimate.Report.memory_cycles)
+          print_endline
+            (J.to_string
+               (J.Obj
+                  [
+                    ("event", J.Int (k - 1));
+                    ("requested", J.Int s.Flow.Core.requested);
+                    ("effective", J.Int s.Flow.Core.effective);
+                    ("clamped", J.Bool s.Flow.Core.clamped);
+                    ("memoized", J.Bool s.Flow.Core.memoized);
+                    ("freed", J.Int s.Flow.Core.freed);
+                    ("respent", J.Int s.Flow.Core.respent);
+                    ("registers", J.Int r.Srfa_estimate.Report.total_registers);
+                    ("cycles", J.Int r.Srfa_estimate.Report.cycles);
+                    ("memory_cycles", J.Int r.Srfa_estimate.Report.memory_cycles);
+                  ])))
         steps
     else begin
       Format.printf "%6s %9s %9s %6s %7s %9s %10s %6s@." "event" "request"

@@ -1,5 +1,6 @@
 open Srfa_reuse
 module Diag = Srfa_util.Diag
+module Json = Srfa_util.Json
 module Trace = Srfa_util.Trace
 
 (* ---- pure core --------------------------------------------------------
@@ -999,80 +1000,69 @@ module Core = struct
      field order, fixed float format, no stats (cut/memo counts depend
      on domain scheduling and live in [frontier_stats] only). *)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let point_json p =
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "{\"label\": \"%s\"" (json_escape p.label));
-    (match p.tiling with
-    | Some (level, factor) ->
-      Buffer.add_string b
-        (Printf.sprintf ", \"tile_level\": %d, \"tile_factor\": %d" level
-           factor)
-    | None -> ());
-    Buffer.add_string b
-      (Printf.sprintf ", \"order\": [%s], \"loop_vars\": [%s]"
-         (String.concat ", " (List.map string_of_int p.order))
-         (String.concat ", "
-            (List.map
-               (fun v -> Printf.sprintf "\"%s\"" (json_escape v))
-               p.loop_vars)));
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"budget\": %d, \"algorithm\": \"%s\", \"floor\": %b"
-         p.point_budget
-         (json_escape p.point_algorithm)
-         p.floor);
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"cycles\": %d, \"registers\": %d, \"slices\": %d, \
-          \"clock_ns\": %.3f, \"exec_time_us\": %.3f"
-         p.coords.cycles p.coords.registers p.coords.slices p.coords.clock_ns
-         p.point_report.Srfa_estimate.Report.exec_time_us);
-    (match p.point_cert with
-    | Some c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"certified\": {\"dominates\": %b, \"repaired\": %b, \
-            \"adopted\": %s}"
-           c.dominates c.repaired
-           (match c.adopted with
-           | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
-           | None -> "null"))
-    | None -> ());
-    Buffer.add_char b '}';
-    Buffer.contents b
+    let open Json in
+    let tiling =
+      match p.tiling with
+      | Some (level, factor) ->
+        [ ("tile_level", Int level); ("tile_factor", Int factor) ]
+      | None -> []
+    in
+    let certified =
+      match p.point_cert with
+      | Some c ->
+        let adopted = match c.adopted with Some a -> Str a | None -> Null in
+        let cert =
+          [ ("dominates", Bool c.dominates); ("repaired", Bool c.repaired);
+            ("adopted", adopted) ]
+        in
+        [ ("certified", Obj cert) ]
+      | None -> []
+    in
+    Obj
+      ((("label", Str p.label) :: tiling)
+      @ [
+          ("order", Arr (List.map (fun i -> Int i) p.order));
+          ("loop_vars", Arr (List.map (fun v -> Str v) p.loop_vars));
+          ("budget", Int p.point_budget);
+          ("algorithm", Str p.point_algorithm);
+          ("floor", Bool p.floor);
+          ("cycles", Int p.coords.cycles);
+          ("registers", Int p.coords.registers);
+          ("slices", Int p.coords.slices);
+          ("clock_ns", fixed 3 p.coords.clock_ns);
+          ( "exec_time_us",
+            fixed 3 p.point_report.Srfa_estimate.Report.exec_time_us );
+        ]
+      @ certified)
 
   let frontier_json ?(compact = false) f =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (if compact then
-         Printf.sprintf "{\"kernel\": \"%s\", \"points\": ["
-           (json_escape f.frontier_kernel)
-       else
-         Printf.sprintf "{\n  \"kernel\": \"%s\",\n  \"points\": [\n"
-           (json_escape f.frontier_kernel));
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_string b (if compact then ", " else ",\n");
-        if not compact then Buffer.add_string b "    ";
-        Buffer.add_string b (point_json p))
-      f.points;
-    Buffer.add_string b (if compact then "]}" else "\n  ]\n}");
-    Buffer.contents b
+    let v =
+      Json.Obj
+        [
+          ("kernel", Json.Str f.frontier_kernel);
+          ("points", Json.Arr (List.map point_json f.points));
+        ]
+    in
+    if compact then Json.to_string v else Json.to_lines v
+
+  let sweep_json points =
+    let point (p : sweep_point) =
+      let r = p.report in
+      Json.Obj
+        [
+          ("kernel", Json.Str p.kernel);
+          ("algorithm", Json.Str (Allocator.name p.algorithm));
+          ("version", Json.Str r.Srfa_estimate.Report.version);
+          ("budget", Json.Int p.budget);
+          ("registers", Json.Int r.total_registers);
+          ("cycles", Json.Int r.cycles);
+          ("memory_cycles", Json.Int r.memory_cycles);
+          ("ram_accesses", Json.Int r.ram_accesses);
+          ("exec_time_us", Json.fixed 3 r.exec_time_us);
+        ]
+    in
+    Json.to_lines (Json.Arr (List.map point points))
 
   let frontier_csv f =
     let b = Buffer.create 1024 in

@@ -253,6 +253,10 @@ module Core : sig
   val frontier_csv : frontier -> string
   (** The frontier as a CSV table (same determinism contract). *)
 
+  val sweep_json : sweep_point list -> string
+  (** Sweep points as the CLI's [sweep --json] prints them: a JSON array,
+      one compact point object per line ({!Srfa_util.Json.to_lines}). *)
+
   (** {2 Dynamic re-budgeting}
 
       Partial reconfiguration modeled as a stream of budget shrink/grow

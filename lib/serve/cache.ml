@@ -172,14 +172,12 @@ type t = {
 }
 
 let create ?(tier1_bytes = 48 * 1024 * 1024) ?(tier2_bytes = 16 * 1024 * 1024)
-    ?(session_bytes = 16 * 1024 * 1024)
-    ?(explore_bytes = 16 * 1024 * 1024) ?(trace = Trace.null)
-    ?(faults = Fault.off) () =
+    ?(trace = Trace.null) ?(faults = Fault.off) () =
   {
     tier1 = Lru.create ~capacity:tier1_bytes;
     tier2 = Lru.create ~capacity:tier2_bytes;
-    sessions = Lru.create ~capacity:session_bytes;
-    explores = Lru.create ~capacity:explore_bytes;
+    sessions = Lru.create ~capacity:(16 * 1024 * 1024);
+    explores = Lru.create ~capacity:(16 * 1024 * 1024);
     trace;
     faults;
   }
@@ -437,9 +435,11 @@ let explore t (r : resolved) ~space ~spec =
       Ok (v, `Miss)
     | exception exn -> Error [ Diag.of_exn exn ])
 
-(* The single-threaded fast path (tests, jobs=1 servers): look up, build
-   what is missing, cache what was computed. Errors are never cached —
-   they are cheap to recompute and usually the caller's fault. *)
+(* The single-threaded serving path for in-process callers (tests and
+   benchmarks; the daemon drives the tiers itself at every jobs count):
+   look up, build what is missing, cache what was computed. Errors are
+   never cached — they are cheap to recompute and usually the caller's
+   fault. *)
 let respond t (r : resolved) =
   let t1 = tier1_key ~device:r.device r.source in
   let t2 =

@@ -91,11 +91,10 @@ type report_value = {
 type t
 
 val create :
-  ?tier1_bytes:int -> ?tier2_bytes:int -> ?session_bytes:int ->
-  ?explore_bytes:int ->
+  ?tier1_bytes:int -> ?tier2_bytes:int ->
   ?trace:Srfa_util.Trace.sink -> ?faults:Srfa_util.Fault.t -> unit -> t
-(** Defaults: 48 MB for tier 1, 16 MB each for tier 2, sessions and
-    frontiers.
+(** Defaults: 48 MB for tier 1 and 16 MB for tier 2; the session and
+    frontier tiers hold 16 MB each.
     Entry costs are measured with [Obj.reachable_words], i.e. real heap
     bytes. [faults] arms the [cache.insert] injection site: a firing
     rule makes the insert silently not happen (traced as
@@ -108,12 +107,13 @@ type status = [ `Hit | `Analysis | `Miss ]
 val respond :
   t -> resolved ->
   (Srfa_estimate.Report.t * Diag.t list * status, Diag.t list) result
-(** The single-threaded serving path: tier-2 lookup, then tier-1, then a
-    cold build; computed values are inserted, errors are returned inline
-    and never cached. A tier-2 hit returns the {e physically} same
-    report value as the request that populated it — the IO shell owns
-    all rendering, so a report is a plain immutable value safe to serve
-    any number of times. *)
+(** The single-threaded serving path for in-process callers (tests and
+    benchmarks; {!Server} drives the tiers itself, see below): tier-2
+    lookup, then tier-1, then a cold build; computed values are
+    inserted, errors are returned inline and never cached. A tier-2 hit
+    returns the {e physically} same report value as the request that
+    populated it — the IO shell owns all rendering, so a report is a
+    plain immutable value safe to serve any number of times. *)
 
 (* The batched server drives the tiers directly (lookups and inserts on
    the accept loop, compute on worker domains): *)

@@ -1,170 +1,22 @@
 module Diag = Srfa_util.Diag
+module Json = Srfa_util.Json
 
-(* ---- minimal JSON ------------------------------------------------------
-   The request protocol is one flat JSON object per line; no installed
-   JSON library is assumed, so a small recursive-descent reader lives
-   here. It accepts full JSON (nested values included) — the request
-   decoder then insists on the flat shape it documents. *)
+(* ---- JSON: re-exports of the one reader ---------------------------- *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
+  | Raw of string
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
 
-exception Malformed of string
+exception Malformed = Json.Malformed
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
-      pos := !pos + l;
-      value)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let string_body () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with Failure _ -> fail "bad \\u escape"
-          in
-          (* Codepoints above 0x7f are re-encoded as UTF-8. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then (
-            Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f))))
-          else (
-            Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f))));
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "malformed number")
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (
-        advance ();
-        Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let key = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (
-        advance ();
-        Arr [])
-      else
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-    | Some '"' -> Str (string_body ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let parse_json = Json.parse
 
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
+let member = Json.member
 
 (* ---- requests ---------------------------------------------------------- *)
 
@@ -213,57 +65,21 @@ let overload_error ~retry_after_ms =
 (* Best-effort id recovery from a line that failed to decode, so
    pipelining clients can still correlate the error response. The scan
    is string-aware: it walks the line reading complete JSON string
-   tokens (with full escape decoding, \u included, mirroring
-   [parse_json]) and accepts the first "id" token that is actually a
-   key — followed by ':' and a string value. A string value that merely
-   contains or equals "id" is stepped over as one token, so its
-   characters can neither shadow the real key nor end the scan; a
+   tokens (with [Json.read_string], the reader's own decoder) and accepts
+   the first "id" token that is actually a key — followed by ':' and a
+   string value. A string value that merely contains or equals "id" is
+   stepped over as one token, so its characters can neither shadow the
+   real key nor end the scan; a token that does not decode (truncated,
+   bad escape) ends the scan, since nothing past it is trustworthy. A
    wrong [None] only costs the client its correlation. *)
 let recover_id line =
   let n = String.length line in
   let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false in
   let rec skip_ws i = if i < n && is_ws line.[i] then skip_ws (i + 1) else i in
-  (* Read the string token opening at [i] ([line.[i] = '"']): the decoded
-     contents plus the index one past the closing quote, or [None] when
-     the line truncates mid-token (nothing past it is trustworthy). *)
   let read_string i =
-    let buf = Buffer.create 16 in
-    let rec go i =
-      if i >= n then None
-      else
-        match line.[i] with
-        | '"' -> Some (Buffer.contents buf, i + 1)
-        | '\\' when i + 1 < n -> (
-          match line.[i + 1] with
-          | '"' -> Buffer.add_char buf '"'; go (i + 2)
-          | '\\' -> Buffer.add_char buf '\\'; go (i + 2)
-          | '/' -> Buffer.add_char buf '/'; go (i + 2)
-          | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-          | 't' -> Buffer.add_char buf '\t'; go (i + 2)
-          | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-          | 'b' -> Buffer.add_char buf '\b'; go (i + 2)
-          | 'f' -> Buffer.add_char buf '\012'; go (i + 2)
-          | 'u' when i + 6 <= n -> (
-            match int_of_string_opt ("0x" ^ String.sub line (i + 2) 4) with
-            | None -> None
-            | Some code ->
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then (
-                Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f))))
-              else (
-                Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-                Buffer.add_char buf
-                  (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f))));
-              go (i + 6))
-          | _ -> None)
-        | '\\' -> None
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-    in
-    go (i + 1)
+    match Json.read_string line i with
+    | token -> Some token
+    | exception Json.Malformed _ -> None
   in
   let rec scan i =
     if i >= n then None
@@ -280,10 +96,7 @@ let recover_id line =
             scan after
           else
             let j = skip_ws (j + 1) in
-            if j < n && line.[j] = '"' then
-              match read_string j with
-              | Some (v, _) -> Some v
-              | None -> None
+            if j < n && line.[j] = '"' then Option.map fst (read_string j)
             else None (* the id is not a string; correlation is impossible *)
   in
   scan 0
@@ -371,63 +184,37 @@ let parse_request line =
       })
   | _ -> Error (proto_error "request must be a JSON object")
 
-(* ---- responses --------------------------------------------------------- *)
+(* ---- responses --------------------------------------------------------
+   Every response is one [Json.t] tree written into one buffer. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let cache_status = function
+  | `Hit -> Str "hit"
+  | `Analysis -> Str "analysis"
+  | `Miss -> Str "miss"
 
-let cache_status_name = function
-  | `Hit -> "hit"
-  | `Analysis -> "analysis"
-  | `Miss -> "miss"
+let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
 
-let add_id buf id =
-  match id with
-  | Some id -> Buffer.add_string buf (Printf.sprintf "\"id\": \"%s\", " (escape id))
-  | None -> ()
+let report_json (r : Srfa_estimate.Report.t) =
+  Obj
+    ([
+       ("kernel", Str r.kernel);
+       ("version", Str r.version);
+       ("algorithm", Str r.algorithm);
+       ("registers", Int r.total_registers);
+       ("cycles", Int r.cycles);
+       ("memory_cycles", Int r.memory_cycles);
+       ("ram_accesses", Int r.ram_accesses);
+       ("clock_ns", Json.fixed 1 r.clock_ns);
+       ("exec_time_us", Json.fixed 3 r.exec_time_us);
+       ("slices", Int r.slices);
+       ("slice_utilization", Json.fixed 4 r.slice_utilization);
+       ("rams", Int r.rams);
+       ("required", ints r.required);
+       ("allocated", ints r.allocated);
+     ]
+    @ match r.trace_summary with Some s -> [ ("trace", Str s) ] | None -> [])
 
-let json_of_report (r : Srfa_estimate.Report.t) =
-  let buf = Buffer.create 512 in
-  let groups kvs =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (escape k) v) kvs)
-    ^ "}"
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"kernel\": \"%s\", \"version\": \"%s\", \"algorithm\": \"%s\", \
-        \"registers\": %d, \"cycles\": %d, \"memory_cycles\": %d, \
-        \"ram_accesses\": %d, \"clock_ns\": %.1f, \"exec_time_us\": %.3f, \
-        \"slices\": %d, \"slice_utilization\": %.4f, \"rams\": %d, \
-        \"required\": %s, \"allocated\": %s"
-       (escape r.Srfa_estimate.Report.kernel)
-       (escape r.Srfa_estimate.Report.version)
-       (escape r.Srfa_estimate.Report.algorithm)
-       r.Srfa_estimate.Report.total_registers r.Srfa_estimate.Report.cycles
-       r.Srfa_estimate.Report.memory_cycles r.Srfa_estimate.Report.ram_accesses
-       r.Srfa_estimate.Report.clock_ns r.Srfa_estimate.Report.exec_time_us
-       r.Srfa_estimate.Report.slices r.Srfa_estimate.Report.slice_utilization
-       r.Srfa_estimate.Report.rams
-       (groups r.Srfa_estimate.Report.required)
-       (groups r.Srfa_estimate.Report.allocated));
-  (match r.Srfa_estimate.Report.trace_summary with
-  | Some s -> Buffer.add_string buf (Printf.sprintf ", \"trace\": \"%s\"" (escape s))
-  | None -> ());
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+let json_of_report r = Json.to_string (report_json r)
 
 type rebudget_info = {
   rb_requested : int;
@@ -438,99 +225,48 @@ type rebudget_info = {
   rb_memoized : bool;
 }
 
-let json_of_rebudget rb =
-  Printf.sprintf
-    "{\"requested\": %d, \"effective\": %d, \"clamped\": %b, \"freed\": %d, \
-     \"respent\": %d, \"memoized\": %b}"
-    rb.rb_requested rb.rb_effective rb.rb_clamped rb.rb_freed rb.rb_respent
-    rb.rb_memoized
+let rebudget_json rb =
+  Obj
+    [
+      ("requested", Int rb.rb_requested);
+      ("effective", Int rb.rb_effective);
+      ("clamped", Bool rb.rb_clamped);
+      ("freed", Int rb.rb_freed);
+      ("respent", Int rb.rb_respent);
+      ("memoized", Bool rb.rb_memoized);
+    ]
+
+(* [{"id": ..., "status": ..., members...}], the id only when known. *)
+let response ?id status members =
+  let members = ("status", Str status) :: members in
+  Json.to_string
+    (Obj (match id with Some id -> ("id", Str id) :: members | None -> members))
+
+(* The warnings array is omitted when empty. *)
+let warnings_member = function
+  | [] -> []
+  | ws -> [ ("warnings", Arr (List.map Diag.json ws)) ]
 
 let response_ok ?id ?rebudget ~cache ~warnings report =
-  let buf = Buffer.create 600 in
-  Buffer.add_string buf "{";
-  add_id buf id;
-  Buffer.add_string buf
-    (Printf.sprintf "\"status\": \"ok\", \"cache\": \"%s\", \"report\": %s"
-       (cache_status_name cache)
-       (json_of_report report));
-  (match rebudget with
-  | Some rb ->
-    Buffer.add_string buf
-      (Printf.sprintf ", \"rebudget\": %s" (json_of_rebudget rb))
-  | None -> ());
-  (match warnings with
-  | [] -> ()
-  | ws ->
-    Buffer.add_string buf ", \"warnings\": [";
-    List.iteri
-      (fun i w ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Diag.to_json w))
-      ws;
-    Buffer.add_string buf "]");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  let rebudget =
+    match rebudget with Some rb -> [ ("rebudget", rebudget_json rb) ] | None -> []
+  in
+  response ?id "ok"
+    ((("cache", cache_status cache) :: ("report", report_json report) :: rebudget)
+    @ warnings_member warnings)
 
 (* An explore response embeds the frontier exactly as
    [Flow.Core.frontier_json ~compact:true] rendered it — the same bytes
    the CLI's --json mode pretty-prints — plus the (schedule-dependent,
    never byte-compared) explore counters as a sub-object. *)
 let response_explore ?id ~cache ~warnings ~stats frontier =
-  let buf = Buffer.create (String.length frontier + 256) in
-  Buffer.add_string buf "{";
-  add_id buf id;
-  Buffer.add_string buf
-    (Printf.sprintf "\"status\": \"ok\", \"cache\": \"%s\", \"frontier\": %s"
-       (cache_status_name cache) frontier);
-  Buffer.add_string buf ", \"explore\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (escape k) v))
-    stats;
-  Buffer.add_string buf "}";
-  (match warnings with
-  | [] -> ()
-  | ws ->
-    Buffer.add_string buf ", \"warnings\": [";
-    List.iteri
-      (fun i w ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Diag.to_json w))
-      ws;
-    Buffer.add_string buf "]");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  response ?id "ok"
+    (("cache", cache_status cache) :: ("frontier", Raw frontier)
+     :: ("explore", ints stats) :: warnings_member warnings)
 
 let response_error ?id diags =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{";
-  add_id buf id;
-  Buffer.add_string buf "\"status\": \"error\", \"diagnostics\": [";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Diag.to_json d))
-    diags;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  response ?id "error" [ ("diagnostics", Arr (List.map Diag.json diags)) ]
 
-let response_stats ?id (kvs : (string * int) list) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{";
-  add_id buf id;
-  Buffer.add_string buf "\"status\": \"ok\", \"stats\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (escape k) v))
-    kvs;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+let response_stats ?id kvs = response ?id "ok" [ ("stats", ints kvs) ]
 
-let response_bye ?id () =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "{";
-  add_id buf id;
-  Buffer.add_string buf "\"status\": \"ok\", \"bye\": true}";
-  Buffer.contents buf
+let response_bye ?id () = response ?id "ok" [ ("bye", Bool true) ]

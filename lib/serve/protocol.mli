@@ -38,23 +38,30 @@
     carries a [retry_after_ms] context hint). The full scheme is
     documented in DESIGN.md §14–§15. *)
 
-(** A parsed JSON value (the protocol ships no JSON dependency). *)
-type json =
+(** {2 JSON}
+
+    Re-exports of {!Srfa_util.Json}, which owns the reader, the writer
+    and the escaping rule of every response below. *)
+
+type json = Srfa_util.Json.t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
+  | Raw of string
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
 
 exception Malformed of string
+(** {!Srfa_util.Json.Malformed}. *)
 
 val parse_json : string -> json
-(** @raise Malformed on invalid input (with the byte offset). *)
+(** {!Srfa_util.Json.parse}. *)
 
 val member : string -> json -> json option
-(** [member key (Obj ...)] — [None] for absent keys and non-objects. *)
+(** {!Srfa_util.Json.member}. *)
+
+(** {2 Requests} *)
 
 type op = Allocate | Rebudget | Explore | Stats | Shutdown
 
@@ -98,7 +105,7 @@ val recover_id : string -> string option
 (** Best-effort extraction of the ["id"] field from a request line that
     failed to decode, so error responses can still echo it and
     pipelining clients can correlate failures. The scan reads complete
-    JSON string tokens (full escape decoding, [\u] included), so ids
+    JSON string tokens with {!Srfa_util.Json.read_string}, so ids
     containing escaped quotes decode correctly and a string {e value}
     spelling or containing ["id"] cannot shadow the real key. [None]
     when no plausible id is found — correlation is lost, nothing
@@ -108,6 +115,8 @@ val parse_request : string -> (request, Srfa_util.Diag.t) result
 (** Decode one request line. Malformed JSON is [E-PROTO-001]; a
     well-formed object with bad field types, an unknown op, or neither /
     both of [kernel] and [source] is [E-PROTO-002]. *)
+
+(** {2 Responses} *)
 
 val json_of_report : Srfa_estimate.Report.t -> string
 (** One report as a single-line JSON object (per-group register maps

@@ -328,7 +328,7 @@ let ignore_sigpipe () =
   with Invalid_argument _ | Sys_error _ -> ()
 
 let run ?(jobs = 1) ?tier1_bytes ?tier2_bytes ?(trace = Trace.null)
-    ?(backlog = 64) ?(faults = Fault.off) ?deadline_ms ?(max_inflight = 256)
+    ?(faults = Fault.off) ?deadline_ms ?(max_inflight = 256)
     ?(max_buffer = 1 lsl 20) ?(read_timeout_ms = 10_000) ?(signals = false)
     ?(log = ignore) ~socket () =
   (* Satellite of the resilience layer: one unguarded write to a closed
@@ -350,7 +350,7 @@ let run ?(jobs = 1) ?tier1_bytes ?tier2_bytes ?(trace = Trace.null)
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd backlog;
+  Unix.listen listen_fd 64;
   let cache = Cache.create ?tier1_bytes ?tier2_bytes ~trace ~faults () in
   let counters =
     { shed = 0; deadline_trips = 0; worker_faults = 0; abuse_drops = 0 }
@@ -616,8 +616,12 @@ let self_test ?(jobs = 2) ?(log = ignore) () =
   in
   let r4 =
     response
-      (Printf.sprintf {|{"source": "%s", "algorithm": "cpa-ra+"}|}
-         (String.concat "\\n" (String.split_on_char '\n' source)))
+      (Srfa_util.Json.to_string
+         (Protocol.Obj
+            [
+              ("source", Protocol.Str source);
+              ("algorithm", Protocol.Str "cpa-ra+");
+            ]))
   in
   check "inline source allocates" (str_member "status" r4 = Some "ok");
   (* 5. a parse error comes back as an inline coded diagnostic *)

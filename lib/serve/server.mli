@@ -31,7 +31,6 @@ val run :
   ?tier1_bytes:int ->
   ?tier2_bytes:int ->
   ?trace:Srfa_util.Trace.sink ->
-  ?backlog:int ->
   ?faults:Srfa_util.Fault.t ->
   ?deadline_ms:int ->
   ?max_inflight:int ->

@@ -137,43 +137,24 @@ let pp ppf d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json d =
+  let span =
+    match d.span with
+    | Some { line; col } -> [ ("line", Json.Int line); ("column", Json.Int col) ]
+    | None -> []
+  in
+  let context =
+    match d.context with
+    | [] -> []
+    | kvs ->
+      [ ("context", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)) ]
+  in
+  Json.Obj
+    ([
+       ("code", Json.Str d.code);
+       ("severity", Json.Str (severity_name d.severity));
+       ("message", Json.Str d.message);
+     ]
+    @ span @ context)
 
-let to_json d =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"code\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\""
-       (json_escape d.code)
-       (severity_name d.severity)
-       (json_escape d.message));
-  (match d.span with
-  | Some { line; col } ->
-    Buffer.add_string buf
-      (Printf.sprintf ", \"line\": %d, \"column\": %d" line col)
-  | None -> ());
-  (match d.context with
-  | [] -> ()
-  | kvs ->
-    Buffer.add_string buf ", \"context\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
-      kvs;
-    Buffer.add_string buf "}");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+let to_json d = Json.to_string (json d)

@@ -72,5 +72,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val json : t -> Json.t
+(** One diagnostic as a JSON object: code, severity and message, then
+    ["line"]/["column"] when the span is known and a ["context"] object
+    when the payload is non-empty. *)
+
 val to_json : t -> string
-(** One diagnostic as a single-line JSON object. *)
+(** {!json} on a single line. *)

@@ -51,51 +51,19 @@ let buffered () =
 
 (* ---- JSON rendering --------------------------------------------------- *)
 
-let escape_into buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let rec value_into buf = function
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+let rec json_of_value = function
+  | Bool b -> Json.Bool b
+  | Int i -> Json.Int i
   | Float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | String s -> escape_into buf s
-  | List vs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun k v ->
-        if k > 0 then Buffer.add_string buf ", ";
-        value_into buf v)
-      vs;
-    Buffer.add_char buf ']'
+    if Float.is_finite f then Json.Raw (Printf.sprintf "%.6g" f) else Json.Null
+  | String s -> Json.Str s
+  | List vs -> Json.Arr (List.map json_of_value vs)
 
 let to_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"event\": ";
-  escape_into buf e.name;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ", ";
-      escape_into buf k;
-      Buffer.add_string buf ": ";
-      value_into buf v)
-    e.fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       (("event", Json.Str e.name)
+       :: List.map (fun (k, v) -> (k, json_of_value v)) e.fields))
 
 let channel oc =
   Fn

@@ -63,8 +63,8 @@ val channel : out_channel -> sink
 
 val to_json : event -> string
 (** One event as a single-line JSON object
-    [{"event": name, field: value, ...}]. Strings are escaped per JSON;
-    non-finite floats render as [null]. *)
+    [{"event": name, field: value, ...}], written by {!Json.to_string}.
+    Floats print as ["%.6g"]; non-finite floats render as [null]. *)
 
 val summary : event list -> string
 (** Compact human summary, e.g. ["5 events: 3 assign.full, 2 round"] —

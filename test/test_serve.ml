@@ -179,7 +179,31 @@ let test_recover_id () =
     "non-string id value" None
     (rid {|{"id": 7, "kernel": "fir"|});
   Alcotest.(check (option string))
-    "id truncated mid-value" None (rid {|{"id": "ab|})
+    "id truncated mid-value" None (rid {|{"id": "ab|});
+  (* Surrogates decode as the reader decodes them: a pair is one
+     four-byte code point, a lone half is no id at all. *)
+  Alcotest.(check (option string))
+    "surrogate pair" (Some "\xf0\x9f\x98\x80")
+    (rid {|{"id": "\ud83d\ude00", "budget": }|});
+  Alcotest.(check (option string))
+    "lone high surrogate" None
+    (rid {|{"id": "\ud83d", "budget": }|});
+  Alcotest.(check (option string))
+    "lone low surrogate" None
+    (rid {|{"id": "\ude00", "budget": }|});
+  (* Either way the echoed id keeps the response line valid UTF-8. *)
+  let broken = {|{"id": "\ud83d\ude00", "budget": }|} in
+  Alcotest.(check bool)
+    "recovered id echoes as UTF-8" true
+    (String.is_valid_utf_8
+       (Protocol.response_error ?id:(rid broken)
+          [ Protocol.proto_error "malformed" ]));
+  match Protocol.parse_request {|{"id": "\ud83d\ude00", "op": "stats"}|} with
+  | Ok r ->
+    Alcotest.(check bool)
+      "parsed id echoes as UTF-8" true
+      (String.is_valid_utf_8 (Protocol.response_stats ?id:r.Protocol.id []))
+  | Error d -> Alcotest.failf "stats request rejected: %s" (Diag.to_json d)
 
 let test_deadline_field () =
   (match Protocol.parse_request {|{"kernel": "fir", "deadline_ms": 250}|} with
@@ -252,7 +276,7 @@ let test_json_reader () =
     (parse_json {|{"a": [1, -2.5, true, null], "b": {"c": "d\ne"}}|}
     = Obj
         [
-          ("a", Arr [ Int 1; Float (-2.5); Bool true; Null ]);
+          ("a", Arr [ Int 1; Raw "-2.5"; Bool true; Null ]);
           ("b", Obj [ ("c", Str "d\ne") ]);
         ]);
   Alcotest.(check bool)
@@ -263,7 +287,34 @@ let test_json_reader () =
   in
   Alcotest.(check bool) "trailing garbage" true (malformed {|{} {}|});
   Alcotest.(check bool) "bare word" true (malformed "hello");
-  Alcotest.(check bool) "unterminated" true (malformed {|{"a": "b|})
+  Alcotest.(check bool) "unterminated" true (malformed {|{"a": "b|});
+  (* A surrogate pair is one code point, U+1F600, four UTF-8 bytes — not
+     two three-byte halves, which would not be UTF-8 at all. *)
+  Alcotest.(check bool)
+    "surrogate pair" true
+    (parse_json {|"\ud83d\ude00"|} = Str "\xf0\x9f\x98\x80");
+  Alcotest.(check bool) "lone high surrogate" true (malformed {|"\ud83d"|});
+  Alcotest.(check bool) "lone low surrogate" true (malformed {|"\ude00"|});
+  Alcotest.(check bool)
+    "high surrogate before a non-surrogate" true
+    (malformed {|"\ud83d\u0041"|});
+  (* Nesting is bounded: the bound itself parses, one level more does
+     not, and a 100,000-deep line is rejected as malformed request JSON
+     without walking it. *)
+  let nest depth = String.make depth '[' ^ String.make depth ']' in
+  Alcotest.(check bool)
+    "max_depth parses" false
+    (malformed (nest Srfa_util.Json.max_depth));
+  Alcotest.(check bool)
+    "max_depth + 1 is malformed" true
+    (malformed (nest (Srfa_util.Json.max_depth + 1)));
+  match parse_request (String.make 100_000 '[') with
+  | Error d ->
+    Alcotest.(check string) "deep line code" "E-PROTO-001" d.Diag.code;
+    Alcotest.(check bool)
+      "rejected for its depth" true
+      (Srfa_test_helpers.Helpers.contains_substring d.Diag.message "nesting")
+  | Ok _ -> Alcotest.fail "100,000-deep line accepted"
 
 (* ---- cache ------------------------------------------------------------- *)
 
