@@ -1355,12 +1355,19 @@ let perf_core_probe kernel =
   (* Warm the scratch to its high-water mark before measuring. *)
   evaluate ();
   let times = Array.make core_probe_reps 0.0 in
+  (* Empty the minor heap before both readings: OCaml 5.1's Gc.counters
+     counts the words still in the minor heap at an eighth of their
+     size, so an unflushed reading under-reads by up to 8x unless a
+     minor collection happens to fall inside the timed loop — which
+     made the allocation column depend on the minor-heap size. *)
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   for i = 0 to core_probe_reps - 1 do
     let t0 = Unix.gettimeofday () in
     evaluate ();
     times.(i) <- (Unix.gettimeofday () -. t0) *. 1e9
   done;
+  Gc.minor ();
   let allocated =
     (Gc.allocated_bytes () -. before) /. float_of_int core_probe_reps
   in

@@ -617,9 +617,6 @@ module Core = struct
     let iterations = Srfa_ir.Nest.iterations nest in
     let depth = Srfa_ir.Nest.depth nest in
     let ngroups = Analysis.num_groups analysis in
-    let nus =
-      Array.init ngroups (fun g -> (Analysis.info analysis g).Analysis.nu)
-    in
     let latency = config.sim.Sim.latency in
     let cm = Srfa_sched.Cycle_model.prepare ~dfg:prepared.dfg ~latency in
     (* The all-RAM baseline: one unpinned feasibility register per group
@@ -643,15 +640,13 @@ module Core = struct
          in
          Srfa_sched.Cycle_model.initiation_interval m ~charged:(fun _ -> false))
     in
-    (* Groups every allocation at budget [b] leaves partially replaced:
-       the other [n-1] groups hold at least their feasibility register,
-       so a window larger than [b - (n-1)] cannot be funded in full. *)
-    let forced b (g : Group.t) = nus.(g.Group.id) > b - (n - 1) in
+    (* At budget [b] the other [n-1] groups hold at least their
+       feasibility register, so no group holds more than [b - (n-1)]. *)
     let cycles_lb b =
       match config.sim.Sim.execution with
       | Sim.Serial ->
-        iterations
-        * Srfa_sched.Cycle_model.charged_path_bound cm ~charged:(forced b)
+        Sim.cycles_floor ~config:config.sim sim_scratch
+          ~beta_max:(b - (n - 1))
       | Sim.Pipelined -> iterations * Lazy.force recurrence
     in
     let slices_lb =
@@ -778,11 +773,12 @@ module Core = struct
       let serial = ref 0 in
       List.iter
         (fun b ->
+          let bound = lazy (lower_bound b) in
           List.iter
             (fun alg ->
               incr serial;
               let key = (v.v_idx, !serial) in
-              if space.prune && online_prunes online (lower_bound b) key
+              if space.prune && online_prunes online (Lazy.force bound) key
               then begin
                 incr points_pruned;
                 emit_prune ~scope:"point" ~points_cut:1 ~budget:(Some b)

@@ -1,10 +1,11 @@
-let iter nest f =
+let iter_from nest ~level f =
   let counts = Array.of_list (Nest.trip_counts nest) in
   let depth = Array.length counts in
   let point = Array.make depth 0 in
-  (* Odometer walk: increment the innermost position, carrying outward. *)
+  (* Odometer walk: increment the innermost position, carrying outward;
+     the levels above [level] never move. *)
   let rec advance d =
-    if d < 0 then false
+    if d < level then false
     else begin
       point.(d) <- point.(d) + 1;
       if point.(d) < counts.(d) then true
@@ -19,6 +20,8 @@ let iter nest f =
     if advance (depth - 1) then go ()
   in
   go ()
+
+let iter nest f = iter_from nest ~level:0 f
 
 let env_of_point nest point =
   let vars = Array.of_list (Nest.loop_vars nest) in

@@ -46,32 +46,51 @@ let element_of coeffs const point =
   done;
   !acc
 
-(* nu: distinct elements during one reuse window. The window is one
-   iteration of the carrying loop's body, scaled by the carry distance
-   (delta consecutive iterations for coupled indices with non-unit steps):
-   outer levels at 0, the carrying level sweeping [0, delta), inner levels
-   over their full ranges. *)
-let count_window_distinct ~counts ~level ~delta coeffs const =
-  let depth = Array.length counts in
-  let seen = Arena.Set.create ~capacity:64 () in
-  let point = Array.make depth 0 in
-  let lo = Array.make depth 0 in
-  let hi = Array.make depth 0 in
-  for l = 0 to depth - 1 do
-    if l < level - 1 then hi.(l) <- 0
-    else if l = level - 1 then hi.(l) <- min delta counts.(l) - 1
-    else hi.(l) <- counts.(l) - 1
+(* |{sum_l coeffs.(l) * p_l : 0 <= p_l < extents.(l)}| without visiting
+   the box. The sums are kept as sorted, disjoint, non-adjacent runs
+   [lo, hi] of consecutive integers, and the levels are added by
+   doubling: with A_m the sums for p_l < m, A_(m+d) = A_m ∪ (A_m + d c_l)
+   for d <= m, one merge of the two run lists per doubling (a negative
+   c_l shifts the copy down; it stays sorted). There are never more runs
+   than sums, and never more sums than box points or values in the
+   reference's index range, so a huge declared array read over a small
+   nest costs no more than the nest; a dense reference is a single run. *)
+let sumset_size coeffs extents =
+  let lo = ref [| 0 |] and hi = ref [| 0 |] and runs = ref 1 in
+  for l = 0 to Array.length coeffs - 1 do
+    let c = coeffs.(l) and n = extents.(l) in
+    let m = ref (if c = 0 then n else 1) in
+    while !m < n do
+      let d = min !m (n - !m) in
+      let shift = d * c and k = !runs and alo = !lo and ahi = !hi in
+      let olo = Array.make (2 * k) 0 and ohi = Array.make (2 * k) 0 in
+      let i = ref 0 and j = ref 0 and o = ref 0 in
+      while !i < k || !j < k do
+        (* The next run by [lo], from A_m or from its shifted copy. *)
+        let from_a = !j >= k || (!i < k && alo.(!i) <= alo.(!j) + shift) in
+        let r = if from_a then !i else !j
+        and s = if from_a then 0 else shift in
+        if from_a then incr i else incr j;
+        let rlo = alo.(r) + s and rhi = ahi.(r) + s in
+        if !o > 0 && rlo <= ohi.(!o - 1) + 1 then
+          ohi.(!o - 1) <- max ohi.(!o - 1) rhi
+        else begin
+          olo.(!o) <- rlo;
+          ohi.(!o) <- rhi;
+          incr o
+        end
+      done;
+      lo := olo;
+      hi := ohi;
+      runs := !o;
+      m := !m + d
+    done
   done;
-  let rec walk l =
-    if l = depth then ignore (Arena.Set.add seen (element_of coeffs const point))
-    else
-      for c = lo.(l) to hi.(l) do
-        point.(l) <- c;
-        walk (l + 1)
-      done
-  in
-  walk 0;
-  Arena.Set.cardinal seen
+  let size = ref 0 in
+  for r = 0 to !runs - 1 do
+    size := !size + !hi.(r) - !lo.(r) + 1
+  done;
+  !size
 
 let analyze nest =
   let groups = Group.collect nest in
@@ -79,22 +98,8 @@ let analyze nest =
   let counts = Array.of_list (Nest.trip_counts nest) in
   let depth = Array.length counts in
   let iterations = Nest.iterations nest in
-  let lins = Array.map (fun g -> linearise nest g.Group.ref_) groups in
-  (* One pass over the iteration space counts distinct elements per group.
-     Every group is touched each iteration (straight-line body), so
-     accesses = iterations. *)
-  let distinct_sets =
-    Array.map (fun _ -> Arena.Set.create ~capacity:256 ()) groups
-  in
-  let visit point =
-    Array.iteri
-      (fun gi (coeffs, const) ->
-        ignore (Arena.Set.add distinct_sets.(gi) (element_of coeffs const point)))
-      lins
-  in
-  Iterspace.iter nest visit;
-  let info_of gi (g : Group.t) =
-    let coeffs, const = lins.(gi) in
+  let info_of (g : Group.t) =
+    let coeffs, const = linearise nest g.Group.ref_ in
     let reuse = Kernelspace.of_index ~loop_vars g.Group.ref_.Expr.index in
     let has_reuse = Kernelspace.has_reuse reuse in
     let window_level, delta =
@@ -102,12 +107,25 @@ let analyze nest =
       | Some l, Some d -> (l, d)
       | _ -> (depth + 1, 1)
     in
+    (* nu: distinct elements during one reuse window. The window is one
+       iteration of the carrying loop's body, scaled by the carry distance
+       (delta consecutive iterations for coupled indices with non-unit
+       steps): outer levels at 0, the carrying level over [0, delta),
+       inner levels over their full ranges. *)
     let nu =
       if not has_reuse then 1
-      else count_window_distinct ~counts ~level:window_level ~delta coeffs const
+      else
+        sumset_size coeffs
+          (Array.mapi
+             (fun l n ->
+               if l < window_level - 1 then 1
+               else if l = window_level - 1 then min delta n
+               else n)
+             counts)
     in
+    (* Every group is touched each iteration (straight-line body). *)
     let accesses = iterations in
-    let distinct = Arena.Set.cardinal distinct_sets.(gi) in
+    let distinct = sumset_size coeffs counts in
     let saved_full = if has_reuse then accesses - distinct else 0 in
     {
       group = g;
@@ -123,7 +141,7 @@ let analyze nest =
       lin_const = const;
     }
   in
-  { nest; groups; infos = Array.mapi info_of groups }
+  { nest; groups; infos = Array.map info_of groups }
 
 let info t gid =
   if gid < 0 || gid >= Array.length t.infos then

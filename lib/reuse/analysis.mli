@@ -15,6 +15,16 @@
       (accesses minus the unavoidable cold loads / final writebacks);
     - benefit/cost = saved accesses per required register.
 
+    [distinct] and [nu] are exact without visiting the iteration points.
+    The linearised element index is [const + sum_l c_l * p_l] over a box
+    — the nest, or the window: outer levels at 0, the carrying level over
+    [\[0, delta)], inner levels over their full ranges — so each is the
+    size of a sumset, counted by adding one level at a time by doubling
+    on sorted runs of consecutive sums. Time and memory are bounded by
+    the number of distinct sums — never more than the box's points or
+    the reference's index range — so a large declared array read over a
+    small nest costs what the nest costs; a dense reference is one run.
+
     {b Residency semantics} (calibrated against the Fig. 2 worked example,
     see DESIGN.md §4): with [beta] registers {e pinned} to reuse-window
     slots, the accesses whose element has first-touch rank [< beta] within
@@ -60,7 +70,10 @@ val rank_affine : t -> info -> int array option
     iteration point equals [sum_l r.(l) * point.(l)]. The candidate — a
     mixed-radix index over the in-window loop levels the reference actually
     depends on — is validated against the first-touch order of one window
-    walk; [None] when the window's first-touch order is not affine (e.g.
+    walk, which holds for every window: inside a window the element index
+    is a per-window constant plus the same affine function of the
+    in-window coordinates, so every window has the same first-touch
+    order. [None] when the window's first-touch order is not affine (e.g.
     coupled 2-D stencils like BIC's image reference), in which case code
     generation falls back to RAM for the partial range. *)
 

@@ -1,10 +1,27 @@
 (** Whole-nest execution simulation.
 
-    Walks the iteration space in execution order, tracking register
-    residency per reference group (see {!Srfa_reuse.Analysis.Tracker}), and
-    accumulates the cycle cost of every iteration under the given
-    allocation. Per-iteration costs are memoised on the set of groups that
-    hit RAM, so the walk is linear in the iteration count. *)
+    Accumulates the cycle cost of every iteration under the given
+    allocation, tracking register residency per reference group (see
+    {!Srfa_reuse.Analysis.Tracker}). Per-iteration costs are memoised on
+    the set of groups that hit RAM, so the walk is linear in the number
+    of points it visits.
+
+    Under {!Residency.Pinned} that is the {e in-window suffix}, not the
+    nest. Inside a reuse window a group's element index is a per-window
+    constant plus an affine function of the in-window coordinates, so its
+    first-touch rank is the same function of those coordinates in every
+    window, and every group's residency is a function of the coordinates
+    from [w*] on — the outermost window level of any group with reuse
+    (the depth when none has reuse). The first [iterations / outer]
+    points in execution order, [outer] the product of the trip counts
+    above [w*], enumerate that suffix once, and each suffix value recurs
+    [outer] times over the nest. {!run} and {!profile} only add up
+    per-iteration values (cycles, RAM accesses, register hits, per-group
+    RAM counts, the cost histogram), so visiting the suffix with weight
+    [outer] gives exactly the whole-nest sums; [result.iterations] stays
+    {!Srfa_ir.Nest.iterations}. The dynamic policies ({!Residency.Lru},
+    {!Residency.Direct_mapped}) carry replacement state across windows
+    and walk the whole nest. *)
 
 open Srfa_reuse
 
@@ -51,16 +68,21 @@ type result = {
 type scratch
 (** Reusable simulation state for one (analysis, latency) pair: the DFG,
     the prepared {!Cycle_model} half, the residency tracker, the makespan
-    memos and the per-iteration bit buffers. Passing one to {!run} makes
-    repeated simulations of the same nest (a budget ladder, a portfolio, a
-    sweep) allocation-free apart from the result record itself. Not
-    thread-safe: keep one scratch per domain. *)
+    memos, the per-iteration bit buffers and the Pinned rank cache.
+    Passing one to {!run} makes repeated simulations of the same nest (a
+    budget ladder, a portfolio, a sweep) allocation-free apart from the
+    result record itself. Not thread-safe: keep one scratch per domain. *)
 
 val scratch :
   ?config:config -> ?dfg:Srfa_dfg.Graph.t -> Analysis.t -> scratch
 (** [config] supplies the latency table the scratch is specialised to
     (default {!default_config}); [dfg] donates an already-built graph for
-    the same analysis (checked by identity, else rebuilt). *)
+    the same analysis (checked by identity, else rebuilt). For a
+    {!Residency.Pinned} config the scratch records every group's slot
+    rank over the in-window suffix here, by one tracked walk, so its size
+    is fixed when it is built; past [2^23] ranks (suffix points times
+    groups) Pinned simulations walk the suffix through the tracker
+    instead. *)
 
 val run :
   ?trace:Srfa_util.Trace.sink ->
@@ -84,6 +106,17 @@ val profile :
     ascending by cost. The paper narrates designs this way ("iterations
     have either 1 or 2 memory accesses"); the profile makes the claim
     checkable for any design. *)
+
+val cycles_floor : ?config:config -> scratch -> beta_max:int -> int
+(** A floor on the Serial [total_cycles] of every allocation of the
+    scratch's analysis that gives no group more than [beta_max]
+    registers. Under {!Residency.Pinned} an access whose slot rank is at
+    least [beta_max] goes to RAM whatever the allocation, and a group
+    without reuse goes to RAM under every policy, so each iteration costs
+    at least the {!Cycle_model.charged_path_bound} of those groups; the
+    floor sums it over the weighted suffix. At budget [b] over [n]
+    groups every group holds at most [b - (n - 1)] registers. The
+    design-space explorer prunes with this bound. *)
 
 val memory_cycles_only : ?config:config -> Allocation.t -> int
 (** Convenience: the [memory_cycles] field alone (the paper's T_mem). *)

@@ -1,6 +1,6 @@
 (* Flat-array scratch structures for the allocation-free hot core.
 
-   Both tables are open-addressed (linear probing, power-of-two capacity)
+   The table is open-addressed (linear probing, power-of-two capacity)
    over plain int arrays, with an O(1) generation-stamp [reset]: a slot is
    live only when its stamp equals the current generation, so clearing a
    table between uses touches one counter instead of the arrays. After
@@ -101,23 +101,6 @@ module Table = struct
       (fun i s -> if s = old_gen then set t old_keys.(i) old_vals.(i))
       old_stamp
 
-  let cardinal t = t.live
-
   let iter t f =
     Array.iteri (fun i s -> if s = t.gen then f t.keys.(i) t.vals.(i)) t.stamp
-end
-
-module Set = struct
-  type t = Table.t
-
-  let create = Table.create
-  let reset = Table.reset
-  let mem t k = Table.find t k ~default:0 = 1
-
-  let add t k =
-    let fresh = Table.find t k ~default:0 = 0 in
-    if fresh then Table.set t k 1;
-    fresh
-
-  let cardinal = Table.cardinal
 end

@@ -1,14 +1,14 @@
 (** Reusable flat-array scratch for the allocation-free hot core.
 
     The simulator, tracker, and analysis hot loops need int-keyed memo
-    tables and distinct-element sets that are cleared millions of times
-    per evaluation. [Hashtbl] pays a boxed bucket per insert and an
-    [option] per probe; these tables are open-addressed over plain int
-    arrays with an O(1) generation-stamp {!Table.reset} (clearing bumps a
-    counter, it does not touch the arrays). They grow on demand by
-    doubling and never shrink — the intended discipline is one table per
-    owner, [reset] between uses, so a warmed-up evaluation touches the
-    allocator zero times here.
+    tables that are cleared millions of times per evaluation. [Hashtbl]
+    pays a boxed bucket per insert and an [option] per probe; these
+    tables are open-addressed over plain int arrays with an O(1)
+    generation-stamp {!Table.reset} (clearing bumps a counter, it does
+    not touch the arrays). They grow on demand by doubling and never
+    shrink — the intended discipline is one table per owner, [reset]
+    between uses, so a warmed-up evaluation touches the allocator zero
+    times here.
 
     Thread-safety: none. Give each domain its own tables (the simulator
     scratch does: one scratch per kernel, kernels are the parallel axis —
@@ -32,20 +32,5 @@ module Table : sig
   val set : t -> int -> int -> unit
   (** Bind (or rebind) a key. Allocates only when the table grows. *)
 
-  val cardinal : t -> int
   val iter : t -> (int -> int -> unit) -> unit
-end
-
-module Set : sig
-  type t
-  (** An int set with the same cost model as {!Table}. *)
-
-  val create : ?capacity:int -> unit -> t
-  val reset : t -> unit
-  val mem : t -> int -> bool
-
-  val add : t -> int -> bool
-  (** Insert; [true] when the element was not already present. *)
-
-  val cardinal : t -> int
 end

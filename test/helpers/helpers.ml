@@ -61,6 +61,72 @@ let small_kernels () =
     ("dec-fir", Srfa_kernels.Kernels.dec_fir ~taps:6 ~samples:24 ~decimation:2 ());
   ]
 
+(* A FIR with reversed operands, y[i] += c[15 - j] * x[i - j + 15]: both
+   reads have a negative coefficient on the tap loop. *)
+let reversed_fir () =
+  Srfa_frontend.Parser.parse
+    {|kernel reversed_fir {
+  input  int x[79];
+  input  int c[16];
+  output int y[64];
+
+  for (i = 0; i < 64; i++)
+    for (j = 0; j < 16; j++)
+      y[i] += c[15 - j] * x[i - j + 15];
+}|}
+
+(* The valid fuzz kernels among case ids [0, cases) of campaign [seed],
+   with their ids. *)
+let gen_valid ~seed ~cases =
+  List.filter_map
+    (fun id ->
+      let case = Srfa_fuzzer.Gen.generate ~seed ~id in
+      match case.Srfa_fuzzer.Gen.kind with
+      | Srfa_fuzzer.Gen.Valid -> (
+        match Srfa_frontend.Parser.parse_result case.Srfa_fuzzer.Gen.source with
+        | Ok nest -> Some (id, nest)
+        | Error _ -> None)
+      | Srfa_fuzzer.Gen.Mask_stress | Srfa_fuzzer.Gen.Broken _ -> None)
+    (List.init cases Fun.id)
+
+(* The loop-structure variants the design-space explorer visits, which
+   move the reuse windows, named after the kernel: every legal single
+   strip-mine with the given factors, and every legal interchange other
+   than the identity. *)
+let variants ?(factors = [ 2 ]) (name, nest) =
+  let tiled =
+    List.map
+      (fun (level, factor) ->
+        ( Printf.sprintf "%s tile %d/%d" name level factor,
+          Tile.tile nest ~level ~factor ))
+      (Tile.steps nest ~factors)
+  in
+  let orders, _ = Permute.legal_orders nest in
+  let permuted =
+    List.filter_map
+      (fun order ->
+        if order = List.init (Nest.depth nest) Fun.id then None
+        else
+          Some
+            ( Printf.sprintf "%s order %s" name
+                (String.concat "," (List.map string_of_int order)),
+              Permute.interchange nest ~order ))
+      orders
+  in
+  tiled @ permuted
+
+(* [f ()] and the bytes it allocated. The minor heap is emptied before
+   both readings: OCaml 5.1's Gc.counters counts the words still in the
+   minor heap at an eighth of their size, so an unflushed reading
+   under-reads by up to 8x, depending on where the last minor collection
+   fell. *)
+let allocated_bytes f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let result = f () in
+  Gc.minor ();
+  (result, Gc.allocated_bytes () -. before)
+
 (* --- Random nest generation for property tests ------------------------- *)
 
 (* Nests are generated so that every reference is in bounds by

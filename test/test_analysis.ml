@@ -132,6 +132,139 @@ let test_rank_affine_matches_tracker () =
   in
   List.iter check_kernel (Helpers.small_kernels ())
 
+(* Per-point reference for the sumset counts: a hash set of the element
+   indices over the whole nest ([distinct]) and over one reuse window
+   ([nu]: outer levels at 0, the carrying level over [0, delta), inner
+   levels over their full ranges) — the walks [analyze] made before the
+   counts became sumsets. *)
+let walked_counts nest (i : Analysis.info) =
+  let counts = Array.of_list (Srfa_ir.Nest.trip_counts nest) in
+  let depth = Array.length counts in
+  let distinct_over extents =
+    let seen = Hashtbl.create 64 in
+    let point = Array.make depth 0 in
+    let rec walk l =
+      if l = depth then Hashtbl.replace seen (Analysis.element_index i point) ()
+      else
+        for c = 0 to extents.(l) - 1 do
+          point.(l) <- c;
+          walk (l + 1)
+        done
+    in
+    walk 0;
+    Hashtbl.length seen
+  in
+  let nu =
+    if not i.Analysis.has_reuse then 1
+    else
+      let level = i.Analysis.window_level in
+      let delta =
+        Option.value ~default:1 (Kernelspace.carry_distance i.Analysis.reuse)
+      in
+      distinct_over
+        (Array.mapi
+           (fun l n ->
+             if l < level - 1 then 1 else if l = level - 1 then min delta n
+             else n)
+           counts)
+  in
+  (distinct_over counts, nu)
+
+let check_counts (name, nest) =
+  let an = Helpers.analyze nest in
+  Array.iter
+    (fun (i : Analysis.info) ->
+      let distinct, nu = walked_counts nest i in
+      if (distinct, nu) <> (i.Analysis.distinct, i.Analysis.nu) then
+        Alcotest.failf "%s %s: distinct %d nu %d, walked %d and %d" name
+          (Group.name i.Analysis.group) i.Analysis.distinct i.Analysis.nu
+          distinct nu)
+    an.Analysis.infos
+
+let with_variants kernels =
+  List.concat_map (fun kernel -> kernel :: Helpers.variants kernel) kernels
+
+let test_counts_library () =
+  List.iter check_counts
+    (with_variants
+       (Srfa_kernels.Kernels.all () @ Srfa_kernels.Extra.all ()
+       @ [ ("example", Helpers.example ()) ]))
+
+(* x[2*i + 3*j] is carried by i at distance 3 (the kernel vector is
+   (3, -2)), so its window spans three iterations of the carrying loop. *)
+let strided_pair () =
+  Srfa_frontend.Parser.parse
+    {|kernel strided_pair {
+  input  int x[40];
+  input  int c[6];
+  output int y[10];
+
+  for (i = 0; i < 10; i++)
+    for (j = 0; j < 6; j++)
+      y[i] += c[j] * x[2 * i + 3 * j];
+}|}
+
+(* Non-unit strides (dec-fir's decimation, a carry distance of 3) and
+   negative coefficients, whose doubling shifts the sums down. *)
+let test_counts_strides_and_negative () =
+  List.iter check_counts
+    (List.map
+       (fun d ->
+         ( Printf.sprintf "dec-fir decimation %d" d,
+           Srfa_kernels.Kernels.dec_fir ~taps:12 ~samples:96 ~decimation:d () ))
+       [ 2; 3; 4 ]
+    @ with_variants
+        [
+          ("strided pair", strided_pair ());
+          ("reversed fir", Helpers.reversed_fir ());
+        ]);
+  let x =
+    Helpers.info_named (Helpers.analyze (strided_pair ())) "x[2*i+3*j]"
+  in
+  Alcotest.(check (option int)) "carry distance" (Some 3)
+    (Kernelspace.carry_distance x.Analysis.reuse);
+  Alcotest.(check (pair int int)) "strided x distinct, nu" (32, 18)
+    (x.Analysis.distinct, x.Analysis.nu);
+  let x =
+    Helpers.info_named (Helpers.analyze (Helpers.reversed_fir ())) "x[i-j+15]"
+  in
+  Alcotest.(check (pair int int)) "reversed x distinct, nu" (79, 16)
+    (x.Analysis.distinct, x.Analysis.nu)
+
+(* A huge declared array read over a tiny nest: x[i][j] linearises to
+   1000000000 i + j, but the nest and each window touch four elements.
+   The counts cost what the nest costs, not what the declaration spans. *)
+let wide_array () =
+  Srfa_frontend.Parser.parse
+    {|kernel wide {
+  input  int x[2][1000000000];
+  output int y[2];
+
+  for (k = 0; k < 2; k++)
+    for (i = 0; i < 2; i++)
+      for (j = 0; j < 2; j++)
+        y[i] += x[i][j];
+}|}
+
+let test_counts_wide_array () =
+  let nest = wide_array () in
+  let an, allocated =
+    Helpers.allocated_bytes (fun () -> Analysis.analyze nest)
+  in
+  let x = Helpers.info_named an "x[i][j]" in
+  Alcotest.(check (pair int int)) "x distinct, nu" (4, 4)
+    (x.Analysis.distinct, x.Analysis.nu);
+  check_counts ("wide array", nest);
+  if allocated > 65536. then
+    Alcotest.failf "analyze allocated %.0f B for an 8-point nest" allocated
+
+let test_counts_gen () =
+  let cases = Helpers.gen_valid ~seed:42 ~cases:1200 in
+  Alcotest.(check bool) ">= 500 valid cases" true (List.length cases >= 500);
+  List.iter
+    (fun (id, nest) -> check_counts (Printf.sprintf "gen case %d" id, nest))
+    cases
+
 let () =
   Alcotest.run "analysis"
     [
@@ -155,6 +288,17 @@ let () =
             test_rank_affine_none_for_bic_image;
           Alcotest.test_case "rank affine none without reuse" `Quick
             test_rank_affine_none_has_no_reuse_group;
+        ] );
+      ( "sumset counts",
+        [
+          Alcotest.test_case "library kernels and variants vs walk" `Quick
+            test_counts_library;
+          Alcotest.test_case "strides and negative coefficients" `Quick
+            test_counts_strides_and_negative;
+          Alcotest.test_case "valid fuzz kernels vs walk" `Quick
+            test_counts_gen;
+          Alcotest.test_case "huge array over a tiny nest" `Quick
+            test_counts_wide_array;
         ] );
       ( "tracker",
         [

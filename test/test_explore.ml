@@ -49,6 +49,26 @@ let test_pruned_equals_exhaustive () =
         pruned)
     [ ("example", Helpers.example ()); ("subred", subred ()) ]
 
+(* A partially funded group still serves its lowest-ranked accesses from
+   registers, so a cycle floor that charged every group no budget could
+   fund in full pruned real frontier points: on this BIC the tiled,
+   interchanged variant's CPA-RA points at budgets 10, 12 and 16 were
+   cut although nothing evaluated dominates them. *)
+let test_partial_funding_not_pruned () =
+  let nest = Helpers.small_bic () in
+  let space =
+    {
+      Core.default_space with
+      Core.orders = Core.All_orders;
+      tile_factors = [ 2 ];
+      space_budgets = [ 3; 10; 12; 16; 24 ];
+      space_algorithms = [ Allocator.Cpa_ra; Allocator.Pr_ra ];
+    }
+  in
+  Alcotest.(check string) "bic: pruned == exhaustive"
+    (json { space with Core.prune = false } nest)
+    (json space nest)
+
 let test_memoised_equals_naive () =
   let nest = Helpers.example () in
   let memoised = json example_space nest in
@@ -207,6 +227,87 @@ let test_compact_json_single_line () =
   let compact = Core.frontier_json ~compact:true f in
   Alcotest.(check bool) "no newlines" false (String.contains compact '\n')
 
+(* Lower-bound soundness. The dominance cuts drop a variant or a ladder
+   point when its lower bound is already dominated, so an unsound bound
+   would silently lose frontier points on spaces too large to check
+   exhaustively. Every evaluated point must sit on or above the bounds
+   the explorer prunes with: the area and clock floors, and the cycle
+   floor of allocations that give no group more than [b - (n-1)]
+   registers. Drawn over valid fuzz kernels (campaign 42, ids below
+   1000) x legal orders x an optional factor-2 strip-mine x budgets x
+   {CPA-RA, portfolio}. *)
+let valid_cases = lazy (Helpers.gen_valid ~seed:42 ~cases:1000)
+
+let prop_lower_bounds_sound =
+  let draw =
+    QCheck.Gen.(
+      quad
+        (int_bound (List.length (Lazy.force valid_cases) - 1))
+        (int_bound 1000) (int_bound 1000)
+        (oneofl [ 0; 1; 3; 8; 24; 64; 120 ]))
+  in
+  let print (k, tile, order, extra) =
+    Printf.sprintf "gen case %d, tile pick %d, order pick %d, budget min+%d"
+      (fst (List.nth (Lazy.force valid_cases) k))
+      tile order extra
+  in
+  QCheck.Test.make ~name:"explorer lower bounds are sound" ~count:400
+    (QCheck.make ~print draw)
+    (fun (k, tile, order, extra) ->
+      let _, base = List.nth (Lazy.force valid_cases) k in
+      let tilings = Tile.steps base ~factors:[ 2 ] in
+      let nest =
+        match List.nth_opt tilings (tile mod (1 + List.length tilings)) with
+        | Some (level, factor) -> Tile.tile base ~level ~factor
+        | None -> base
+      in
+      let orders, _ = Permute.legal_orders nest in
+      let order = List.nth orders (order mod List.length orders) in
+      let nest =
+        (* A non-permutable nest has only the identity, which
+           [interchange] rejects. *)
+        if order = List.init (Nest.depth nest) Fun.id then nest
+        else Permute.interchange nest ~order
+      in
+      let prepared = Core.prepare nest in
+      let analysis = prepared.Core.analysis in
+      let n = prepared.Core.minimum in
+      let budget = n + extra in
+      let config = { Core.default_config with Core.budget } in
+      let sim = config.Core.sim in
+      let sim_scratch = Core.scratch ~config prepared in
+      let cycles_lb =
+        Srfa_sched.Simulator.cycles_floor ~config:sim sim_scratch
+          ~beta_max:(budget - (n - 1))
+      in
+      let slices_lb =
+        Srfa_estimate.Area.lower_bound
+          ~device:sim.Srfa_sched.Simulator.device analysis
+      in
+      let clock_lb =
+        Srfa_estimate.Clock.lower_bound ~params:config.Core.clock_params
+          ~min_registers:n ~depth:(Nest.depth nest) ()
+      in
+      List.for_all
+        (fun algorithm ->
+          let r =
+            Core.evaluate_prepared ~sim_scratch config algorithm prepared
+          in
+          let ok =
+            slices_lb <= r.Srfa_estimate.Report.slices
+            && clock_lb <= r.Srfa_estimate.Report.clock_ns
+            && cycles_lb <= r.Srfa_estimate.Report.cycles
+          in
+          if not ok then
+            QCheck.Test.fail_reportf
+              "%s at budget %d: slices %d (floor %d), clock %.3f (floor \
+               %.3f), cycles %d (floor %d)"
+              (Allocator.name algorithm) budget r.Srfa_estimate.Report.slices
+              slices_lb r.Srfa_estimate.Report.clock_ns clock_lb
+              r.Srfa_estimate.Report.cycles cycles_lb;
+          ok)
+        [ Allocator.Cpa_ra; Allocator.Portfolio ])
+
 let () =
   Alcotest.run "explore"
     [
@@ -214,6 +315,8 @@ let () =
         [
           Alcotest.test_case "pruned == exhaustive" `Quick
             test_pruned_equals_exhaustive;
+          Alcotest.test_case "partially funded points survive pruning" `Quick
+            test_partial_funding_not_pruned;
           Alcotest.test_case "memoised == naive" `Quick
             test_memoised_equals_naive;
           Alcotest.test_case "jobs=4 == jobs=1" `Quick
@@ -233,6 +336,8 @@ let () =
           Alcotest.test_case "Order_explorer degrades without raising" `Quick
             test_order_explorer_degrades;
         ] );
+      ( "bounds",
+        List.map QCheck_alcotest.to_alcotest [ prop_lower_bounds_sound ] );
       ( "composition",
         [
           Alcotest.test_case "certify composes" `Quick test_certify_composes;

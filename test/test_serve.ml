@@ -482,6 +482,60 @@ let test_resolve_errors () =
     (Cache.tier1_key ~device:named.Cache.device named.Cache.source)
     (Cache.tier1_key ~device:inline.Cache.device inline.Cache.source)
 
+(* A tier-1 entry is charged what it holds. The simulator scratch fills
+   its rank cache when it is built, so the size measured at insert (right
+   after the build, before any simulation) is the size the entry keeps
+   after a cold allocate or a cold rebudget has run on it. *)
+let test_tier1_bytes () =
+  let within_5pct what cache (r : Cache.resolved) =
+    let t1 = Cache.tier1_key ~device:r.device r.source in
+    match Cache.find_entry cache t1 with
+    | None -> Alcotest.failf "%s: no tier-1 entry" what
+    | Some e ->
+      let reachable =
+        (1 + Obj.reachable_words (Obj.repr e)) * (Sys.word_size / 8)
+      in
+      let charged = List.assoc "tier1_bytes" (Cache.stats cache) in
+      if abs (charged - reachable) * 20 > reachable then
+        Alcotest.failf "%s: charged %d B, reachable %d B" what charged
+          reachable
+  in
+  List.iter
+    (fun kernel ->
+      let r =
+        resolve_exn (Printf.sprintf {|{"kernel": "%s", "budget": 64}|} kernel)
+      in
+      let cache = Cache.create () in
+      ignore (respond_exn cache r);
+      within_5pct (kernel ^ " after respond") cache r;
+      let cache = Cache.create () in
+      (match Cache.rebudget cache r ~stream:"s" with
+      | Ok _ -> ()
+      | Error ds ->
+        Alcotest.failf "rebudget: %s"
+          (String.concat "; " (List.map Diag.to_json ds)));
+      within_5pct (kernel ^ " after rebudget") cache r)
+    [ "bic"; "fir"; "mat"; "imi" ]
+
+(* An inline source may declare arrays far larger than the loops read.
+   A cold request costs what its nest costs: x[2][1000000000] read over a
+   2x2 nest answers without touching memory in proportion to the
+   declaration. *)
+let test_inline_wide_array () =
+  let r =
+    resolve_exn
+      {|{"source": "kernel wide { input int x[2][1000000000]; output int y[2]; for (i = 0; i < 2; i++) for (j = 0; j < 2; j++) y[i] += x[i][j]; }", "algorithm": "cpa-ra", "budget": 8}|}
+  in
+  let (report, _, _), allocated =
+    Srfa_test_helpers.Helpers.allocated_bytes (fun () ->
+        respond_exn (Cache.create ()) r)
+  in
+  Alcotest.(check (pair int int)) "cycles, memory cycles" (8, 4)
+    (report.Srfa_estimate.Report.cycles,
+     report.Srfa_estimate.Report.memory_cycles);
+  if allocated > 1_048_576. then
+    Alcotest.failf "a 4-point cold request allocated %.0f B" allocated
+
 (* The session store's behavioural contract (DESIGN.md §16): first touch
    is a cold bootstrap, later events hit the live session, a revisited
    budget is served from the session memo, and distinct streams get
@@ -648,6 +702,10 @@ let () =
           Alcotest.test_case "eviction events" `Quick test_eviction_events;
           Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
           Alcotest.test_case "rebudget sessions" `Quick test_rebudget_sessions;
+          Alcotest.test_case "tier-1 bytes charged at insert" `Quick
+            test_tier1_bytes;
+          Alcotest.test_case "inline source with a huge array" `Quick
+            test_inline_wide_array;
         ] );
       ( "daemon",
         [

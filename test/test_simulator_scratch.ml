@@ -1,11 +1,18 @@
 (* Differential oracle for the allocation-free simulator core: a boxed
-   reference walk (fresh model, fresh residency, Hashtbl memo, string
-   keys — the shape of the pre-arena implementation) re-simulates every
-   library kernel at every sweep budget, and the scratch-threaded fast
-   path must reproduce its reports byte for byte. A final check pins the
-   allocation budget of a warm evaluation. *)
+   reference walk over every iteration point (fresh model, fresh
+   residency, Hashtbl memo, string keys — the shape of the pre-arena
+   implementation) re-simulates every library kernel at every sweep
+   budget, and the scratch-threaded fast path — which visits only the
+   in-window suffix and weights each point — must reproduce its results
+   and cost profiles exactly. Further inputs move the suffix: the Extra
+   kernels, the Fig. 1 example (the whole nest is one window),
+   gradient-pair (no group has reuse: a one-point suffix), tiled and
+   permuted variants, negative index coefficients and valid fuzz
+   kernels, in both execution modes. A final check pins the allocation
+   budget of a warm evaluation. *)
 
 open Srfa_reuse
+open Srfa_test_helpers
 module Simulator = Srfa_sched.Simulator
 module Residency = Srfa_sched.Residency
 module Cycle_model = Srfa_sched.Cycle_model
@@ -17,8 +24,10 @@ let budgets = [ 8; 16; 32; 64; 128 ]
 let kernels = Srfa_kernels.Kernels.all ()
 
 (* Boxed reference simulator over the public Cycle_model/Residency APIs:
-   no scratch, no arena, string-keyed memo regardless of group count. *)
-let reference_run ?(config = Simulator.default_config) alloc =
+   no scratch, no arena, string-keyed memo regardless of group count,
+   every iteration point visited. Returns the result and the cost
+   profile. *)
+let reference ?(config = Simulator.default_config) alloc =
   let analysis = alloc.Allocation.analysis in
   let nest = analysis.Analysis.nest in
   let ngroups = Analysis.num_groups analysis in
@@ -33,6 +42,7 @@ let reference_run ?(config = Simulator.default_config) alloc =
   let charged (g : Group.t) = charged_bits.(g.Group.id) in
   let total = ref 0 and ram = ref 0 and hits = ref 0 in
   let group_ram = Array.make ngroups 0 in
+  let hist : (int, int) Hashtbl.t = Hashtbl.create 16 in
   Srfa_ir.Iterspace.iter nest (fun point ->
       Residency.step residency point;
       let buf = Bytes.make ngroups '0' in
@@ -60,6 +70,9 @@ let reference_run ?(config = Simulator.default_config) alloc =
           Hashtbl.replace memo key m;
           m
       in
+      let c = cost + config.Simulator.control_overhead in
+      let seen = Option.value ~default:0 (Hashtbl.find_opt hist c) in
+      Hashtbl.replace hist c (seen + 1);
       total := !total + cost);
   let baseline =
     match config.Simulator.execution with
@@ -75,16 +88,19 @@ let reference_run ?(config = Simulator.default_config) alloc =
     | Simulator.Pipelined -> baseline
   in
   let control_cycles = config.Simulator.control_overhead * iterations in
-  {
-    Simulator.iterations;
-    total_cycles = !total + control_cycles + fill;
-    memory_cycles = !total - compute_cycles;
-    compute_cycles;
-    control_cycles;
-    ram_accesses = !ram;
-    register_hits = !hits;
-    group_ram_accesses = group_ram;
-  }
+  ( {
+      Simulator.iterations;
+      total_cycles = !total + control_cycles + fill;
+      memory_cycles = !total - compute_cycles;
+      compute_cycles;
+      control_cycles;
+      ram_accesses = !ram;
+      register_hits = !hits;
+      group_ram_accesses = group_ram;
+    },
+    List.sort compare (List.of_seq (Hashtbl.to_seq hist)) )
+
+let reference_run ?config alloc = fst (reference ?config alloc)
 
 let show (r : Simulator.result) =
   Format.asprintf "%a groups=[%s]" Simulator.pp_result r
@@ -119,6 +135,70 @@ let test_differential_pinned () =
           end)
         budgets)
     kernels
+
+(* The weighted suffix walk against the full boxed walk, run and profile,
+   serial and pipelined, at the feasibility minimum and two sweep
+   budgets; both from the rank cache and, with a scratch built for a
+   dynamic policy (no rank cache), through the tracker. *)
+let check_weighted (name, nest) =
+  let analysis = Flow.analyze nest in
+  let prepared = Cpa_ra.prepare analysis in
+  let scratch = Simulator.scratch ~dfg:(Cpa_ra.dfg prepared) analysis in
+  let uncached =
+    Simulator.scratch
+      ~config:
+        { Simulator.default_config with Simulator.residency = Residency.Lru }
+      analysis
+  in
+  let minimum = Srfa_core.Ordering.feasibility_minimum analysis in
+  List.iter
+    (fun budget ->
+      let alloc = Allocator.run ~prepared Allocator.Cpa_ra analysis ~budget in
+      List.iter
+        (fun (mode, execution) ->
+          let config = { Simulator.default_config with Simulator.execution } in
+          let label = Printf.sprintf "%s budget %d %s" name budget mode in
+          let expected, expected_profile = reference ~config alloc in
+          check_same label expected (Simulator.run ~config ~scratch alloc);
+          check_same (label ^ " via tracker") expected
+            (Simulator.run ~config ~scratch:uncached alloc);
+          Alcotest.(check (list (pair int int)))
+            (label ^ " profile") expected_profile
+            (Simulator.profile ~config ~scratch alloc))
+        [ ("serial", Simulator.Serial); ("pipelined", Simulator.Pipelined) ])
+    (List.sort_uniq compare
+       (minimum :: List.filter (fun b -> b >= minimum) [ 16; 64 ]))
+
+let small_extra () =
+  let module E = Srfa_kernels.Extra in
+  [
+    ("conv2d", E.conv2d ~mask:3 ~image:8 ());
+    ("moving-average", E.moving_average ~window:4 ~samples:16 ());
+    ("corner-turn", E.corner_turn ~size:4 ());
+    ("gradient-pair", E.gradient_pair ~size:6 ());
+  ]
+
+let test_weighted_kernels () =
+  List.iter check_weighted
+    (Srfa_kernels.Extra.all ()
+    @ [
+        ("example", Helpers.example ());
+        ("reversed fir", Helpers.reversed_fir ());
+      ])
+
+let test_weighted_variants () =
+  List.iter
+    (fun kernel -> List.iter check_weighted (Helpers.variants kernel))
+    (Helpers.small_kernels ()
+    @ small_extra ()
+    @ [ ("reversed fir", Helpers.reversed_fir ()) ])
+
+let test_weighted_gen () =
+  let cases = Helpers.gen_valid ~seed:42 ~cases:500 in
+  Alcotest.(check bool) ">= 200 valid cases" true (List.length cases >= 200);
+  List.iter
+    (fun (id, nest) -> check_weighted (Printf.sprintf "gen case %d" id, nest))
+    cases
 
 (* The dynamic residency policies bypass the rank cache; they must agree
    with the reference walk too. *)
@@ -198,9 +278,9 @@ let test_allocation_budget () =
   let scratch = Simulator.scratch ~dfg:(Cpa_ra.dfg prepared) analysis in
   let alloc = Allocator.run ~prepared Allocator.Cpa_ra analysis ~budget:64 in
   ignore (Simulator.run ~scratch alloc);
-  let before = Gc.allocated_bytes () in
-  ignore (Simulator.run ~scratch alloc);
-  let spent = Gc.allocated_bytes () -. before in
+  let _, spent =
+    Helpers.allocated_bytes (fun () -> Simulator.run ~scratch alloc)
+  in
   if spent >= 100_000.0 then
     Alcotest.failf "warm evaluation allocated %.0f bytes (budget 100000)"
       spent
@@ -220,6 +300,14 @@ let () =
             test_foreign_scratch_ignored;
           Alcotest.test_case "profile parity and coverage" `Quick
             test_profile_parity;
+        ] );
+      ( "weighted walk",
+        [
+          Alcotest.test_case "extra kernels, example, reversed fir" `Quick
+            test_weighted_kernels;
+          Alcotest.test_case "tiled and permuted variants" `Quick
+            test_weighted_variants;
+          Alcotest.test_case "valid fuzz kernels" `Quick test_weighted_gen;
         ] );
       ( "allocation",
         [
