@@ -103,7 +103,13 @@ let relabel alloc =
          (Allocation.entry alloc))
 
 let certify ?(trace = Trace.null) ?(sim_config = Simulator.default_config)
-    ?sim_scratch candidate =
+    ?sim_scratch ?simulate candidate =
+  let simulate =
+    match simulate with
+    | Some f -> f
+    | None ->
+      fun alloc -> Simulator.run ~config:sim_config ?scratch:sim_scratch alloc
+  in
   let analysis = candidate.Allocation.analysis in
   let budget = candidate.Allocation.budget in
   Trace.emit trace (fun () ->
@@ -150,9 +156,6 @@ let certify ?(trace = Trace.null) ?(sim_config = Simulator.default_config)
       adopted = None;
     }
   | None -> begin
-    let simulate alloc =
-      Simulator.run ~config:sim_config ?scratch:sim_scratch alloc
-    in
     let cand_sim = simulate candidate in
     let candidate_cycles = cand_sim.Simulator.total_cycles in
     (* PR-RA extends FR-RA's entries pointwise (one extra partial

@@ -83,10 +83,19 @@ val certify :
   ?trace:Srfa_util.Trace.sink ->
   ?sim_config:Srfa_sched.Simulator.config ->
   ?sim_scratch:Srfa_sched.Simulator.scratch ->
+  ?simulate:(Allocation.t -> Srfa_sched.Simulator.result) ->
   Allocation.t ->
   outcome
 (** [certify candidate] runs the candidate's analysis through FR-RA and
     PR-RA at [candidate.budget] and certifies as above. Fast path: two
     greedy allocations and a coverage scan, no simulation. Slow path:
     additionally two simulations (candidate and the covering baseline),
-    up to two more under repair. *)
+    up to two more under repair.
+
+    [simulate] replaces the slow path's simulator calls (default
+    [Simulator.run ~config:sim_config ?scratch:sim_scratch]). It must
+    return what that call would, for example by looking the allocation
+    up in a memo of simulations already run under [sim_config]: the
+    design-space explorer passes its entries-keyed memo, so the
+    candidate its CPA-RA point has just simulated is not simulated
+    again. *)

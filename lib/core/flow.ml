@@ -339,7 +339,10 @@ module Core = struct
         one simulator scratch per distinct variant (variants deduped by
         a canonical-source digest), and within a variant an
         entries-keyed simulation memo — two budgets that produce the
-        same allocation (ladders saturate) share one simulation.
+        same allocation (ladders saturate) share one simulation. Within
+        a budget, one CPA-RA allocation serves the CPA-RA point and
+        every certified point, and certification looks its simulations
+        up in the memo.
      3. pool fan-out: variants shard across domains with the
         byte-identical parallel-vs-serial contract: per-variant
         [Trace.buffered] sinks spliced in variant order, and a frontier
@@ -490,6 +493,14 @@ module Core = struct
     in
     Mutex.unlock online.lock;
     cut
+
+  (* Some entry sits at or below [c] in every coordinate: a necessary
+     condition for [online_prunes] against any box below [c]. *)
+  let online_covers online c =
+    Mutex.lock online.lock;
+    let covered = List.exists (fun (q, _) -> coords_leq q c) online.entries in
+    Mutex.unlock online.lock;
+    covered
 
   let identity_order d = List.init d Fun.id
 
@@ -660,6 +671,20 @@ module Core = struct
       { cycles = cycles_lb b; registers = n; slices = slices_lb;
         clock_ns = clock_lb }
     in
+    (* Floors do not increase with the budget: a larger [beta_max]
+       forces fewer accesses to RAM, and a RAM access never finishes
+       before a register one. So the bound at the feasibility minimum
+       caps every ladder budget's, and it is computed once, outside the
+       frontier lock. A budget's own floor is computed only when some
+       online entry sits at or below that ceiling in every coordinate;
+       otherwise no entry can cover the budget's box and nothing is cut. *)
+    let ceiling = lazy (lower_bound n) in
+    let bound_at b = if b = n then ceiling else lazy (lower_bound b) in
+    let prunes bound key =
+      space.prune
+      && online_covers online (Lazy.force ceiling)
+      && online_prunes online (Lazy.force bound) key
+    in
     let sim_memo : (string, Sim.result) Hashtbl.t = Hashtbl.create 8 in
     let memo_hits = ref 0
     and points_evaluated = ref 0
@@ -689,6 +714,14 @@ module Core = struct
         in
         if not space.naive then Hashtbl.add sim_memo key sim;
         sim
+    in
+    (* Certification's simulations: a lookup of what has already run,
+       uncounted and unrecorded, so the memo's hits and events stay those
+       of the explorer's own points. *)
+    let memo_sim alloc =
+      match Hashtbl.find_opt sim_memo (entries_key analysis alloc) with
+      | Some sim -> sim
+      | None -> Sim.run ~config:config.sim ~scratch:sim_scratch alloc
     in
     let add_point ~serial ~budget ~algorithm ~floor ~cert ~report =
       let c = coords_of_report report in
@@ -759,10 +792,7 @@ module Core = struct
             | None -> []))
     in
     let bmax = List.fold_left max n budgets in
-    let variant_cut =
-      space.prune && ladder_size > 0
-      && online_prunes online (lower_bound bmax) (v.v_idx, 1)
-    in
+    let variant_cut = ladder_size > 0 && prunes (bound_at bmax) (v.v_idx, 1) in
     if variant_cut then begin
       variants_pruned := 1;
       points_pruned := ladder_size;
@@ -773,19 +803,25 @@ module Core = struct
       let serial = ref 0 in
       List.iter
         (fun b ->
-          let bound = lazy (lower_bound b) in
+          let bound = bound_at b in
+          let cfg = { config with budget = b } in
+          (* The budget's CPA-RA allocation, run at most once: the CPA-RA
+             point reports it and every certified point certifies it. *)
+          let candidate =
+            lazy
+              (allocation ~config:cfg ~trace:sink ~prepared:prepared.cpa
+                 ~sim_scratch Allocator.Cpa_ra analysis)
+          in
           List.iter
             (fun alg ->
               incr serial;
               let key = (v.v_idx, !serial) in
-              if space.prune && online_prunes online (Lazy.force bound) key
-              then begin
+              if prunes bound key then begin
                 incr points_pruned;
                 emit_prune ~scope:"point" ~points_cut:1 ~budget:(Some b)
                   ~algorithm:(Some (Allocator.name alg))
               end
               else begin
-                let cfg = { config with budget = b } in
                 let point_analysis =
                   if space.naive then analyze nest else analysis
                 in
@@ -796,10 +832,8 @@ module Core = struct
                         ?cut_work_limit:cfg.guards.cut_work_limit
                         ~sim_config:cfg.sim point_analysis ~budget:b
                     else
-                      Allocator.run_portfolio ~latency ~trace:sink
-                        ?cut_work_limit:cfg.guards.cut_work_limit
-                        ~prepared:prepared.cpa ~sim_config:cfg.sim
-                        ~sim_scratch point_analysis ~budget:b
+                      Certify.certify ~trace:sink ~sim_config:cfg.sim
+                        ~sim_scratch ~simulate:memo_sim (Lazy.force candidate)
                   in
                   let alloc = outcome.Certify.allocation in
                   let version = Allocator.version_label Allocator.Portfolio in
@@ -834,6 +868,7 @@ module Core = struct
                       Allocator.run ~latency ~trace:sink
                         ?cut_work_limit:cfg.guards.cut_work_limit
                         ~sim_config:cfg.sim alg point_analysis ~budget:b
+                    else if alg = Allocator.Cpa_ra then Lazy.force candidate
                     else
                       allocation ~config:cfg ~trace:sink
                         ~prepared:prepared.cpa ~sim_scratch alg analysis

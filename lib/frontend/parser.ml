@@ -408,15 +408,10 @@ let print nest =
         l.Nest.var l.Nest.var l.Nest.count l.Nest.var)
     nest.Nest.loops;
   out "%s{\n" (String.make (2 * (depth + 1)) ' ');
-  let ref_text (r : Expr.ref_) =
-    r.Expr.decl.Decl.name
-    ^ String.concat ""
-        (List.map (fun ix -> Printf.sprintf "[%s]" (Affine.to_string ix)) r.Expr.index)
-  in
   let rec expr_text (e : Expr.t) =
     match e with
     | Expr.Const v -> if v < 0 then Printf.sprintf "(0 - %d)" (-v) else string_of_int v
-    | Expr.Load r -> ref_text r
+    | Expr.Load r -> Expr.ref_to_string r
     | Expr.Unary (Op.Neg, a) -> Printf.sprintf "(0 - %s)" (expr_text a)
     | Expr.Unary (Op.Abs, a) -> Printf.sprintf "abs(%s)" (expr_text a)
     | Expr.Unary (Op.Bnot, a) -> Printf.sprintf "(1 - %s)" (expr_text a)
@@ -440,7 +435,7 @@ let print nest =
     (fun (Expr.Assign (target, e)) ->
       out "%s%s = %s;\n"
         (String.make (2 * (depth + 2)) ' ')
-        (ref_text target) (expr_text e))
+        (Expr.ref_to_string target) (expr_text e))
     nest.Nest.body;
   out "%s}\n}\n" (String.make (2 * (depth + 1)) ' ');
   Buffer.contents buf

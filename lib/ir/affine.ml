@@ -48,20 +48,39 @@ let compare a b =
   let c = Int.compare a.const b.const in
   if c <> 0 then c else Smap.compare Int.compare a.terms b.terms
 
-let pp ppf a =
-  let pp_term first (v, c) =
-    if c >= 0 && not first then Format.fprintf ppf "+";
-    if c = 1 then Format.fprintf ppf "%s" v
-    else if c = -1 then Format.fprintf ppf "-%s" v
-    else Format.fprintf ppf "%d*%s" c v;
-    false
-  in
-  if Smap.is_empty a.terms then Format.fprintf ppf "%d" a.const
+(* The one affine renderer: terms in variable order, "+" before every
+   non-negative term but the first, unit coefficients bare, then the
+   constant when non-zero. Buffer-based so reference names cost no
+   formatter; [pp] prints the same bytes. *)
+let add_to_buffer b a =
+  if Smap.is_empty a.terms then Buffer.add_string b (string_of_int a.const)
   else begin
-    let first = List.fold_left pp_term true (Smap.bindings a.terms) in
-    ignore first;
-    if a.const > 0 then Format.fprintf ppf "+%d" a.const
-    else if a.const < 0 then Format.fprintf ppf "%d" a.const
+    let first = ref true in
+    Smap.iter
+      (fun v c ->
+        if c >= 0 && not !first then Buffer.add_char b '+';
+        first := false;
+        if c = 1 then Buffer.add_string b v
+        else if c = -1 then begin
+          Buffer.add_char b '-';
+          Buffer.add_string b v
+        end
+        else begin
+          Buffer.add_string b (string_of_int c);
+          Buffer.add_char b '*';
+          Buffer.add_string b v
+        end)
+      a.terms;
+    if a.const > 0 then begin
+      Buffer.add_char b '+';
+      Buffer.add_string b (string_of_int a.const)
+    end
+    else if a.const < 0 then Buffer.add_string b (string_of_int a.const)
   end
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  let b = Buffer.create 16 in
+  add_to_buffer b a;
+  Buffer.contents b
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)

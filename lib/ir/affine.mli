@@ -39,5 +39,11 @@ val subst : t -> string -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the rendering, e.g. ["i+2*j-1"]: terms in variable order,
+    unit coefficients bare, then the constant when non-zero; a
+    constant-only expression renders as its value. *)
+
 val to_string : t -> string
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}'s bytes. *)

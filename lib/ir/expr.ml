@@ -48,9 +48,18 @@ let rec eval e ~env ~load =
   | Binary (op, a, b) ->
     Op.eval_binary op (eval a ~env ~load) (eval b ~env ~load)
 
-let pp_ref ppf r =
-  Format.fprintf ppf "%s" r.decl.Decl.name;
-  List.iter (fun ix -> Format.fprintf ppf "[%a]" Affine.pp ix) r.index
+let ref_to_string r =
+  let b = Buffer.create 32 in
+  Buffer.add_string b r.decl.Decl.name;
+  List.iter
+    (fun ix ->
+      Buffer.add_char b '[';
+      Affine.add_to_buffer b ix;
+      Buffer.add_char b ']')
+    r.index;
+  Buffer.contents b
+
+let pp_ref ppf r = Format.pp_print_string ppf (ref_to_string r)
 
 let rec pp ppf = function
   | Const c -> Format.fprintf ppf "%d" c

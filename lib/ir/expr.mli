@@ -42,6 +42,11 @@ val eval :
 val eval_index : ref_ -> env:(string -> int) -> int array
 (** The concrete element coordinates of [ref_] under [env]. *)
 
+val ref_to_string : ref_ -> string
+(** The one reference renderer, e.g. ["b[i+j][j]"]: the array name, then
+    each index as {!Affine.to_string} in brackets. {!pp_ref}, reference
+    group names and the frontend's printed source all use it. *)
+
 val pp_ref : Format.formatter -> ref_ -> unit
 val pp : Format.formatter -> t -> unit
 val pp_stmt : Format.formatter -> stmt -> unit

@@ -1,6 +1,12 @@
 open Srfa_ir
 
-type t = { id : int; ref_ : Expr.ref_; reads : int; writes : int }
+type t = {
+  id : int;
+  ref_ : Expr.ref_;
+  name : string;
+  reads : int;
+  writes : int;
+}
 
 let collect nest =
   let table : t list ref = ref [] in
@@ -18,7 +24,9 @@ let collect nest =
       let reads, writes =
         match kind with `Read -> (1, 0) | `Write -> (0, 1)
       in
-      table := { id; ref_ = r; reads; writes } :: !table
+      table :=
+        { id; ref_ = r; name = Expr.ref_to_string r; reads; writes }
+        :: !table
   in
   let note_stmt (Expr.Assign (target, e)) =
     List.iter (note `Read) (Expr.loads e);
@@ -30,7 +38,7 @@ let collect nest =
 
 let is_read g = g.reads > 0
 let is_write g = g.writes > 0
-let name g = Format.asprintf "%a" Expr.pp_ref g.ref_
+let name g = g.name
 let decl g = g.ref_.Expr.decl
 
 let find groups r =
@@ -38,10 +46,9 @@ let find groups r =
   | Some g -> g
   | None ->
     invalid_arg
-      (Format.asprintf
-         "Group.find: reference %a belongs to no group of this nest"
-         Expr.pp_ref r)
+      (Printf.sprintf
+         "Group.find: reference %s belongs to no group of this nest"
+         (Expr.ref_to_string r))
 
 let pp ppf g =
-  Format.fprintf ppf "group %d: %a (%dr/%dw)" g.id Expr.pp_ref g.ref_
-    g.reads g.writes
+  Format.fprintf ppf "group %d: %s (%dr/%dw)" g.id g.name g.reads g.writes

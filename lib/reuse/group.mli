@@ -11,6 +11,7 @@ open Srfa_ir
 type t = private {
   id : int;            (** position in program order, starting at 0 *)
   ref_ : Expr.ref_;    (** representative reference *)
+  name : string;       (** [ref_] rendered once (see {!name}) *)
   reads : int;         (** number of read occurrences in the body *)
   writes : int;        (** number of write occurrences in the body *)
 }
@@ -22,7 +23,9 @@ val is_read : t -> bool
 val is_write : t -> bool
 
 val name : t -> string
-(** Rendered reference, e.g. ["d[i][k]"]. *)
+(** Rendered reference, e.g. ["d[i][k]"], by
+    {!Srfa_ir.Expr.ref_to_string}. {!collect} renders it once, so
+    reports and trace events that name groups do not render again. *)
 
 val decl : t -> Decl.t
 

@@ -57,8 +57,17 @@ let test_sweep_monotonic () =
            None pts))
     by_kernel
 
-(* The never-worse contract itself, checked against fresh greedy runs. *)
+let entries alloc =
+  Array.init
+    (Analysis.num_groups alloc.Allocation.analysis)
+    (Allocation.entry alloc)
+
+(* The never-worse contract itself, checked against fresh greedy runs.
+   Certifying through a simulation memo (as the explorer does, with the
+   candidate and baselines already simulated) must not change the
+   outcome. *)
 let test_never_worse_than_baselines () =
+  let memo_lookups = ref 0 in
   List.iter
     (fun (name, nest) ->
       let an = Helpers.analyze nest in
@@ -72,10 +81,52 @@ let test_never_worse_than_baselines () =
             Alcotest.(check bool)
               (Printf.sprintf "%s @ %d: portfolio <= best greedy" name budget)
               true
-              (cycles (run Allocator.Portfolio) <= bar)
+              (cycles (run Allocator.Portfolio) <= bar);
+            let candidate = run Allocator.Cpa_ra in
+            let memo = Hashtbl.create 8 in
+            let simulate alloc =
+              let key = entries alloc in
+              match Hashtbl.find_opt memo key with
+              | Some sim -> sim
+              | None ->
+                let sim = Simulator.run alloc in
+                Hashtbl.add memo key sim;
+                sim
+            in
+            List.iter
+              (fun alg -> ignore (simulate (run alg)))
+              [ Allocator.Cpa_ra; Allocator.Fr_ra; Allocator.Pr_ra ];
+            let plain = Certify.certify candidate in
+            let memoised =
+              Certify.certify
+                ~simulate:(fun alloc ->
+                  incr memo_lookups;
+                  simulate alloc)
+                candidate
+            in
+            let label what =
+              Printf.sprintf "%s @ %d: memoised certification, same %s" name
+                budget what
+            in
+            Alcotest.(check bool) (label "entries") true
+              (entries plain.Certify.allocation
+              = entries memoised.Certify.allocation);
+            Alcotest.(check bool) (label "comparison") true
+              (plain.Certify.comparison = memoised.Certify.comparison);
+            Alcotest.(check bool) (label "repaired") plain.Certify.repaired
+              memoised.Certify.repaired;
+            Alcotest.(check (option string)) (label "adopted")
+              plain.Certify.adopted memoised.Certify.adopted;
+            Alcotest.(check (option int)) (label "cycles")
+              (Option.map (fun s -> s.Simulator.total_cycles) plain.Certify.sim)
+              (Option.map
+                 (fun s -> s.Simulator.total_cycles)
+                 memoised.Certify.sim)
           end)
         budgets)
-    (Helpers.small_kernels ())
+    (Helpers.small_kernels ());
+  Alcotest.(check bool) "some certification simulated through the memo" true
+    (!memo_lookups > 0)
 
 (* Certified allocations carry the portfolio provenance label, and the
    dominance fast path really skips the simulator. *)

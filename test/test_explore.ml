@@ -17,6 +17,9 @@ module Pool = Srfa_util.Pool
 let json ?pool space nest =
   Core.frontier_json (Core.explore ?pool ~space Core.default_config nest)
 
+(* The valid fuzz kernels among case ids 0-999 of campaign 42. *)
+let valid_cases = lazy (Helpers.gen_valid ~seed:42 ~cases:1000)
+
 (* A space with several variants so the pool and the pruner both have
    real work: all 6 orders of the running example plus one strip-mine
    factor, two algorithms. *)
@@ -69,13 +72,109 @@ let test_partial_funding_not_pruned () =
     (json { space with Core.prune = false } nest)
     (json space nest)
 
+(* The memoised path shares one CPA-RA allocation per (variant, budget)
+   between the CPA-RA point and the certified points, and certifies
+   through the simulation memo; the naive path runs and simulates
+   everything afresh. Frontiers, certification stamps included, must
+   agree whichever algorithm comes first in the ladder. *)
+let sharing_spaces base =
+  let algorithms l = { base with Core.space_algorithms = l } in
+  [
+    ("cpa+fr", algorithms [ Allocator.Cpa_ra; Allocator.Fr_ra ]);
+    ("cpa+portfolio", algorithms [ Allocator.Cpa_ra; Allocator.Portfolio ]);
+    ("portfolio+cpa", algorithms [ Allocator.Portfolio; Allocator.Cpa_ra ]);
+    ( "certified cpa+pr",
+      {
+        (algorithms [ Allocator.Cpa_ra; Allocator.Pr_ra ]) with
+        Core.certify = true;
+      } );
+  ]
+
+let check_memoised_equals_naive ~base (name, nest) =
+  List.iter
+    (fun (label, space) ->
+      let naive = json { space with Core.naive = true; prune = false } nest in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s: memoised == naive" name label)
+        naive (json space nest))
+    (sharing_spaces base)
+
+(* The fuzz kernels run under a smaller space: identity order, one
+   strip-mine factor, four budgets. *)
 let test_memoised_equals_naive () =
-  let nest = Helpers.example () in
-  let memoised = json example_space nest in
-  let naive =
-    json { example_space with Core.naive = true; Core.prune = false } nest
+  List.iter
+    (check_memoised_equals_naive ~base:example_space)
+    [ ("example", Helpers.example ()); ("bic", Helpers.small_bic ()) ];
+  let base =
+    {
+      example_space with
+      Core.orders = Core.Identity_order;
+      space_budgets = [ 4; 8; 16; 32 ];
+    }
   in
-  Alcotest.(check string) "memoised == naive" naive memoised
+  List.iter
+    (fun (id, nest) ->
+      check_memoised_equals_naive ~base (Printf.sprintf "gen %d" id, nest))
+    (Lazy.force valid_cases)
+
+(* One CPA-RA decision stream per evaluated (variant, budget): the
+   CPA-RA point and the portfolio point share one allocation, so a
+   traced explore over [cpa-ra; portfolio] opens one engine per ladder
+   budget that kept at least one of its two points. A budget whose two
+   points were both cut, and every budget of a cut variant, opens none.
+   Fuzz case 36 has a variant the floor cuts whole. *)
+let test_one_cpa_run_per_budget () =
+  let module T = Srfa_util.Trace in
+  let space =
+    {
+      example_space with
+      Core.space_algorithms = [ Allocator.Cpa_ra; Allocator.Portfolio ];
+      space_budgets = [ 4; 5; 6; 8; 16; 64 ];
+    }
+  in
+  let check (name, nest) (label, space) =
+    let sink, events = T.collector () in
+    let f = Core.explore ~trace:sink ~space Core.default_config nest in
+    let named n = List.filter (fun (e : T.event) -> e.T.name = n) (events ()) in
+    let field k (e : T.event) = List.assoc k e.T.fields in
+    let s = f.Core.frontier_stats in
+    (* ladder points over two algorithms, floors excluded *)
+    let pairs =
+      (s.Core.points_evaluated + s.Core.points_pruned - s.Core.variants_unique)
+      / 2
+    in
+    let both_cut = Hashtbl.create 16 in
+    let cut_pairs =
+      List.fold_left
+        (fun acc e ->
+          match (field "scope" e, field "points" e) with
+          | T.String "variant", T.Int points -> acc + (points / 2)
+          | _ ->
+            let k = (field "variant" e, field "budget" e) in
+            if Hashtbl.mem both_cut k then acc + 1
+            else begin
+              Hashtbl.add both_cut k ();
+              acc
+            end)
+        0 (named "explore.prune")
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%s, %s: one engine.init per evaluated (variant, budget)"
+         name label)
+      (pairs - cut_pairs)
+      (List.length (named "engine.init"))
+  in
+  List.iter
+    (fun input ->
+      List.iter (check input)
+        [
+          ("pruned", space);
+          ("exhaustive", { space with Core.prune = false });
+        ])
+    [
+      ("example", Helpers.example ());
+      ("gen 36", List.assoc 36 (Lazy.force valid_cases));
+    ]
 
 let test_parallel_equals_serial () =
   let nest = Helpers.example () in
@@ -233,11 +332,11 @@ let test_compact_json_single_line () =
    exhaustively. Every evaluated point must sit on or above the bounds
    the explorer prunes with: the area and clock floors, and the cycle
    floor of allocations that give no group more than [b - (n-1)]
-   registers. Drawn over valid fuzz kernels (campaign 42, ids below
-   1000) x legal orders x an optional factor-2 strip-mine x budgets x
-   {CPA-RA, portfolio}. *)
-let valid_cases = lazy (Helpers.gen_valid ~seed:42 ~cases:1000)
-
+   registers. That floor must also stay at or below the floor at the
+   feasibility minimum, the ceiling the explorer checks before it
+   computes a budget's own floor. Drawn over valid fuzz kernels
+   (campaign 42, ids below 1000) x legal orders x an optional factor-2
+   strip-mine x budgets x {CPA-RA, portfolio}. *)
 let prop_lower_bounds_sound =
   let draw =
     QCheck.Gen.(
@@ -280,6 +379,13 @@ let prop_lower_bounds_sound =
         Srfa_sched.Simulator.cycles_floor ~config:sim sim_scratch
           ~beta_max:(budget - (n - 1))
       in
+      let ceiling =
+        Srfa_sched.Simulator.cycles_floor ~config:sim sim_scratch ~beta_max:1
+      in
+      if cycles_lb > ceiling then
+        QCheck.Test.fail_reportf
+          "budget %d: cycle floor %d above the floor %d at the minimum"
+          budget cycles_lb ceiling;
       let slices_lb =
         Srfa_estimate.Area.lower_bound
           ~device:sim.Srfa_sched.Simulator.device analysis
@@ -326,6 +432,8 @@ let () =
         [
           Alcotest.test_case "memo fires when the ladder saturates" `Quick
             test_memo_fires_on_saturating_ladder;
+          Alcotest.test_case "one CPA-RA run per (variant, budget)" `Quick
+            test_one_cpa_run_per_budget;
         ] );
       ( "guards",
         [

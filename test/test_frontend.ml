@@ -226,6 +226,159 @@ let test_print_roundtrip () =
         nest.Nest.arrays)
     (Helpers.small_kernels ())
 
+(* --- renderer parity ------------------------------------------------------ *)
+
+(* The Format renderers the Buffer-based ones replaced, kept as the
+   reference: reference names, group names and the canonical source
+   (the serving cache's key) must stay byte-identical to them. *)
+let format_affine ppf a =
+  let pp_term first (v, c) =
+    if c >= 0 && not first then Format.fprintf ppf "+";
+    if c = 1 then Format.fprintf ppf "%s" v
+    else if c = -1 then Format.fprintf ppf "-%s" v
+    else Format.fprintf ppf "%d*%s" c v;
+    false
+  in
+  match Affine.coeffs a with
+  | [] -> Format.fprintf ppf "%d" (Affine.constant a)
+  | terms ->
+    ignore (List.fold_left pp_term true terms);
+    let c = Affine.constant a in
+    if c > 0 then Format.fprintf ppf "+%d" c
+    else if c < 0 then Format.fprintf ppf "%d" c
+
+let format_ref ppf (r : Expr.ref_) =
+  Format.fprintf ppf "%s" r.Expr.decl.Decl.name;
+  List.iter (fun ix -> Format.fprintf ppf "[%a]" format_affine ix) r.Expr.index
+
+(* [Parser.print] with its references rendered through [format_ref]. *)
+let format_print nest =
+  let buf = Buffer.create 1024 in
+  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  out "kernel %s {\n"
+    (String.map (function ' ' | '-' -> '_' | c -> c) nest.Nest.name);
+  List.iter
+    (fun (d : Decl.t) ->
+      let storage =
+        match d.Decl.storage with
+        | Decl.Input -> "input"
+        | Decl.Output -> "output"
+        | Decl.Local -> "local"
+      in
+      out "  %-6s int%d %s%s;\n" storage d.Decl.bits d.Decl.name
+        (String.concat "" (List.map (Printf.sprintf "[%d]") d.Decl.dims)))
+    nest.Nest.arrays;
+  out "\n";
+  let depth = Nest.depth nest in
+  List.iteri
+    (fun level (l : Nest.loop) ->
+      out "%sfor (%s = 0; %s < %d; %s++)\n"
+        (String.make (2 * (level + 1)) ' ')
+        l.Nest.var l.Nest.var l.Nest.count l.Nest.var)
+    nest.Nest.loops;
+  out "%s{\n" (String.make (2 * (depth + 1)) ' ');
+  let ref_text r = Format.asprintf "%a" format_ref r in
+  let rec expr_text (e : Expr.t) =
+    match e with
+    | Expr.Const v ->
+      if v < 0 then Printf.sprintf "(0 - %d)" (-v) else string_of_int v
+    | Expr.Load r -> ref_text r
+    | Expr.Unary (Op.Neg, a) -> Printf.sprintf "(0 - %s)" (expr_text a)
+    | Expr.Unary (Op.Abs, a) -> Printf.sprintf "abs(%s)" (expr_text a)
+    | Expr.Unary (Op.Bnot, a) -> Printf.sprintf "(1 - %s)" (expr_text a)
+    | Expr.Binary (op, a, b) ->
+      let sa = expr_text a and sb = expr_text b in
+      let infix sym = Printf.sprintf "(%s %s %s)" sa sym sb in
+      (match op with
+      | Op.Add -> infix "+"
+      | Op.Sub -> infix "-"
+      | Op.Mul -> infix "*"
+      | Op.Div -> infix "/"
+      | Op.Band -> infix "&"
+      | Op.Bor -> infix "|"
+      | Op.Bxor -> infix "^"
+      | Op.Eq -> infix "=="
+      | Op.Lt -> infix "<"
+      | Op.Min -> Printf.sprintf "min(%s, %s)" sa sb
+      | Op.Max -> Printf.sprintf "max(%s, %s)" sa sb)
+  in
+  List.iter
+    (fun (Expr.Assign (target, e)) ->
+      out "%s%s = %s;\n"
+        (String.make (2 * (depth + 2)) ' ')
+        (ref_text target) (expr_text e))
+    nest.Nest.body;
+  out "%s}\n}\n" (String.make (2 * (depth + 1)) ' ');
+  Buffer.contents buf
+
+let check_ref_parity label (r : Expr.ref_) =
+  let expected = Format.asprintf "%a" format_ref r in
+  Alcotest.(check string) (label ^ ": ref_to_string") expected
+    (Expr.ref_to_string r);
+  Alcotest.(check string) (label ^ ": pp_ref") expected
+    (Format.asprintf "%a" Expr.pp_ref r);
+  List.iter
+    (fun ix ->
+      Alcotest.(check string) (label ^ ": Affine.to_string")
+        (Format.asprintf "%a" format_affine ix)
+        (Affine.to_string ix))
+    r.Expr.index
+
+(* Every library, Extra and example kernel, their explore variants, and
+   the valid fuzz kernels among case ids 0-999 of campaign 42; then
+   hand-made indices covering unit and larger coefficients of both
+   signs, positive, zero and negative constants, constant-only indices
+   and multi-term ordering. *)
+let test_renderer_parity () =
+  let kernels =
+    Srfa_kernels.Kernels.all ()
+    @ [ ("example", Helpers.example ()) ]
+    @ Srfa_kernels.Extra.all ()
+  in
+  let nests =
+    List.concat_map (fun k -> k :: Helpers.variants k) kernels
+    @ List.map
+        (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest))
+        (Helpers.gen_valid ~seed:42 ~cases:1000)
+  in
+  List.iter
+    (fun (name, nest) ->
+      List.iter (check_ref_parity name) (Nest.refs nest);
+      Array.iter
+        (fun (g : Group.t) ->
+          Alcotest.(check string) (name ^ ": group name")
+            (Format.asprintf "%a" format_ref g.Group.ref_)
+            (Group.name g))
+        (Group.collect nest);
+      Alcotest.(check string) (name ^ ": printed source") (format_print nest)
+        (Parser.print nest))
+    nests;
+  let v ?coeff x = Affine.var ?coeff x and c = Affine.const in
+  let sum = List.fold_left Affine.add (c 0) in
+  let indices =
+    [
+      (c 0, "0");
+      (c 7, "7");
+      (c (-4), "-4");
+      (v "i", "i");
+      (v ~coeff:(-1) "i", "-i");
+      (v ~coeff:3 "i", "3*i");
+      (v ~coeff:(-3) "i", "-3*i");
+      (sum [ v "i"; c 2 ], "i+2");
+      (sum [ v "i"; c (-2) ], "i-2");
+      (sum [ v "k"; v ~coeff:(-2) "i"; v "j" ], "-2*i+j+k");
+      (sum [ v ~coeff:(-1) "j"; v ~coeff:(-1) "i"; c (-1) ], "-i-j-1");
+      (sum [ c 5; v ~coeff:(-3) "j"; v ~coeff:2 "i" ], "2*i-3*j+5");
+      (sum [ v ~coeff:1 "b"; v ~coeff:(-1) "a"; c 1 ], "-a+b+1");
+    ]
+  in
+  List.iter
+    (fun (ix, text) ->
+      Alcotest.(check string) ("pinned " ^ text) text (Affine.to_string ix);
+      check_ref_parity text
+        (Expr.ref_ (Decl.make "a" [ 4; 4 ]) [ ix; Affine.sub (c 1) ix ]))
+    indices
+
 let () =
   Alcotest.run "frontend"
     [
@@ -275,5 +428,9 @@ let () =
             {|kernel k { output int y[4]; for (i = 0; i < 4; i++) y[i] = 1; } zz|};
         ] );
       ( "round trip",
-        [ Alcotest.test_case "print/parse" `Quick test_print_roundtrip ] );
+        [
+          Alcotest.test_case "print/parse" `Quick test_print_roundtrip;
+          Alcotest.test_case "renderers match the Format reference" `Quick
+            test_renderer_parity;
+        ] );
     ]
