@@ -1,9 +1,9 @@
 (* srfa-serve — the allocation daemon. Binds a Unix-domain socket and
-   answers JSONL allocation requests from the two-tier content cache;
-   `--self-test` instead spawns a private daemon, runs the scripted
-   request mix and exits 0/1 (the @serve-smoke gate); `--chaos` runs the
-   seeded fault-injection campaign against a private daemon and exits
-   0/1 (the @chaos-smoke gate). *)
+   answers JSONL requests from the content-addressed cache until a
+   shutdown request or SIGTERM/SIGINT. Exits 2 on a bad --faults plan.
+   The scripted request mix and the chaos campaign that drive it live in
+   test/test_serve.ml and test/test_chaos.ml (@serve-smoke,
+   @chaos-smoke). *)
 
 open Cmdliner
 
@@ -33,24 +33,9 @@ let trace_arg =
   let doc = "Write cache trace events (JSON lines) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let self_test_arg =
-  let doc = "Run the built-in request-mix self-test and exit." in
-  Arg.(value & flag & info [ "self-test" ] ~doc)
-
-let chaos_arg =
-  let doc =
-    "Run the seeded chaos campaign (fault injection + hostile clients \
-     against a private daemon) and exit."
-  in
-  Arg.(value & flag & info [ "chaos" ] ~doc)
-
 let seed_arg =
-  let doc = "Seed for the chaos campaign and the fault plan." in
+  let doc = "Seed for the fault plan." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-
-let requests_arg =
-  let doc = "Number of requests the chaos campaign sends." in
-  Arg.(value & opt int 600 & info [ "chaos-requests" ] ~docv:"N" ~doc)
 
 let faults_arg =
   let doc =
@@ -90,49 +75,41 @@ let read_timeout_arg =
   Arg.(
     value & opt int 10_000 & info [ "read-timeout-ms" ] ~docv:"MS" ~doc)
 
-let main socket jobs tier1_mb tier2_mb trace self_test chaos seed requests
-    faults_plan deadline_ms max_inflight max_buffer read_timeout_ms =
+let main socket jobs tier1_mb tier2_mb trace seed faults_plan deadline_ms
+    max_inflight max_buffer read_timeout_ms =
   let module Trace = Srfa_util.Trace in
   let module Fault = Srfa_util.Fault in
   let jobs = if jobs <= 0 then Srfa_util.Pool.recommended () else jobs in
-  if self_test then
-    if Srfa_server.Server.self_test ~jobs ~log:print_endline () then 0 else 1
-  else if chaos then
-    if Srfa_server.Server.chaos ~seed ~requests ~jobs ~log:print_endline ()
-    then 0
-    else 1
-  else
-    let faults =
-      match
-        match faults_plan with
-        | Some plan -> Fault.parse ~seed plan
-        | None -> Fault.from_env ()
-      with
-      | Ok f -> f
-      | Error msg ->
-        prerr_endline ("srfa-serve: " ^ msg);
-        exit 2
-    in
-    let with_trace k =
-      match trace with
-      | None -> k Trace.null
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> k (Trace.channel oc))
-    in
-    with_trace (fun sink ->
-        Printf.printf "srfa-serve: listening on %s (jobs=%d%s)\n%!" socket jobs
-          (if Fault.enabled faults then
-             "; faults: " ^ Fault.to_string faults
-           else "");
-        Srfa_server.Server.run ~jobs
-          ~tier1_bytes:(tier1_mb * 1024 * 1024)
-          ~tier2_bytes:(tier2_mb * 1024 * 1024)
-          ~trace:sink ~faults ?deadline_ms ~max_inflight ~max_buffer
-          ~read_timeout_ms ~signals:true ~log:print_endline ~socket ();
-        0)
+  let faults =
+    match
+      match faults_plan with
+      | Some plan -> Fault.parse ~seed plan
+      | None -> Fault.from_env ()
+    with
+    | Ok f -> f
+    | Error msg ->
+      prerr_endline ("srfa-serve: " ^ msg);
+      exit 2
+  in
+  let with_trace k =
+    match trace with
+    | None -> k Trace.null
+    | Some path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> k (Trace.channel oc))
+  in
+  with_trace (fun sink ->
+      Printf.printf "srfa-serve: listening on %s (jobs=%d%s)\n%!" socket jobs
+        (if Fault.enabled faults then "; faults: " ^ Fault.to_string faults
+         else "");
+      Srfa_server.Server.run ~jobs
+        ~tier1_bytes:(tier1_mb * 1024 * 1024)
+        ~tier2_bytes:(tier2_mb * 1024 * 1024)
+        ~trace:sink ~faults ?deadline_ms ~max_inflight ~max_buffer
+        ~read_timeout_ms ~signals:true ~log:print_endline ~socket ();
+      0)
 
 let cmd =
   let doc = "Serve register-allocation reports over a Unix-domain socket." in
@@ -140,8 +117,7 @@ let cmd =
     (Cmd.info "srfa-serve" ~doc)
     Term.(
       const main $ socket_arg $ jobs_arg $ tier1_mb_arg $ tier2_mb_arg
-      $ trace_arg $ self_test_arg $ chaos_arg $ seed_arg $ requests_arg
-      $ faults_arg $ deadline_arg $ max_inflight_arg $ max_buffer_arg
-      $ read_timeout_arg)
+      $ trace_arg $ seed_arg $ faults_arg $ deadline_arg $ max_inflight_arg
+      $ max_buffer_arg $ read_timeout_arg)
 
 let () = exit (Cmd.eval' cmd)

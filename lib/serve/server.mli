@@ -1,5 +1,7 @@
 (** The allocation daemon: a Unix-domain-socket accept loop speaking the
-    JSONL {!Protocol}, backed by a two-tier {!Cache}.
+    JSONL {!Protocol}, backed by {!Cache}'s four stores: tier 1
+    (analyses), tier 2 (reports), rebudget sessions and explore
+    frontiers.
 
     Concurrency model — single-threaded IO, pooled compute. The accept
     loop owns every file descriptor and every cache mutation. Each
@@ -56,14 +58,15 @@ val run :
     10 s); either trips [E-PROTO-003] and drops the connection.
     SIGPIPE is ignored process-wide on entry regardless of [signals]. *)
 
-(** A small blocking client, used by the self-test and the bench. *)
+(** A small blocking client, used by the tests, the bench and perfbench. *)
 module Client : sig
   type t = { fd : Unix.file_descr; ic : in_channel }
 
   val connect : ?retries:int -> string -> t
   (** Retry while the socket does not exist / refuses connections
-      (20 ms apart, default 200 attempts) so callers can connect
-      immediately after spawning the daemon. *)
+      (10 ms apart, default 200 attempts) so callers can connect
+      immediately after spawning the daemon. The last failure is
+      re-raised, and every failed attempt closes its socket. *)
 
   val send : t -> string -> unit
   val recv : t -> string
@@ -73,31 +76,3 @@ module Client : sig
   val rpc : t -> string -> string
   val close : t -> unit
 end
-
-val self_test : ?jobs:int -> ?log:(string -> unit) -> unit -> bool
-(** Spawn a private daemon, run the scripted request mix (cold miss /
-    tier-2 hit / analysis reuse / inline source / parse error / unknown
-    kernel / malformed JSON with id recovery / guard trip / infeasible
-    budget / rebudget event stream with memoized revisits and the
-    starved-budget clamp / pipelined batch / stats / shutdown), then
-    three more
-    private daemons covering the resilience layer: buffer cap + read
-    timeout + overload shedding + deadlines, worker isolation under a
-    100% pool.job fault plan, and SIGTERM drain. Prints via [log] and
-    ends with ["self-test: ok"] iff all checks passed. *)
-
-val chaos :
-  ?seed:int -> ?requests:int -> ?jobs:int -> ?log:(string -> unit) ->
-  unit -> bool
-(** The seeded chaos campaign. Phase one records fault-free reports for
-    a deterministic request mix; phase two replays the mix against a
-    daemon under an injected fault plan (short reads, dropped writes,
-    raising and stalling workers, failing cache inserts) through
-    hostile clients (pipelined floods, truncated JSON then disconnect,
-    disconnect before reading the response), asserting: the daemon
-    never dies, every request gets exactly one response or a clean
-    disconnect, every [ok] response is byte-identical to the fault-free
-    report, and the injected-fault rate is at least 10% of requests;
-    phase three re-verifies every distinct request against the baseline
-    while faults stay armed. Prints via [log]; ends with
-    ["chaos: ok (...)"] iff clean. Defaults: seed 42, 600 requests. *)

@@ -1,5 +1,5 @@
-(* The serving layer: content-address goldens, the wire protocol, and
-   the two-tier cache's behavioural contract.
+(* The serving layer: content-address goldens, the wire protocol, the
+   cache's behavioural contract, and live daemons.
 
    The digest goldens are the canary for the whole key scheme — they
    pin hash(scheme version, device name, canonical source) for every
@@ -577,16 +577,17 @@ let test_rebudget_sessions () =
 
 (* ---- live daemon ------------------------------------------------------- *)
 
-(* The two resilience paths the self-test cannot probe in isolation:
-   a client that vanishes mid-batch must not cost anyone else their
-   answer, and an oversized line must be answered (E-PROTO-003, id
-   recovered) before the drop — in both cases with the daemon provably
-   alive afterwards. *)
+(* Each case runs its own daemon on a private socket: the scripted
+   request mix, the limits, worker isolation and SIGTERM drain; a client
+   that vanishes mid-batch and an oversized line, each with the daemon
+   provably alive afterwards; the client's failed connects; and the
+   shipped binary. *)
 
 module Server = Srfa_server.Server
 module Client = Srfa_server.Server.Client
 
-let with_daemon ?max_buffer ?read_timeout_ms tag k =
+let with_daemon ?max_buffer ?read_timeout_ms ?max_inflight ?faults ?signals
+    ?log tag k =
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "srfa-test-%s-%d.sock" tag (Unix.getpid ()))
@@ -594,31 +595,284 @@ let with_daemon ?max_buffer ?read_timeout_ms tag k =
   (try Sys.remove socket with Sys_error _ -> ());
   let d =
     Domain.spawn (fun () ->
-        Server.run ?max_buffer ?read_timeout_ms ~jobs:2 ~socket ())
+        Server.run ?max_buffer ?read_timeout_ms ?max_inflight ?faults ?signals
+          ?log ~jobs:2 ~socket ())
   in
   Fun.protect
     ~finally:(fun () ->
-      (try
-         let c = Client.connect ~retries:5 socket in
-         Client.send c {|{"op": "shutdown"}|};
-         ignore (Client.recv_opt c);
-         Client.close c
-       with _ -> ());
+      (match Client.connect ~retries:5 socket with
+      | c ->
+        Client.send c {|{"op": "shutdown"}|};
+        (try ignore (Client.recv_opt c) with Sys_error _ -> ());
+        Client.close c
+      | exception Unix.Unix_error _ -> ());
       Domain.join d)
     (fun () -> k socket)
 
-let str_member key line =
-  match Protocol.member key (Protocol.parse_json line) with
-  | Some (Protocol.Str s) -> Some s
-  | _ -> None
+(* [member ["a"; "b"] line] is the response's a.b member. *)
+let member path line =
+  List.fold_left
+    (fun json key -> Option.bind json (Protocol.member key))
+    (Some (Protocol.parse_json line))
+    path
 
-let has_code code line =
-  match Protocol.member "diagnostics" (Protocol.parse_json line) with
+let str_member key line =
+  match member [ key ] line with Some (Protocol.Str s) -> Some s | _ -> None
+
+let has_code ?(field = "diagnostics") code line =
+  match member [ field ] line with
   | Some (Protocol.Arr ds) ->
     List.exists
       (fun d -> Protocol.member "code" d = Some (Protocol.Str code))
       ds
   | _ -> false
+
+let check name ok = Alcotest.(check bool) name true ok
+
+let write_raw c s = ignore (Unix.write_substring c.Client.fd s 0 (String.length s))
+
+(* One daemon, one stateful sequence: the cold / analysis-reuse / hit
+   paths, an inline source and a parse error, the protocol error codes,
+   a guard trip, an infeasible budget, a rebudget stream, explore, a
+   pipelined batch, stats and shutdown. *)
+let test_request_mix () =
+  with_daemon "mix" (fun socket ->
+      let client = Client.connect socket in
+      let rpc = Client.rpc client in
+      (* 1. cold allocate of a named kernel *)
+      let r1 = rpc {|{"id": "c1", "kernel": "fir", "budget": 64}|} in
+      check "fir cold is a miss"
+        (str_member "status" r1 = Some "ok"
+        && str_member "cache" r1 = Some "miss"
+        && str_member "id" r1 = Some "c1");
+      (* 2. identical request: tier-2 hit with the identical report *)
+      let r2 = rpc {|{"id": "c2", "kernel": "fir", "budget": 64}|} in
+      check "fir repeat is a hit" (str_member "cache" r2 = Some "hit");
+      check "hit serves the same report"
+        (member [ "report" ] r1 = member [ "report" ] r2);
+      (* 3. same kernel, new budget: analysis tier reused *)
+      let r3 = rpc {|{"kernel": "fir", "budget": 32}|} in
+      check "budget ladder reuses analysis"
+        (str_member "cache" r3 = Some "analysis");
+      (* 4. inline source allocates like the named kernel *)
+      let source = Parser.canonical_source (Kernels.example ()) in
+      let r4 =
+        rpc
+          (Srfa_util.Json.to_string
+             (Protocol.Obj
+                [
+                  ("source", Protocol.Str source);
+                  ("algorithm", Protocol.Str "cpa-ra+");
+                ]))
+      in
+      check "inline source allocates" (str_member "status" r4 = Some "ok");
+      (* 5. a parse error comes back as an inline coded diagnostic *)
+      let r5 = rpc {|{"id": "bad", "source": "kernel oops {"}|} in
+      check "parse error is E-PARSE-001"
+        (str_member "status" r5 = Some "error" && has_code "E-PARSE-001" r5);
+      (* 6. unknown kernel name: protocol field error *)
+      let r6 = rpc {|{"kernel": "no-such-kernel"}|} in
+      check "unknown kernel is E-PROTO-002" (has_code "E-PROTO-002" r6);
+      (* 7. malformed JSON: protocol error, id recovered from the wreckage *)
+      let r7 = rpc "this is not json" in
+      check "malformed line is E-PROTO-001" (has_code "E-PROTO-001" r7);
+      let r7b = rpc {|{"id": "e1", "budget": }|} in
+      check "recovered id is echoed"
+        (has_code "E-PROTO-001" r7b && str_member "id" r7b = Some "e1");
+      (* 8. guard trip: a starved cut budget degrades CPA-RA with
+         W-GUARD-CUT *)
+      let r8 = rpc {|{"kernel": "bic", "cut_work_limit": 1}|} in
+      check "starved cut guard warns W-GUARD-CUT"
+        (str_member "status" r8 = Some "ok"
+        && has_code ~field:"warnings" "W-GUARD-CUT" r8);
+      (* 9. infeasible budget: coded error, not a crash *)
+      let r9 = rpc {|{"kernel": "fir", "budget": 1}|} in
+      check "infeasible budget is E-BUDGET-001" (has_code "E-BUDGET-001" r9);
+      (* 9b. rebudget: a live budget-event stream over the resident
+         kernel. The bootstrap rides the tier-1 entry allocate already
+         cached (analysis), later events answer incrementally from the
+         session (hit), revisited budgets come from the session memo,
+         and a starved target clamps with W-GUARD-REBUDGET instead of
+         the E-BUDGET-001 an allocate gets. *)
+      let r20 =
+        rpc {|{"id": "rb1", "op": "rebudget", "kernel": "fir", "budget": 32}|}
+      in
+      check "rebudget bootstrap reuses the analysis"
+        (str_member "status" r20 = Some "ok"
+        && str_member "cache" r20 = Some "analysis"
+        && str_member "id" r20 = Some "rb1"
+        && member [ "rebudget"; "memoized" ] r20 = Some (Protocol.Bool false));
+      let r21 = rpc {|{"op": "rebudget", "kernel": "fir", "budget": 8}|} in
+      check "rebudget shrink answers incrementally"
+        (str_member "cache" r21 = Some "hit"
+        &&
+        match member [ "rebudget"; "freed" ] r21 with
+        | Some (Protocol.Int n) -> n > 0
+        | _ -> false);
+      let r22 = rpc {|{"op": "rebudget", "kernel": "fir", "budget": 32}|} in
+      check "rebudget revisit is memoized"
+        (str_member "cache" r22 = Some "hit"
+        && member [ "rebudget"; "memoized" ] r22 = Some (Protocol.Bool true));
+      let r23 = rpc {|{"op": "rebudget", "kernel": "fir", "budget": 1}|} in
+      check "starved rebudget clamps with W-GUARD-REBUDGET"
+        (str_member "status" r23 = Some "ok"
+        && member [ "rebudget"; "clamped" ] r23 = Some (Protocol.Bool true)
+        && has_code ~field:"warnings" "W-GUARD-REBUDGET" r23);
+      let r24 =
+        rpc {|{"op": "rebudget", "kernel": "fir", "budget": 16, "stream": "b"}|}
+      in
+      check "distinct stream opens its own session"
+        (str_member "cache" r24 = Some "analysis");
+      let r25 = rpc {|{"op": "rebudget", "kernel": "fir"}|} in
+      check "rebudget without budget is E-PROTO-002"
+        (has_code "E-PROTO-002" r25);
+      (* 9c. explore: a design-space frontier, cold then from the
+         frontier tier. The frontier member embeds real points; a repeat
+         with differently formatted but canonically equal space fields
+         must hit the same key. *)
+      let frontier_points line =
+        match member [ "frontier"; "points" ] line with
+        | Some (Protocol.Arr ps) -> List.length ps
+        | _ -> -1
+      in
+      let r26 =
+        rpc {|{"id": "x1", "op": "explore", "kernel": "fir", "budgets": "8,16"}|}
+      in
+      check "explore cold is a miss with a frontier"
+        (str_member "status" r26 = Some "ok"
+        && str_member "cache" r26 = Some "miss"
+        && str_member "id" r26 = Some "x1"
+        && frontier_points r26 > 0);
+      let r27 =
+        rpc {|{"op": "explore", "kernel": "fir", "budgets": " 8 , 16 "}|}
+      in
+      check "canonically equal explore spec hits the frontier tier"
+        (str_member "cache" r27 = Some "hit" && frontier_points r27 > 0);
+      let r28 =
+        rpc {|{"op": "explore", "kernel": "fir", "budgets": "8,16,32"}|}
+      in
+      check "different explore spec is its own entry"
+        (str_member "cache" r28 = Some "miss");
+      let r29 = rpc {|{"op": "explore", "kernel": "fir", "orders": "bogus"}|} in
+      check "bad explore orders is E-PROTO-002" (has_code "E-PROTO-002" r29);
+      (* 10. pipelined batch: two requests before either answer is read,
+         answered in order *)
+      Client.send client {|{"id": "b1", "kernel": "mat", "budget": 16}|};
+      Client.send client
+        {|{"id": "b2", "kernel": "mat", "budget": 16, "algorithm": "fr-ra"}|};
+      let rb1 = Client.recv client in
+      let rb2 = Client.recv client in
+      check "batched responses keep order"
+        (str_member "id" rb1 = Some "b1" && str_member "id" rb2 = Some "b2");
+      check "batched same-kernel requests share the analysis"
+        (str_member "cache" rb1 = Some "miss"
+        && str_member "cache" rb2 = Some "analysis");
+      (* 11. stats reflect the mix *)
+      let rs = rpc {|{"op": "stats"}|} in
+      let stat key =
+        match member [ "stats"; key ] rs with Some (Protocol.Int i) -> i | _ -> -1
+      in
+      check "stats count the hits" (stat "tier2_hits" >= 1 && stat "served" >= 8);
+      check "stats expose the session store"
+        (stat "sessions" >= 2 && stat "session_hits" >= 2);
+      (* 12. shutdown *)
+      let bye = rpc {|{"op": "shutdown"}|} in
+      check "shutdown answers bye" (member [ "bye" ] bye = Some (Protocol.Bool true));
+      Client.close client)
+
+(* Tight limits: a half-written line times out, a pipelined flood beyond
+   the in-flight bound is shed, and an impossible deadline trips. *)
+let test_limits () =
+  with_daemon ~max_inflight:2 ~read_timeout_ms:300 "limits" (fun socket ->
+      let c2 = Client.connect socket in
+      let c4 = Client.connect socket in
+      write_raw c4 {|{"id": "slow"|};
+      let r14 = Client.recv c4 in
+      check "half-written line is E-PROTO-003"
+        (has_code "E-PROTO-003" r14 && str_member "id" r14 = Some "slow");
+      Client.close c4;
+      (* A flood of cold requests beyond the in-flight bound is shed with
+         E-OVERLOAD, in order, one response per request. One write
+         syscall so the whole flood lands in one select round. *)
+      let flood = [ 17; 18; 19; 20; 21; 22 ] in
+      write_raw c2
+        (String.concat ""
+           (List.map
+              (fun b ->
+                Printf.sprintf {|{"id": "f%d", "kernel": "fir", "budget": %d}|}
+                  b b
+                ^ "\n")
+              flood));
+      let flood_rs = List.map (fun _ -> Client.recv c2) flood in
+      let oks, sheds =
+        List.partition (fun r -> str_member "status" r = Some "ok") flood_rs
+      in
+      check "flood answers every request"
+        (List.length flood_rs = 6
+        && List.map (fun r -> str_member "id" r) flood_rs
+           = List.map (fun b -> Some (Printf.sprintf "f%d" b)) flood);
+      check "overload sheds beyond the bound"
+        (List.length oks = 2
+        && List.length sheds = 4
+        && List.for_all (fun r -> has_code "E-OVERLOAD" r) sheds);
+      let retry_hint r =
+        match member [ "diagnostics" ] r with
+        | Some (Protocol.Arr (d :: _)) -> (
+          match Option.bind (Protocol.member "context" d) (Protocol.member "retry_after_ms") with
+          | Some (Protocol.Str _) -> true
+          | _ -> false)
+        | _ -> false
+      in
+      check "shed responses carry retry_after_ms" (List.for_all retry_hint sheds);
+      (* An impossible deadline trips E-DEADLINE and is never cached. *)
+      let r15 = Client.rpc c2 {|{"kernel": "pat", "budget": 48, "deadline_ms": 0}|} in
+      check "deadline trip is E-DEADLINE" (has_code "E-DEADLINE" r15);
+      let r16 = Client.rpc c2 {|{"kernel": "pat", "budget": 48}|} in
+      check "tripped requests are never cached"
+        (str_member "status" r16 = Some "ok"
+        && str_member "cache" r16 <> Some "hit");
+      Client.close c2)
+
+(* Under a 100% pool.job fault plan every cold compute fails as
+   E-INTERNAL-* but the daemon and its stats stay live. *)
+let test_worker_isolation () =
+  let faults =
+    match Fault.parse ~seed:42 "pool.job:raise@1,cache.insert:error@1" with
+    | Ok f -> f
+    | Error msg -> Alcotest.fail msg
+  in
+  with_daemon ~faults "faults" (fun socket ->
+      let c = Client.connect socket in
+      let r17 = Client.rpc c {|{"id": "w1", "kernel": "fir"}|} in
+      check "raising worker is E-INTERNAL"
+        (str_member "status" r17 = Some "error"
+        && has_code "E-INTERNAL-002" r17
+        && str_member "id" r17 = Some "w1");
+      let r18 = Client.rpc c {|{"op": "stats"}|} in
+      check "daemon survives worker faults" (str_member "status" r18 = Some "ok");
+      Client.close c)
+
+(* SIGTERM stops the daemon after the in-flight work is answered, flushes
+   the stats through [log] and removes the socket file. *)
+let test_sigterm_drain () =
+  let drained = ref None in
+  let socket =
+    with_daemon ~signals:true ~log:(fun m -> drained := Some m) "drain"
+      (fun socket ->
+        let c = Client.connect socket in
+        let r19 = Client.rpc c {|{"kernel": "fir"}|} in
+        check "pre-drain request is served" (str_member "status" r19 = Some "ok");
+        Unix.kill (Unix.getpid ()) Sys.sigterm;
+        (* The drained daemon closes every client on its way out. *)
+        ignore (Client.recv_opt c);
+        Client.close c;
+        socket)
+  in
+  check "SIGTERM drains and exits" (not (Sys.file_exists socket));
+  check "drain flushes the stats"
+    (match !drained with
+    | Some m -> Srfa_test_helpers.Helpers.contains_substring m "served="
+    | None -> false)
 
 let test_disconnect_mid_batch () =
   with_daemon "disc" (fun socket ->
@@ -668,6 +922,62 @@ let test_oversized_request () =
         "daemon survives the abuse" (Some "ok") (str_member "status" rd);
       Client.close d)
 
+(* A connect that gives up closes every socket it opened, the last
+   attempt's too. *)
+let test_connect_closes_failed_sockets () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "srfa-test-missing-%d.sock" (Unix.getpid ()))
+  in
+  let before = open_fds () in
+  for _ = 1 to 64 do
+    match Client.connect ~retries:0 missing with
+    | c ->
+      Client.close c;
+      Alcotest.fail "connected to a missing socket"
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  done;
+  Alcotest.(check int) "open descriptors unchanged" before (open_fds ())
+
+(* The shipped binary, started the way perfbench starts it. *)
+let test_binary () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/srfa_serve.exe"
+  in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "srfa-test-bin-%d.sock" (Unix.getpid ()))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let spawn extra stderr =
+    Unix.create_process exe
+      (Array.of_list ([ exe; "--socket"; socket; "--jobs"; "1" ] @ extra))
+      Unix.stdin null stderr
+  in
+  let exit_code pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _ -> -1
+  in
+  let pid = spawn [] null in
+  let c = Client.connect socket in
+  check "stats answered ok"
+    (str_member "status" (Client.rpc c {|{"op": "stats"}|}) = Some "ok");
+  ignore (Client.rpc c {|{"op": "shutdown"}|});
+  Client.close c;
+  Alcotest.(check int) "exit 0 after shutdown" 0 (exit_code pid);
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid = spawn [ "--faults"; "disk.spin:error@0.5" ] err_w in
+  Unix.close err_w;
+  Unix.close null;
+  let message = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+  Unix.close err_r;
+  Alcotest.(check int) "bad fault plan exits 2" 2 (exit_code pid);
+  check "with a parse message"
+    (Srfa_test_helpers.Helpers.contains_substring message
+       {|unknown site "disk.spin"|})
+
 let () =
   Alcotest.run "serve"
     [
@@ -712,5 +1022,12 @@ let () =
           Alcotest.test_case "disconnect mid-batch" `Quick
             test_disconnect_mid_batch;
           Alcotest.test_case "oversized request" `Quick test_oversized_request;
+          Alcotest.test_case "scripted request mix" `Quick test_request_mix;
+          Alcotest.test_case "limits" `Quick test_limits;
+          Alcotest.test_case "worker isolation" `Quick test_worker_isolation;
+          Alcotest.test_case "SIGTERM drain" `Quick test_sigterm_drain;
+          Alcotest.test_case "connect closes failed sockets" `Quick
+            test_connect_closes_failed_sockets;
+          Alcotest.test_case "srfa_serve binary" `Quick test_binary;
         ] );
     ]
