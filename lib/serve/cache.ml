@@ -53,24 +53,71 @@ type resolved = {
   nest : Srfa_ir.Nest.t;
   source : string;
   device : Srfa_hw.Device.t;
+  t1 : string;
   algorithm : Allocator.algorithm;
   budget : int;
   cut_work_limit : int option;
 }
 
-let device_of_name = function
-  | "xcv1000" -> Some Srfa_hw.Device.xcv1000
-  | "xc2v6000" -> Some Srfa_hw.Device.xc2v6000
-  | _ -> None
+(* The device table under its request spellings. *)
+let devices =
+  [ ("xcv1000", Srfa_hw.Device.xcv1000); ("xc2v6000", Srfa_hw.Device.xc2v6000) ]
+
+let device_of_name name = List.assoc_opt name devices
+
+(* Named kernels resolve once per process: the nest, its canonical
+   source and its tier-1 keys depend on nothing but the spelling. The
+   memo is keyed on the lowercased spelling ([Kernels.find] ignores
+   case) and filled only when [Kernels.find] succeeds, so it holds at
+   most one entry per name or alias the registry accepts. IR values are
+   immutable, so every request may share the nest. [resolve] runs on
+   whichever domain calls it, hence the lock. *)
+type named = {
+  named_nest : Srfa_ir.Nest.t;
+  named_source : string;
+  named_keys : (Srfa_hw.Device.t * string) list;  (* tier-1 key per device *)
+}
+
+let named_memo : (string, named) Hashtbl.t = Hashtbl.create 32
+
+let named_lock = Mutex.create ()
+
+let find_named name =
+  let spelling = String.lowercase_ascii name in
+  Mutex.protect named_lock (fun () ->
+      match Hashtbl.find_opt named_memo spelling with
+      | Some _ as hit -> hit
+      | None -> (
+        match Srfa_kernels.Kernels.find spelling with
+        | None -> None
+        | Some nest ->
+          let source = Srfa_frontend.Parser.canonical_source nest in
+          let n =
+            {
+              named_nest = nest;
+              named_source = source;
+              named_keys =
+                List.map
+                  (fun (_, device) -> (device, tier1_key ~device source))
+                  devices;
+            }
+          in
+          Hashtbl.add named_memo spelling n;
+          Some n))
 
 let resolve (r : Protocol.request) =
   let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
-  let* nest =
+  (* The kernel's nest, canonical source and tier-1 key on a device. *)
+  let* nest, source, key_on =
     match r.Protocol.kernel with
     | None -> Error [ Protocol.field_error "allocate request without a kernel" ]
     | Some (Protocol.Named name) -> (
-      match Srfa_kernels.Kernels.find name with
-      | Some nest -> Ok nest
+      match find_named name with
+      | Some n ->
+        Ok
+          ( n.named_nest,
+            n.named_source,
+            fun device -> List.assq device n.named_keys )
       | None ->
         Error
           [
@@ -78,7 +125,15 @@ let resolve (r : Protocol.request) =
               (Printf.sprintf "unknown kernel %S (try: %s)" name
                  (String.concat ", " Srfa_kernels.Kernels.names));
           ])
-    | Some (Protocol.Source text) -> Srfa_frontend.Parser.parse_result text
+    | Some (Protocol.Source text) ->
+      Result.map
+        (fun nest ->
+          (* The content address hashes the canonical rendering, never
+             the raw request text, so formatting and comments never
+             fragment the cache. *)
+          let source = Srfa_frontend.Parser.canonical_source nest in
+          (nest, source, fun device -> tier1_key ~device source))
+        (Srfa_frontend.Parser.parse_result text)
   in
   let* device =
     match r.Protocol.device with
@@ -106,13 +161,12 @@ let resolve (r : Protocol.request) =
               (Printf.sprintf "unknown algorithm %S" name);
           ])
   in
-  (* The content address hashes the canonical rendering, never the raw
-     request text, so formatting and comments never fragment the cache. *)
   Ok
     {
       nest;
-      source = Srfa_frontend.Parser.canonical_source nest;
+      source;
       device;
+      t1 = key_on device;
       algorithm;
       budget = Option.value r.Protocol.budget ~default:64;
       cut_work_limit = r.Protocol.cut_work_limit;
@@ -146,6 +200,7 @@ type entry = {
 type report_value = {
   report : Srfa_estimate.Report.t;
   warnings : Diag.t list;
+  body : Protocol.body;  (* rendered once, when the report is computed *)
 }
 
 type explore_value = {
@@ -200,10 +255,10 @@ let emit_evicted t ~tier evicted =
             [ ("tier", Trace.Int tier); ("key", Trace.String key) ]))
     evicted
 
-let build_entry r ~t1 =
+let build_entry r =
   let prepared = Flow.Core.prepare r.nest in
   {
-    t1;
+    t1 = r.t1;
     prepared;
     scratch = Flow.Core.scratch ~config:(config_for r) prepared;
     device = r.device;
@@ -242,11 +297,15 @@ let insert_report t key (v : report_value) =
     emit_evicted t ~tier:2 (Lru.add t.tier2 key ~cost:(cost_of v) v)
 
 (* Allocate-and-report against a resident (or freshly built) tier-1
-   entry. Pure apart from the entry's scratch: callers on worker domains
-   must own the entry exclusively for the duration. *)
+   entry, rendering the response body once for both the answer and the
+   tier-2 insert. Pure apart from the entry's scratch: callers on worker
+   domains must own the entry exclusively for the duration. *)
 let compute r (entry : entry) =
-  Flow.Core.checked_prepared ~sim_scratch:entry.scratch (config_for r)
-    r.algorithm entry.prepared
+  Result.map
+    (fun (report, warnings) ->
+      { report; warnings; body = Protocol.ok_body ~warnings report })
+    (Flow.Core.checked_prepared ~sim_scratch:entry.scratch (config_for r)
+       r.algorithm entry.prepared)
 
 type status = [ `Hit | `Analysis | `Miss ]
 
@@ -268,8 +327,7 @@ let insert_session t key (s : Flow.Core.rebudget_session) =
     emit_evicted t ~tier:3 (Lru.add t.sessions key ~cost:(cost_of s) s)
 
 let rebudget t (r : resolved) ~stream =
-  let t1 = tier1_key ~device:r.device r.source in
-  let skey = session_key ~tier1:t1 ~stream in
+  let skey = session_key ~tier1:r.t1 ~stream in
   match find_session t skey with
   | Some session -> (
     match Flow.Core.rebudget_step session ~budget:r.budget with
@@ -277,10 +335,10 @@ let rebudget t (r : resolved) ~stream =
     | exception exn -> Error [ Diag.of_exn exn ])
   | None -> (
     match
-      match find_entry t t1 with
+      match find_entry t r.t1 with
       | Some e -> Ok (e, `Analysis)
       | None -> (
-        match build_entry r ~t1 with
+        match build_entry r with
         | e ->
           insert_entry t e;
           Ok (e, `Miss)
@@ -405,8 +463,7 @@ let space_of_request (req : Protocol.request) =
   Ok (space, spec)
 
 let explore t (r : resolved) ~space ~spec =
-  let t1 = tier1_key ~device:r.device r.source in
-  let key = explore_key ~tier1:t1 ~spec in
+  let key = explore_key ~tier1:r.t1 ~spec in
   match find_explore t key with
   | Some v -> Ok (v, `Hit)
   | None -> (
@@ -441,21 +498,20 @@ let explore t (r : resolved) ~space ~spec =
    never cached — they are cheap to recompute and usually the caller's
    fault. *)
 let respond t (r : resolved) =
-  let t1 = tier1_key ~device:r.device r.source in
   let t2 =
-    tier2_key ~tier1:t1 ~algorithm:r.algorithm ~budget:r.budget
+    tier2_key ~tier1:r.t1 ~algorithm:r.algorithm ~budget:r.budget
       ~cut_work_limit:r.cut_work_limit
   in
   match find_report t t2 with
   | Some v -> Ok (v.report, v.warnings, `Hit)
   | None -> (
     match
-      match find_entry t t1 with
+      match find_entry t r.t1 with
       | Some e -> Ok (e, `Analysis)
       | None -> (
         (* Preparation can fail too (semantic validation, dependency
            cycles); the boundary matches Flow.Core.checked's. *)
-        match build_entry r ~t1 with
+        match build_entry r with
         | e ->
           insert_entry t e;
           Ok (e, `Miss)
@@ -464,13 +520,14 @@ let respond t (r : resolved) =
     | Error diags -> Error diags
     | Ok (entry, status) -> (
       match compute r entry with
-      | Ok (report, warnings) ->
-        insert_report t t2 { report; warnings };
-        Ok (report, warnings, status)
+      | Ok v ->
+        insert_report t t2 v;
+        Ok (v.report, v.warnings, status)
       | Error diags -> Error diags))
 
-(* Every request performs exactly one tier-2 lookup, so the served count
-   is the tier-2 hit + miss total. *)
+(* Every allocate request that resolves looks tier 2 up exactly once, so
+   the tier-2 hit + miss total counts served allocate requests; rebudget,
+   explore and stats requests never look tier 2 up and are not counted. *)
 let stats t =
   [
     ("served", Lru.hits t.tier2 + Lru.misses t.tier2);

@@ -5,7 +5,8 @@
     {!Srfa_reuse.Analysis}, the DFG and the prepared cycle model, bundled
     as a {!Srfa_core.Flow.Core.prepared} plus a warm simulator scratch.
     Tier 2 is keyed on hash(tier-1 key, algorithm, budget, guard
-    override) and holds finished reports. The split mirrors the paper's
+    override) and holds finished reports with their rendered response
+    bodies. The split mirrors the paper's
     observation that the reuse analysis is budget-independent: a budget
     ladder over a cached kernel pays for analysis once and then only for
     allocation + simulation, and a repeated request pays for neither.
@@ -60,6 +61,7 @@ type resolved = {
   nest : Srfa_ir.Nest.t;
   source : string;  (** {!Srfa_frontend.Parser.canonical_source} of [nest] *)
   device : Srfa_hw.Device.t;
+  t1 : string;  (** [tier1_key ~device source] *)
   algorithm : Allocator.algorithm;
   budget : int;
   cut_work_limit : int option;
@@ -70,7 +72,16 @@ val device_of_name : string -> Srfa_hw.Device.t option
 val resolve : Protocol.request -> (resolved, Diag.t list) result
 (** Look up a named kernel or parse an inline source (diagnostics come
     back with their [E-LEX-*]/[E-PARSE-*]/[E-SEM-*] codes), validate
-    device and algorithm names, default budget 64. *)
+    device and algorithm names, default budget 64.
+
+    Named kernels are memoized per process: the first request for a
+    spelling builds the nest, renders its canonical source and hashes
+    its tier-1 key for every device; later requests share all three.
+    The memo is keyed on the lowercased spelling and gains an entry only
+    when {!Srfa_kernels.Kernels.find} accepts it, so it is bounded by
+    the registry's names and aliases. It is guarded by a mutex, so any
+    domain may call [resolve]. An inline source is parsed, rendered and
+    hashed on every request. *)
 
 val config_for : resolved -> Flow.config
 (** The pure-core config a resolved request runs under: its budget, its
@@ -86,6 +97,10 @@ type entry = {
 type report_value = {
   report : Srfa_estimate.Report.t;
   warnings : Diag.t list;
+  body : Protocol.body;
+      (** [Protocol.ok_body ~warnings report], rendered by {!compute}: a
+          tier-2 hit wraps it in {!Protocol.ok_envelope} and renders
+          nothing else *)
 }
 
 type t
@@ -112,24 +127,26 @@ val respond :
     lookup, then tier-1, then a cold build; computed values are
     inserted, errors are returned inline and never cached. A tier-2 hit
     returns the {e physically} same report value as the request that
-    populated it — the IO shell owns all rendering, so a report is a
-    plain immutable value safe to serve any number of times. *)
+    populated it. The tier-2 value also stores the response body
+    rendered when the report was computed, which is what the daemon
+    splices into a hit's response; this path hands back the report and
+    leaves rendering to the caller. Reports and bodies are immutable,
+    safe to serve any number of times. *)
 
 (* The batched server drives the tiers directly (lookups and inserts on
    the accept loop, compute on worker domains): *)
 
 val find_report : t -> string -> report_value option
 val find_entry : t -> string -> entry option
-val build_entry : resolved -> t1:string -> entry
+val build_entry : resolved -> entry
 val insert_entry : t -> entry -> unit
 val insert_report : t -> string -> report_value -> unit
 
-val compute :
-  resolved -> entry ->
-  (Srfa_estimate.Report.t * Diag.t list, Diag.t list) result
+val compute : resolved -> entry -> (report_value, Diag.t list) result
 (** {!Flow.Core.checked_prepared} against the entry's prepared kernel and
-    scratch. Mutates the entry's scratch: the caller must own the entry
-    exclusively while it runs. *)
+    scratch, with the response body rendered once for both the answer
+    and the tier-2 insert. Mutates the entry's scratch: the caller must
+    own the entry exclusively while it runs. *)
 
 val rebudget :
   t -> resolved -> stream:string ->
@@ -170,6 +187,8 @@ val explore :
     allocate tiers. *)
 
 val stats : t -> (string * int) list
-(** Served-request count plus per-tier entries/bytes/hits/misses/
-    evictions (the session store included), as rendered by
+(** Served-allocate count (tier-2 hits plus misses: every allocate
+    request that resolves looks tier 2 up once; rebudget, explore and
+    stats requests are not counted) plus per-tier entries/bytes/hits/
+    misses/evictions (the session store included), as rendered by
     {!Protocol.response_stats}. *)

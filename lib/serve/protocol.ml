@@ -247,13 +247,25 @@ let warnings_member = function
   | [] -> []
   | ws -> [ ("warnings", Arr (List.map Diag.json ws)) ]
 
-let response_ok ?id ?rebudget ~cache ~warnings report =
+(* An ok allocate or rebudget response is an envelope (id, status, cache)
+   around a body (report, rebudget, warnings). The body is rendered into
+   [Raw] members once, so tier 2 can store it and a hit only splices it
+   into a fresh envelope. *)
+type body = (string * json) list
+
+let ok_body ?rebudget ~warnings report =
   let rebudget =
     match rebudget with Some rb -> [ ("rebudget", rebudget_json rb) ] | None -> []
   in
-  response ?id "ok"
-    ((("cache", cache_status cache) :: ("report", report_json report) :: rebudget)
-    @ warnings_member warnings)
+  List.map
+    (fun (k, v) -> (k, Raw (Json.to_string v)))
+    ((("report", report_json report) :: rebudget) @ warnings_member warnings)
+
+let ok_envelope ?id ~cache body =
+  response ?id "ok" (("cache", cache_status cache) :: body)
+
+let response_ok ?id ?rebudget ~cache ~warnings report =
+  ok_envelope ?id ~cache (ok_body ?rebudget ~warnings report)
 
 (* An explore response embeds the frontier exactly as
    [Flow.Core.frontier_json ~compact:true] rendered it — the same bytes

@@ -133,11 +133,28 @@ type rebudget_info = {
 (** The incremental bookkeeping a rebudget response carries alongside
     the report, as a ["rebudget"] sub-object. *)
 
+type body
+(** The members of an ok allocate or rebudget response that follow its
+    envelope — ["report"], ["rebudget"] (rebudget responses only) and
+    ["warnings"] (omitted when empty) — each already rendered to JSON
+    text. Tier 2 stores one per report, so a hit renders nothing but
+    its envelope. *)
+
+val ok_body :
+  ?rebudget:rebudget_info -> warnings:Srfa_util.Diag.t list ->
+  Srfa_estimate.Report.t -> body
+
+val ok_envelope :
+  ?id:string -> cache:[ `Hit | `Analysis | `Miss ] -> body -> string
+(** The response line: ["id"] (when given), ["status"], ["cache"], then
+    the body's members verbatim. *)
+
 val response_ok :
   ?id:string -> ?rebudget:rebudget_info ->
   cache:[ `Hit | `Analysis | `Miss ] ->
   warnings:Srfa_util.Diag.t list -> Srfa_estimate.Report.t -> string
-(** [cache] says what the request cost: [`Hit] = served from the report
+(** [ok_envelope ?id ~cache (ok_body ?rebudget ~warnings report)].
+    [cache] says what the request cost: [`Hit] = served from the report
     tier (for rebudget: the session existed), [`Analysis] = analysis
     reused, allocation recomputed, [`Miss] = fully cold. [rebudget]
     adds the incremental bookkeeping sub-object (rebudget responses

@@ -48,14 +48,13 @@ type item = {
    accept loop found one; otherwise the worker builds it and the accept
    loop inserts it afterwards. *)
 type job = {
-  t1 : string;
   entry : Cache.entry option;
   items : item list;  (* arrival order *)
 }
 
 type item_result = {
   it : item;
-  outcome : (Srfa_estimate.Report.t * Diag.t list, Diag.t list) result;
+  outcome : (Cache.report_value, Diag.t list) result;
   status : Cache.status;
   fresh : bool;  (* computed this batch: insert into tier 2 *)
 }
@@ -75,7 +74,7 @@ let run_job job =
     | None -> (
       match job.items with
       | it :: _ -> (
-        match Cache.build_entry it.resolved ~t1:job.t1 with
+        match Cache.build_entry it.resolved with
         | e -> Ok e
         | exception exn -> Error [ Diag.of_exn exn ])
       | [] -> assert false)
@@ -100,21 +99,15 @@ let run_job job =
             { it; outcome = Error [ diag ]; status = `Miss; fresh = false }
           | None -> (
             match Hashtbl.find_opt memo it.t2 with
-            | Some (report, warnings) ->
-              (* A within-batch duplicate: served from the report computed
-                 a moment ago, physically the same value — a hit. *)
-              {
-                it;
-                outcome = Ok (report, warnings);
-                status = `Hit;
-                fresh = false;
-              }
+            | Some v ->
+              (* A within-batch duplicate: served from the value computed
+                 (and rendered) a moment ago, physically the same — a
+                 hit. *)
+              { it; outcome = Ok v; status = `Hit; fresh = false }
             | None ->
               let status = if resident || i > 0 then `Analysis else `Miss in
               let outcome = Cache.compute it.resolved entry in
-              (match outcome with
-              | Ok (report, warnings) -> Hashtbl.add memo it.t2 (report, warnings)
-              | Error _ -> ());
+              Result.iter (Hashtbl.add memo it.t2) outcome;
               { it; outcome; status; fresh = true }))
         job.items
     in
@@ -147,26 +140,26 @@ let isolated_job ~faults job =
    "fails" — the client observes a response truncated mid-line followed
    by EOF, the disconnect-mid-response shape the chaos campaign needs. *)
 let write_all ?(faults = Fault.off) fd s =
-  let raw s =
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
+  (* The first [n] bytes of [s], straight from the string. *)
+  let raw n =
     let rec go off =
       if off >= n then true
       else
-        match Unix.write fd b off (n - off) with
+        match Unix.write_substring fd s off (n - off) with
         | written -> go (off + written)
         | exception Unix.Unix_error _ -> false
     in
     go 0
   in
+  let n = String.length s in
   match Fault.check faults "io.write" with
-  | None -> raw s
+  | None -> raw n
   | Some (Fault.Delay ms) ->
     Unix.sleepf (float_of_int ms /. 1000.);
-    raw s
+    raw n
   | Some (Fault.Error | Fault.Raise) -> false
   | Some Fault.Short_read ->
-    ignore (raw (String.sub s 0 (String.length s / 2)));
+    ignore (raw (n / 2));
     false
 
 type counters = {
@@ -252,16 +245,16 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
           match Cache.resolve req with
           | Error diags -> slots.(slot) <- Protocol.response_error ?id:rid diags
           | Ok r -> (
-            let t1 = Cache.tier1_key ~device:r.Cache.device r.Cache.source in
+            let t1 = r.Cache.t1 in
             let t2 =
               Cache.tier2_key ~tier1:t1 ~algorithm:r.Cache.algorithm
                 ~budget:r.Cache.budget ~cut_work_limit:r.Cache.cut_work_limit
             in
             match Cache.find_report cache t2 with
             | Some v ->
+              (* A hit renders only its envelope around the stored body. *)
               slots.(slot) <-
-                Protocol.response_ok ?id:rid ~cache:`Hit
-                  ~warnings:v.Cache.warnings v.Cache.report
+                Protocol.ok_envelope ?id:rid ~cache:`Hit v.Cache.body
             | None ->
               (* The in-flight bound counts cold compute only — hits,
                  stats and shutdown stay cheap and always answered. *)
@@ -289,7 +282,7 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
                 | None ->
                   order := t1 :: !order;
                   Hashtbl.replace jobs t1
-                    { t1; entry = Cache.find_entry cache t1; items = [ item ] }
+                    { entry = Cache.find_entry cache t1; items = [ item ] }
               end))))
     lines;
   let jobs_arr =
@@ -309,11 +302,10 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
             slots.(it.slot) <- Protocol.response_error ?id:it.rid [ diag ]
           | None -> (
             match outcome with
-            | Ok (report, warnings) ->
-              if fresh then
-                Cache.insert_report cache it.t2 { Cache.report; warnings };
+            | Ok v ->
+              if fresh then Cache.insert_report cache it.t2 v;
               slots.(it.slot) <-
-                Protocol.response_ok ?id:it.rid ~cache:status ~warnings report
+                Protocol.ok_envelope ?id:it.rid ~cache:status v.Cache.body
             | Error diags ->
               if List.exists (fun d -> d.Diag.severity = Diag.Fatal) diags then
                 counters.worker_faults <- counters.worker_faults + 1;

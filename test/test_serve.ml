@@ -28,22 +28,27 @@ let golden_digests =
     ("mat", "13c783479aaa3759f70a49855f75a7de");
     ("pat", "c7ea5f6dee49929081e86f3e325ba9db");
     ("bic", "6723dee16facf5c14ddc200d9b992397");
+    ("conv2d", "5dbdc196a53ee0cc633a3550480a414b");
+    ("moving-average", "fd2336fe5d342732d69f78c5fc1f1c8e");
+    ("corner-turn", "35f97e3e2ec7c320826049974410d19c");
+    ("gradient-pair", "2d0d6b5e356d2e50d159697472730040");
   ]
 
+(* Every registry name, so a kernel added to the registry fails the
+   count until its digest is pinned. *)
 let test_golden_digests () =
-  let nests = ("example", Kernels.example ()) :: Kernels.all () in
   Alcotest.(check int)
-    "every kernel has a pinned digest" (List.length nests)
+    "every registry kernel has a pinned digest" (List.length Kernels.names)
     (List.length golden_digests);
   List.iter
-    (fun (name, nest) ->
-      let source = Parser.canonical_source nest in
+    (fun name ->
+      let source = Parser.canonical_source (Option.get (Kernels.find name)) in
       let key = Cache.tier1_key ~device:Device.xcv1000 source in
       Alcotest.(check string)
         (Printf.sprintf "tier-1 digest of %s" name)
         (List.assoc name golden_digests)
         key)
-    nests
+    Kernels.names
 
 let test_key_sensitivity () =
   let source = Parser.canonical_source (Kernels.example ()) in
@@ -480,7 +485,68 @@ let test_resolve_errors () =
   Alcotest.(check string)
     "inline source hashes like the named kernel"
     (Cache.tier1_key ~device:named.Cache.device named.Cache.source)
-    (Cache.tier1_key ~device:inline.Cache.device inline.Cache.source)
+    (Cache.tier1_key ~device:inline.Cache.device inline.Cache.source);
+  Alcotest.(check string)
+    "and carries the same tier-1 key" named.Cache.t1 inline.Cache.t1
+
+(* Named kernels resolve through a per-process memo. Every name, alias
+   and mixed-case spelling must give, on its first and every later
+   call, the bytes a fresh build renders and the tier-1 key they hash
+   to on each device; the later calls share the memoized nest. Unknown
+   names are never memoized and keep their diagnostic. *)
+let test_named_memo () =
+  let spellings =
+    Kernels.names
+    @ [ "decfir"; "dec_fir"; "matmul"; "movavg"; "cornerturn"; "gradient";
+        "synthetic-cut"; "synthetic"; "MATMUL"; "Dec_Fir"; "FIR";
+        "Moving-Average"; "GRADIENT-pair" ]
+  in
+  List.iter
+    (fun spelling ->
+      let source =
+        Parser.canonical_source (Option.get (Kernels.find spelling))
+      in
+      List.iter
+        (fun (device_name, device) ->
+          let resolve () =
+            resolve_exn
+              (Printf.sprintf {|{"kernel": "%s", "device": "%s"}|} spelling
+                 device_name)
+          in
+          let first = resolve () in
+          let second = resolve () in
+          List.iter
+            (fun (call, (r : Cache.resolved)) ->
+              let what =
+                Printf.sprintf "%s on %s, %s call" spelling device_name call
+              in
+              Alcotest.(check string) (what ^ ": source") source r.Cache.source;
+              Alcotest.(check string)
+                (what ^ ": tier-1 key")
+                (Cache.tier1_key ~device source)
+                r.Cache.t1)
+            [ ("first", first); ("second", second) ];
+          Alcotest.(check bool)
+            (spelling ^ ": the second call shares the memoized nest")
+            true (first.Cache.nest == second.Cache.nest))
+        [ ("xcv1000", Device.xcv1000); ("xc2v6000", Device.xc2v6000) ])
+    spellings;
+  let unknown () =
+    let req = Result.get_ok (Protocol.parse_request {|{"kernel": "quux"}|}) in
+    match Cache.resolve req with
+    | Error [ d ] -> (d.Diag.code, d.Diag.message)
+    | Error _ -> Alcotest.fail "unknown kernel: expected one diagnostic"
+    | Ok _ -> Alcotest.fail "unknown kernel resolved"
+  in
+  List.iter
+    (fun call ->
+      Alcotest.(check (pair string string))
+        ("unknown kernel, " ^ call ^ " call")
+        ( "E-PROTO-002",
+          "unknown kernel \"quux\" (try: fir, dec-fir, imi, mat, pat, bic, \
+           example, conv2d, moving-average, corner-turn, gradient-pair)" )
+        (unknown ()))
+    [ "first"; "second" ]
 
 (* A tier-1 entry is charged what it holds. The simulator scratch fills
    its rank cache when it is built, so the size measured at insert (right
@@ -630,6 +696,89 @@ let has_code ?(field = "diagnostics") code line =
 let check name ok = Alcotest.(check bool) name true ok
 
 let write_raw c s = ignore (Unix.write_substring c.Client.fd s 0 (String.length s))
+
+(* The daemon's response bytes, pinned. Every registry kernel plus three
+   other spellings, on both devices, under every algorithm, at budgets 16
+   and 64, then one guard-tripping request whose response carries a
+   warnings member: 337 lines, sent one at a time, twice. The first pass
+   takes the cold, analysis-reuse and hit paths (the extra spellings hit
+   their kernel's entries); the second pass is all hits, so it pins the
+   bytes tier 2 splices. Each digest is the MD5 of one pass's response
+   lines as they arrive, each followed by '\n'. The digests were taken
+   from a daemon that rendered every hit afresh from its report, so they
+   hold the stored bodies to that renderer's bytes. *)
+let response_corpus =
+  List.concat_map
+    (fun kernel ->
+      List.concat_map
+        (fun device ->
+          List.concat_map
+            (fun algorithm ->
+              List.map
+                (fun budget ->
+                  Printf.sprintf
+                    {|{"id": "g", "kernel": "%s", "device": "%s", "algorithm": "%s", "budget": %d}|}
+                    kernel device
+                    (Srfa_core.Allocator.name algorithm)
+                    budget)
+                [ 16; 64 ])
+            Srfa_core.Allocator.all)
+        [ "xcv1000"; "xc2v6000" ])
+    (Kernels.names @ [ "MATMUL"; "Dec_Fir"; "movavg" ])
+  @ [ {|{"id": "w", "kernel": "bic", "cut_work_limit": 1}|} ]
+
+let response_digests =
+  ("2206c9b54d1b3ce1c09b5f309fbc9fc2", "1524ee369c985ddb012f06a7ff2e8e62")
+
+(* [line] with its cache member's value replaced by "hit". *)
+let as_hit line =
+  let key = {|"cache": "|} in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length line then None
+    else if String.sub line i n = key then Some (i + n)
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some start ->
+    let stop = String.index_from line start '"' in
+    String.sub line 0 start ^ "hit"
+    ^ String.sub line stop (String.length line - stop)
+
+let test_response_golden () =
+  with_daemon "golden" (fun socket ->
+      let client = Client.connect socket in
+      let pass () = List.map (Client.rpc client) response_corpus in
+      let first = pass () in
+      let second = pass () in
+      Client.close client;
+      let bytes lines = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+      let digests =
+        ( Digest.to_hex (Digest.string (bytes first)),
+          Digest.to_hex (Digest.string (bytes second)) )
+      in
+      if digests <> response_digests then begin
+        (* Keep the bytes, to diff against the file the same case
+           writes at the parent commit when its pins are perturbed. *)
+        let file = Filename.temp_file "srfa-response-golden" ".jsonl" in
+        Out_channel.with_open_bin file (fun oc ->
+            output_string oc (bytes (first @ second)));
+        Printf.eprintf "response golden: both passes written to %s\n" file
+      end;
+      Alcotest.(check int) "corpus lines" 337 (List.length response_corpus);
+      Alcotest.(check (pair string string))
+        "MD5 of the first and the second pass" response_digests digests;
+      List.iteri
+        (fun i (a, b) ->
+          if as_hit a <> b then
+            Alcotest.failf
+              "line %d: the second pass differs from the first beyond its \
+               cache member:\n%s\n%s"
+              (i + 1) a b)
+        (List.combine first second);
+      check "the guard line carries warnings"
+        (member [ "warnings" ] (List.nth second 336) <> None))
 
 (* One daemon, one stateful sequence: the cold / analysis-reuse / hit
    paths, an inline source and a parse error, the protocol error codes,
@@ -852,6 +1001,28 @@ let test_worker_isolation () =
       check "daemon survives worker faults" (str_member "status" r18 = Some "ok");
       Client.close c)
 
+(* An injected short write sends exactly the first half of the response
+   line (its newline counted) and then drops the connection. *)
+let test_short_write () =
+  let faults =
+    match Fault.parse ~seed:42 "io.write:short-read@1" with
+    | Ok f -> f
+    | Error msg -> Alcotest.fail msg
+  in
+  with_daemon ~faults "short" (fun socket ->
+      let c = Client.connect socket in
+      Client.send c {|{"id": "s", "kernel": 7}|};
+      let line =
+        Protocol.response_error ~id:"s"
+          [ Protocol.field_error {|field "kernel" must be a string|} ]
+        ^ "\n"
+      in
+      Alcotest.(check string)
+        "half the line, then EOF"
+        (String.sub line 0 (String.length line / 2))
+        (In_channel.input_all c.Client.ic);
+      Client.close c)
+
 (* SIGTERM stops the daemon after the in-flight work is answered, flushes
    the stats through [log] and removes the socket file. *)
 let test_sigterm_drain () =
@@ -1011,6 +1182,7 @@ let () =
           Alcotest.test_case "errors not cached" `Quick test_errors_not_cached;
           Alcotest.test_case "eviction events" `Quick test_eviction_events;
           Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
+          Alcotest.test_case "named-kernel memo" `Quick test_named_memo;
           Alcotest.test_case "rebudget sessions" `Quick test_rebudget_sessions;
           Alcotest.test_case "tier-1 bytes charged at insert" `Quick
             test_tier1_bytes;
@@ -1023,8 +1195,10 @@ let () =
             test_disconnect_mid_batch;
           Alcotest.test_case "oversized request" `Quick test_oversized_request;
           Alcotest.test_case "scripted request mix" `Quick test_request_mix;
+          Alcotest.test_case "response golden" `Quick test_response_golden;
           Alcotest.test_case "limits" `Quick test_limits;
           Alcotest.test_case "worker isolation" `Quick test_worker_isolation;
+          Alcotest.test_case "short write" `Quick test_short_write;
           Alcotest.test_case "SIGTERM drain" `Quick test_sigterm_drain;
           Alcotest.test_case "connect closes failed sockets" `Quick
             test_connect_closes_failed_sockets;
