@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every quantitative artifact of the paper
-   (DESIGN.md §5) and micro-benchmarks the allocators themselves.
+   (DESIGN.md §5) and times the ratio claims that the repository benchmark
+   (perfbench/) cannot make.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe fig2 ...   -- selected sections
+     dune exec bench/main.exe            -- every section
+     dune exec bench/main.exe fig2 ...   -- the named sections, in order
 
-   Sections:
+   The paper's sections print deterministic text, pinned byte for byte by
+   bench/paper.expected (the @bench-smoke alias):
      fig2                  Fig. 2(c) worked example (golden numbers)
      fig2-dfg              Fig. 2(a)/(b) DFG, critical graph and cuts
      table1                Table 1 (six kernels x v1/v2/v3)
@@ -19,25 +21,18 @@
      fixed-clock           Section 5's fixed-clock-fabric remark
      ablation-peeling      cost of the peeled window loads/writebacks
      ablation-pipelining   serial vs pipelined execution regimes
-     perf                  Bechamel micro-benchmarks of the allocators
+
+   The perf sections time every arm through [measure]; all but [perf]
+   write a BENCH_*.json file through [write_bench]:
+     perf                  per-call cost of the allocators, the hardened
+                           pipeline and the fuzz harness
      perf-cuts             flow min-vertex-cut vs exhaustive enumeration
                            on synthetic unrolled kernels (BENCH_cuts.json)
-     perf-fuzz             hardened run_checked vs raw evaluate, and
-                           fuzz-harness case throughput
-     perf-certify          certified portfolio vs plain CPA-RA wall-clock
-                           across the sweep kernels (BENCH_certify.json)
-     perf-parallel         serial vs N-domain wall-clock for the sweep,
-                           fuzz and certify drivers, with the determinism
-                           contract re-checked (BENCH_parallel.json)
-     perf-core             allocation-free hot core: warm-evaluation
-                           wall-clock, allocation rate and max-RSS per
-                           kernel across a GC minor-heap matrix, against
-                           the recorded pre-arena baselines
-                           (BENCH_core.json)
-     perf-robust           the daemon under a seeded fault plan and a
-                           pipelined overload flood: clean vs faulted
-                           throughput/latency and the shed rate
-                           (BENCH_robust.json)
+     perf-certify          certified portfolio vs plain CPA-RA across the
+                           sweep kernels (BENCH_certify.json)
+     perf-parallel         serial vs N-domain sweep, fuzz and certify
+                           drivers, with the determinism contract
+                           re-checked (BENCH_parallel.json)
      perf-rebudget         incremental re-budgeting (one session, 40
                            oscillating budget events) vs one certified
                            portfolio point per event from scratch
@@ -45,38 +40,17 @@
      perf-explore          the joint design-space explorer vs its naive
                            full-product arm on the matmul space, with
                            prune/memo rates and the byte-identity
-                           differential re-checked (BENCH_explore.json)
-
-   Sections can also be picked with `--sections core,cuts,certify` —
-   shorthand names expand to their perf-* section. *)
+                           differential re-checked (BENCH_explore.json) *)
 
 module Allocator = Srfa_core.Allocator
-module Cpa_ra = Srfa_core.Cpa_ra
 module Flow = Srfa_core.Flow
 module Report = Srfa_estimate.Report
 module Simulator = Srfa_sched.Simulator
 module T = Srfa_util.Texttable
 module Pool = Srfa_util.Pool
+module Json = Srfa_util.Json
 
 let budget = 64
-
-(* ---- JSON artifacts --------------------------------------------------
-   Every perf section that leaves a machine-readable trail (BENCH_*.json)
-   writes it through [write_json]: a [Srfa_util.Json] object in the
-   line-per-member layout, plus the bench's number formats. *)
-module Json = struct
-  include Srfa_util.Json
-
-  let float f = if Float.is_finite f then fixed 3 f else Null
-  let ns f = fixed 1 f
-  let opt f = function Some v -> f v | None -> Null
-end
-
-let write_json file (fields : (string * Json.t) list) =
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc (Json.to_lines (Json.Obj fields));
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" file
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -691,63 +665,187 @@ let ablation_pipelining () =
     (Srfa_kernels.Kernels.all ());
   T.print table
 
+(* ----------------------------------------------------------- measurement *)
+
+(* One call's cost: median and quartiles in ns, and the minor-heap words
+   it allocates. *)
+type stats = { median : float; q1 : float; q3 : float; words : float }
+
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
+(* [measure ~samples f] calls [f] once for its result, then takes
+   [samples] timed samples. A first call under 1 ms sets a batch size
+   that makes each sample last about 1 ms, so the clock's resolution
+   stays small against it; every statistic is per call. The words are
+   read after a Gc.minor flush: OCaml 5.1 under-counts words still in
+   the minor heap. They count the calling domain only, not pool
+   workers. *)
+let measure ~samples f =
+  let t0 = now_ns () in
+  let first = f () in
+  let batch = max 1 (int_of_float (1e6 /. Float.max 1.0 (now_ns () -. t0))) in
+  let times = Array.make samples 0.0 in
+  Gc.minor ();
+  let words0 = Gc.minor_words () in
+  for i = 0 to samples - 1 do
+    let t0 = now_ns () in
+    for _ = 1 to batch do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    times.(i) <- (now_ns () -. t0) /. float_of_int batch
+  done;
+  Gc.minor ();
+  let calls = float_of_int (samples * batch) in
+  Array.sort Float.compare times;
+  let at p =
+    let x = p *. float_of_int (samples - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (samples - 1) in
+    times.(i) +. ((x -. float_of_int i) *. (times.(j) -. times.(i)))
+  in
+  ( first,
+    {
+      median = at 0.5;
+      q1 = at 0.25;
+      q3 = at 0.75;
+      words = (Gc.minor_words () -. words0) /. calls;
+    } )
+
+let duration ns =
+  if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+  else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns >= 1e3 then Printf.sprintf "%.1f us" (ns /. 1e3)
+  else Printf.sprintf "%.0f ns" ns
+
+(* A median and its spread (interquartile range over the median), the
+   two table cells of every timed arm. *)
+let cells s =
+  [
+    duration s.median;
+    Printf.sprintf "~%.1f%%" (100.0 *. (s.q3 -. s.q1) /. s.median);
+  ]
+
+let timed name = [ (name, T.Right); ("iqr", T.Right) ]
+
+let num digits f = if Float.is_finite f then Json.fixed digits f else Json.Null
+
+let stats_json s =
+  Json.Obj
+    [
+      ("median_ns", num 1 s.median);
+      ("q1_ns", num 1 s.q1);
+      ("q3_ns", num 1 s.q3);
+      ("minor_words", num 1 s.words);
+    ]
+
+let verdict ok = if ok then "ok" else "MISMATCH"
+
+let vmhwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0
+  | status ->
+    List.fold_left
+      (fun acc line ->
+        try Scanf.sscanf line "VmHWM: %d" Fun.id
+        with Scanf.Scan_failure _ | End_of_file | Failure _ -> acc)
+      0
+      (String.split_on_char '\n' status)
+
+(* The envelope every BENCH_<name>.json shares, then the section's own
+   members. A section with a pooled arm passes [~pooled:true]: on a
+   one-domain host, or at one job, that arm takes the sequential path and
+   verifies nothing about the domain pool, so the file says so. *)
+let write_bench name ~unit ?(pooled = false) members =
+  let jobs, _ = Pool.resolve () in
+  let domains = Domain.recommended_domain_count () in
+  let unverified = pooled && (domains <= 1 || jobs <= 1) in
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  if unverified then
+    Printf.printf
+      "\nNOTE: %d domain(s) available, %d job(s) — the pooled arm is \
+       UNVERIFIED here; %s is stamped \"unverified\": true.\n"
+      domains jobs file;
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        (Json.to_lines
+           (Json.Obj
+              ([
+                 ("benchmark", Json.Str ("perf-" ^ name));
+                 ("unit", Json.Str unit);
+                 ("jobs", Json.Int jobs);
+                 ("domains_available", Json.Int domains);
+                 ("unverified", Json.Bool unverified);
+                 ("peak_rss_kb", Json.Int (vmhwm_kb ()));
+               ]
+              @ members)));
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" file
+
 (* ------------------------------------------------------------------ perf *)
 
+(* Per-call cost of the allocators on the Fig. 1 example, of the hardened
+   pipeline against raw evaluate (run_checked adds guard bookkeeping, the
+   event-model second opinion and warning synthesis; it must stay close
+   to free), and of the fuzz harness: one generate-and-judge case over a
+   mix of valid, mask-stress and broken kernels, and a pooled campaign. *)
 let perf () =
-  section "perf: Bechamel micro-benchmarks of the allocators";
-  let open Bechamel in
+  section "perf: per-call cost of the allocators and the hardened pipeline";
   let nest = Srfa_kernels.Kernels.example () in
   let analysis = Flow.analyze nest in
   let mat_analysis = Flow.analyze (Srfa_kernels.Kernels.mat ~size:8 ()) in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      stage "analyze example" (fun () -> ignore (Flow.analyze nest));
-      stage "fr-ra example" (fun () ->
-          ignore (Allocator.run Allocator.Fr_ra analysis ~budget));
-      stage "pr-ra example" (fun () ->
-          ignore (Allocator.run Allocator.Pr_ra analysis ~budget));
-      stage "cpa-ra example" (fun () ->
-          ignore (Allocator.run Allocator.Cpa_ra analysis ~budget));
-      stage "ks-ra example" (fun () ->
-          ignore (Allocator.run Allocator.Knapsack analysis ~budget));
-      stage "cpa-ra mat8" (fun () ->
-          ignore (Allocator.run Allocator.Cpa_ra mat_analysis ~budget));
-      stage "cut enumeration" (fun () ->
-          let dfg = Srfa_dfg.Graph.build analysis in
-          let cg =
-            Srfa_dfg.Critical.make dfg ~latency:Srfa_hw.Latency.default
-              ~charged:(fun _ -> true)
-          in
-          ignore (Srfa_dfg.Cut.enumerate_exhaustive cg));
-      stage "simulate example (cpa)" (fun () ->
-          let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
-          ignore (Simulator.run alloc));
-    ]
+  let case_id = ref 0 in
+  let jobs, _ = Pool.resolve () in
+  let table =
+    T.create
+      ~headers:
+        ((("benchmark", T.Left) :: timed "per call") @ [ ("words", T.Right) ])
   in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"srfa" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let est =
-        match Analyze.OLS.estimates result with
-        | Some [ e ] -> Printf.sprintf "%12.1f ns/run" e
-        | Some _ | None -> "(no estimate)"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-32s %s\n" name est)
-    (List.sort compare !rows)
+  Pool.with_pool ~jobs (fun pool ->
+      List.iter
+        (fun (name, f) ->
+          let (), s = measure ~samples:21 f in
+          T.add_row table
+            ((name :: cells s) @ [ Printf.sprintf "%.0f" s.words ]))
+        [
+          ("analyze example", fun () -> ignore (Flow.analyze nest));
+          ( "fr-ra example",
+            fun () -> ignore (Allocator.run Allocator.Fr_ra analysis ~budget) );
+          ( "pr-ra example",
+            fun () -> ignore (Allocator.run Allocator.Pr_ra analysis ~budget) );
+          ( "cpa-ra example",
+            fun () -> ignore (Allocator.run Allocator.Cpa_ra analysis ~budget) );
+          ( "ks-ra example",
+            fun () -> ignore (Allocator.run Allocator.Knapsack analysis ~budget) );
+          ( "cpa-ra mat8",
+            fun () ->
+              ignore (Allocator.run Allocator.Cpa_ra mat_analysis ~budget) );
+          ( "cut enumeration",
+            fun () ->
+              let dfg = Srfa_dfg.Graph.build analysis in
+              let cg =
+                Srfa_dfg.Critical.make dfg ~latency:Srfa_hw.Latency.default
+                  ~charged:(fun _ -> true)
+              in
+              ignore (Srfa_dfg.Cut.enumerate_exhaustive cg) );
+          ( "simulate example (cpa)",
+            fun () ->
+              let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
+              ignore (Simulator.run alloc) );
+          ( "evaluate (raw)",
+            fun () -> ignore (Flow.evaluate Allocator.Cpa_ra nest) );
+          ("run_checked (hardened)", fun () -> ignore (Flow.run_checked nest));
+          ( "fuzz case (generate+judge)",
+            fun () ->
+              let id = !case_id in
+              case_id := (id + 1) mod 200;
+              ignore
+                (Srfa_fuzzer.Harness.run_case
+                   (Srfa_fuzzer.Gen.generate ~seed:42 ~id)) );
+          ( Printf.sprintf "fuzz campaign (20 cases, %d domains)" jobs,
+            fun () ->
+              ignore (Srfa_fuzzer.Harness.run ~cases:20 ~seed:42 ~pool ()) );
+        ]);
+  T.print table
 
 (* ------------------------------------------------------------- perf-cuts *)
 
@@ -755,236 +853,110 @@ let perf () =
    same critical graph: through the polynomial flow engine and through the
    exhaustive minimal-cut enumeration (capped at 16 groups — its hard
    wall). The synthetic kernels put every reference group on the CG, the
-   unrolled regime the enumerator cannot survive. *)
+   unrolled regime the enumerator cannot survive. Both must name the same
+   cheapest weight wherever the enumerator can run at all. *)
 let perf_cuts () =
   section
     "perf-cuts: flow min-vertex-cut vs exhaustive enumeration (synthetic \
      unrolled kernels)";
-  let sizes = [ 8; 12; 16; 24; 48 ] in
-  let instances =
+  let weight_cell = function Some w -> string_of_int w | None -> "-" in
+  let points =
     List.map
       (fun g ->
         let nest = Srfa_kernels.Extra.synthetic_cut ~groups:g () in
         let analysis = Flow.analyze nest in
         let dfg = Srfa_dfg.Graph.build analysis in
-        let info gid = Srfa_reuse.Analysis.info analysis gid in
+        let info (grp : Srfa_reuse.Group.t) =
+          Srfa_reuse.Analysis.info analysis grp.Srfa_reuse.Group.id
+        in
         (* The CPA-RA round-1 memory state: one pinned register per group. *)
-        let charged (grp : Srfa_reuse.Group.t) =
-          let i = info grp.Srfa_reuse.Group.id in
+        let charged grp =
+          let i = info grp in
           (not i.Srfa_reuse.Analysis.has_reuse) || 1 < i.Srfa_reuse.Analysis.nu
         in
-        let improvable (grp : Srfa_reuse.Group.t) =
-          let i = info grp.Srfa_reuse.Group.id in
+        let improvable grp =
+          let i = info grp in
           i.Srfa_reuse.Analysis.has_reuse && 1 < i.Srfa_reuse.Analysis.nu
         in
-        let weight (grp : Srfa_reuse.Group.t) =
-          (info grp.Srfa_reuse.Group.id).Srfa_reuse.Analysis.nu - 1
-        in
+        let weight grp = (info grp).Srfa_reuse.Analysis.nu - 1 in
         let cg =
           Srfa_dfg.Critical.make dfg ~latency:Srfa_hw.Latency.default ~charged
         in
-        (g, cg, improvable, weight))
-      sizes
-  in
-  let flow_query cg improvable weight () =
-    ignore (Srfa_dfg.Cut.cheapest cg ~eligible:improvable ~weight)
-  in
-  let exhaustive_query cg improvable weight () =
-    (* What Cpa_ra.allocate did before the flow engine: enumerate every
-       minimal cut, keep the all-improvable ones, fold to the cheapest. *)
-    let cuts = Srfa_dfg.Cut.enumerate_exhaustive cg in
-    let eligible = List.filter (List.for_all improvable) cuts in
-    let required = List.fold_left (fun acc grp -> acc + weight grp) 0 in
-    ignore
-      (List.fold_left
-         (fun acc cut ->
-           match acc with
-           | None -> Some cut
-           | Some b -> if required cut < required b then Some cut else acc)
-         None eligible)
-  in
-  (* Equal answers before timing: the oracle and the engine must name the
-     same cheapest weight wherever the oracle can run at all. *)
-  List.iter
-    (fun (g, cg, improvable, weight) ->
-      if g <= 16 then begin
-        let required = List.fold_left (fun acc grp -> acc + weight grp) 0 in
-        let reference =
+        let flow, flow_t =
+          measure ~samples:11 (fun () ->
+              Option.map snd
+                (Srfa_dfg.Cut.cheapest cg ~eligible:improvable ~weight))
+        in
+        (* What Cpa_ra.allocate did before the flow engine: enumerate every
+           minimal cut, keep the all-improvable ones, fold to the cheapest. *)
+        let exhaustive () =
           Srfa_dfg.Cut.enumerate_exhaustive cg
           |> List.filter (List.for_all improvable)
           |> List.fold_left
                (fun acc cut ->
-                 match acc with
-                 | None -> Some (required cut)
-                 | Some b -> Some (min b (required cut)))
+                 let w =
+                   List.fold_left (fun acc grp -> acc + weight grp) 0 cut
+                 in
+                 Some (match acc with Some b -> min b w | None -> w))
                None
         in
-        let flow =
-          Option.map snd (Srfa_dfg.Cut.cheapest cg ~eligible:improvable ~weight)
+        let exhaustive_t =
+          if g > 16 then None
+          else begin
+            let reference, t = measure ~samples:11 exhaustive in
+            Printf.printf "%2d groups: cheapest weight flow=%s exhaustive=%s %s\n"
+              g (weight_cell flow) (weight_cell reference)
+              (if flow = reference then "agree" else "MISMATCH");
+            Some t
+          end
         in
-        Printf.printf "%2d groups: cheapest weight flow=%s exhaustive=%s %s\n"
-          g
-          (match flow with Some w -> string_of_int w | None -> "-")
-          (match reference with Some w -> string_of_int w | None -> "-")
-          (if flow = reference then "agree" else "MISMATCH")
-      end)
-    instances;
+        let speedup =
+          Option.map (fun e -> e.median /. flow_t.median) exhaustive_t
+        in
+        (g, flow_t, exhaustive_t, speedup))
+      [ 8; 12; 16; 24; 48 ]
+  in
   Printf.printf "\n";
-  let open Bechamel in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    List.concat_map
-      (fun (g, cg, improvable, weight) ->
-        let flow = stage (Printf.sprintf "flow-%02d" g)
-            (flow_query cg improvable weight)
-        in
-        if g <= 16 then
-          [
-            flow;
-            stage (Printf.sprintf "exhaustive-%02d" g)
-              (exhaustive_query cg improvable weight);
-          ]
-        else [ flow ])
-      instances
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"cuts" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let estimates = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ e ] -> Hashtbl.replace estimates name e
-      | Some _ | None -> ())
-    results;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let lookup kind g =
-    Hashtbl.fold
-      (fun name e acc ->
-        if contains name (Printf.sprintf "%s-%02d" kind g) then Some e else acc)
-      estimates None
-  in
   let table =
     T.create
       ~headers:
-        [
-          ("ref groups", T.Right); ("flow ns/query", T.Right);
-          ("exhaustive ns/query", T.Right); ("speedup", T.Right);
-        ]
+        ((("ref groups", T.Right) :: timed "flow/query")
+        @ timed "exhaustive/query"
+        @ [ ("speedup", T.Right) ])
   in
-  let points =
-    List.map
-      (fun g ->
-        let flow = lookup "flow" g and exh = lookup "exhaustive" g in
-        let speedup =
-          match (flow, exh) with
-          | Some f, Some e when f > 0.0 -> Some (e /. f)
-          | _ -> None
-        in
-        T.add_row table
-          [
-            string_of_int g;
-            (match flow with Some f -> Printf.sprintf "%.0f" f | None -> "-");
-            (match exh with Some e -> Printf.sprintf "%.0f" e | None -> "-");
+  List.iter
+    (fun (g, flow, exh, speedup) ->
+      T.add_row table
+        ((string_of_int g :: cells flow)
+        @ (match exh with Some e -> cells e | None -> [ "-"; "" ])
+        @ [
             (match speedup with
             | Some s -> Printf.sprintf "%.0fx" s
             | None -> "- (beyond the 16-group wall)");
-          ];
-        (g, flow, exh, speedup))
-      sizes
-  in
+          ]))
+    points;
   T.print table;
   (match List.find_opt (fun (g, _, _, _) -> g = 16) points with
   | Some (_, _, _, Some s) ->
     Printf.printf "\nspeedup at the 16-group wall: %.0fx (target >= 10x): %s\n"
-      s
-      (if s >= 10.0 then "ok" else "MISMATCH")
+      s (verdict (s >= 10.0))
   | _ -> Printf.printf "\nspeedup at the 16-group wall: unavailable\n");
-  write_json "BENCH_cuts.json"
+  write_bench "cuts" ~unit:"ns per cheapest-cut query"
     [
-      ("benchmark", Json.Str "perf-cuts");
-      ("unit", Json.Str "ns/query");
       ( "points",
         Json.Arr
           (List.map
              (fun (g, flow, exh, speedup) ->
+               let opt f = Option.fold ~none:Json.Null ~some:f in
                Json.Obj
                  [
                    ("groups", Json.Int g);
-                   ("flow_ns", Json.opt Json.ns flow);
-                   ("exhaustive_ns", Json.opt Json.ns exh);
-                   ("speedup", Json.opt Json.ns speedup);
+                   ("flow", stats_json flow);
+                   ("exhaustive", opt stats_json exh);
+                   ("speedup", opt (num 1) speedup);
                  ])
              points) );
     ]
-
-(* ------------------------------------------------------------- perf-fuzz *)
-
-(* The robustness layer must be close to free on the happy path:
-   run_checked adds guard bookkeeping, the event-model second opinion and
-   warning synthesis on top of evaluate. Measure both on the Fig. 1
-   example, plus the fuzz harness's generate-and-judge throughput (a mix
-   of valid, mask-stress and broken kernels). *)
-let perf_fuzz () =
-  section "perf-fuzz: hardened-pipeline overhead and fuzz throughput";
-  let open Bechamel in
-  let nest = Srfa_kernels.Kernels.example () in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let case_id = ref 0 in
-  let jobs, _ = Pool.resolve () in
-  let pool = Pool.create ~jobs in
-  let tests =
-    [
-      stage "evaluate (raw)" (fun () ->
-          ignore (Flow.evaluate Allocator.Cpa_ra nest));
-      stage "run_checked (hardened)" (fun () ->
-          ignore (Flow.run_checked nest));
-      stage "fuzz case (generate+judge)" (fun () ->
-          let id = !case_id in
-          case_id := (id + 1) mod 200;
-          ignore
-            (Srfa_fuzzer.Harness.run_case
-               (Srfa_fuzzer.Gen.generate ~seed:42 ~id)));
-      stage
-        (Printf.sprintf "fuzz campaign (20 cases, %d domains)" jobs)
-        (fun () -> ignore (Srfa_fuzzer.Harness.run ~cases:20 ~seed:42 ~pool ()));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"srfa" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let est =
-        match Analyze.OLS.estimates result with
-        | Some [ e ] -> Printf.sprintf "%12.1f ns/run" e
-        | Some _ | None -> "(no estimate)"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-32s %s\n" name est)
-    (List.sort compare !rows);
-  Pool.shutdown pool
 
 (* ---------------------------------------------------------- perf-certify *)
 
@@ -993,14 +965,12 @@ let perf_fuzz () =
    of the plain CPA-RA evaluation (allocation + simulation), plus the
    repair passes when the candidate lost. Measured end to end on every
    sweep kernel at the paper's budget; the recorded overhead is the plain
-   wall-clock ratio certified_ns / plain_ns, and the acceptance bar is
-   that ratio under 3x (the old bar — extra work below 2x plain —
-   restated in the units the JSON actually carries). *)
+   ratio of medians certified / plain, and the acceptance bar is that
+   ratio under 3x (the old bar — extra work below 2x plain — restated in
+   the units the JSON actually carries). *)
 let perf_certify () =
   section
     "perf-certify: certification overhead vs plain CPA-RA (sweep kernels)";
-  let open Bechamel in
-  let stage name f = Test.make ~name (Staged.stage f) in
   (* The per-kernel analyses are independent; build them through the
      pool so the section's setup scales with the machine. *)
   let instances =
@@ -1016,102 +986,44 @@ let perf_certify () =
      one (as Flow.sweep does), simulating only on the dominance fast
      path. *)
   let plain analysis () =
-    let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
-    ignore (Simulator.run alloc)
+    Simulator.run (Allocator.run Allocator.Cpa_ra analysis ~budget)
   in
   let certified analysis () =
     let outcome = Allocator.run_portfolio analysis ~budget in
     match outcome.Srfa_core.Certify.sim with
-    | Some sim -> ignore sim
-    | None -> ignore (Simulator.run outcome.Srfa_core.Certify.allocation)
-  in
-  let tests =
-    List.concat_map
-      (fun (name, analysis) ->
-        [
-          stage (Printf.sprintf "plain:%s" name) (plain analysis);
-          stage (Printf.sprintf "certified:%s" name) (certified analysis);
-        ])
-      instances
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"certify" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let estimates = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ e ] -> Hashtbl.replace estimates name e
-      | Some _ | None -> ())
-    results;
-  let lookup kind kernel =
-    let suffix = Printf.sprintf "%s:%s" kind kernel in
-    Hashtbl.fold
-      (fun name e acc ->
-        if String.ends_with ~suffix name then Some e else acc)
-      estimates None
+    | Some sim -> sim
+    | None -> Simulator.run outcome.Srfa_core.Certify.allocation
   in
   let table =
     T.create
       ~headers:
-        [
-          ("kernel", T.Left); ("plain ns", T.Right);
-          ("certified ns", T.Right); ("overhead", T.Right);
-        ]
+        ((("kernel", T.Left) :: timed "plain")
+        @ timed "certified"
+        @ [ ("overhead", T.Right) ])
   in
   let points =
     List.map
-      (fun (name, _) ->
-        let plain = lookup "plain" name
-        and certified = lookup "certified" name in
-        let overhead =
-          match (plain, certified) with
-          | Some p, Some c when p > 0.0 -> Some (c /. p)
-          | _ -> None
-        in
+      (fun (name, analysis) ->
+        let _, plain = measure ~samples:11 (plain analysis) in
+        let _, certified = measure ~samples:11 (certified analysis) in
+        let overhead = certified.median /. plain.median in
         T.add_row table
-          [
-            name;
-            (match plain with Some p -> Printf.sprintf "%.0f" p | None -> "-");
-            (match certified with
-            | Some c -> Printf.sprintf "%.0f" c
-            | None -> "-");
-            (match overhead with
-            | Some o -> Printf.sprintf "%.2fx" o
-            | None -> "-");
-          ];
+          ((name :: cells plain)
+          @ cells certified
+          @ [ Printf.sprintf "%.2fx" overhead ]);
         (name, plain, certified, overhead))
       instances
   in
   T.print table;
   let worst =
-    List.fold_left
-      (fun acc (_, _, _, o) ->
-        match (acc, o) with
-        | None, o -> o
-        | Some a, Some o -> Some (max a o)
-        | Some a, None -> Some a)
-      None points
+    List.fold_left (fun acc (_, _, _, o) -> Float.max acc o) 0.0 points
   in
-  (match worst with
-  | Some w ->
-    Printf.printf
-      "\nworst certification overhead: %.2fx plain CPA-RA wall-clock (target \
-       < 3x): %s\n"
-      w
-      (if w < 3.0 then "ok" else "MISMATCH")
-  | None -> Printf.printf "\nworst certification overhead: unavailable\n");
-  write_json "BENCH_certify.json"
+  Printf.printf
+    "\nworst certification overhead: %.2fx plain CPA-RA wall-clock (target < \
+     3x): %s\n"
+    worst (verdict (worst < 3.0));
+  write_bench "certify" ~unit:"ns per evaluation (allocation + simulation)"
     [
-      ("benchmark", Json.Str "perf-certify");
-      ("unit", Json.Str "ns/evaluation");
       ("budget", Json.Int budget);
       ("overhead_target_x", Json.Raw "3.0");
       ( "points",
@@ -1121,9 +1033,9 @@ let perf_certify () =
                Json.Obj
                  [
                    ("kernel", Json.Str name);
-                   ("plain_ns", Json.opt Json.ns plain);
-                   ("certified_ns", Json.opt Json.ns certified);
-                   ("overhead_x", Json.opt Json.ns overhead);
+                   ("plain", stats_json plain);
+                   ("certified", stats_json certified);
+                   ("overhead_x", num 3 overhead);
                  ])
              points) );
     ]
@@ -1138,11 +1050,6 @@ let perf_certify () =
    hide every speedup. *)
 let perf_parallel () =
   section "perf-parallel: serial vs N-domain wall-clock (heavy drivers)";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let jobs, _ = Pool.resolve () in
   let kernels = Srfa_kernels.Kernels.all () in
   let digest points =
@@ -1185,850 +1092,52 @@ let perf_parallel () =
   let table =
     T.create
       ~headers:
-        [
-          ("driver", T.Left); ("serial s", T.Right);
-          (Printf.sprintf "%d-domain s" jobs, T.Right); ("speedup", T.Right);
-          ("identical", T.Left);
-        ]
+        ((("driver", T.Left) :: timed "serial")
+        @ timed (Printf.sprintf "%d-domain" jobs)
+        @ [ ("speedup", T.Right); ("identical", T.Left) ])
   in
   let points =
     Pool.with_pool ~jobs (fun pool ->
         List.map
           (fun (name, run) ->
-            let serial, serial_s = wall (fun () -> run None) in
-            let pooled, parallel_s = wall (fun () -> run (Some pool)) in
-            let speedup = serial_s /. parallel_s in
-            let identical = serial = pooled in
+            let serial_r, serial = measure ~samples:3 (fun () -> run None) in
+            let pooled_r, pooled =
+              measure ~samples:3 (fun () -> run (Some pool))
+            in
+            let speedup = serial.median /. pooled.median in
+            let identical = serial_r = pooled_r in
             T.add_row table
-              [
-                name;
-                Printf.sprintf "%.3f" serial_s;
-                Printf.sprintf "%.3f" parallel_s;
-                Printf.sprintf "%.2fx" speedup;
-                (if identical then "yes" else "MISMATCH");
-              ];
-            (name, serial_s, parallel_s, speedup, identical))
+              ((name :: cells serial)
+              @ cells pooled
+              @ [
+                  Printf.sprintf "%.2fx" speedup;
+                  (if identical then "yes" else "MISMATCH");
+                ]);
+            (name, serial, pooled, speedup, identical))
           drivers)
   in
   T.print table;
-  let domains_available = Domain.recommended_domain_count () in
-  (* On a single-core host both arms take the sequential path: the
-     numbers are real wall-clock but verify nothing about the domain
-     pool, so the artifact says so machine-readably instead of letting
-     a ~1x ratio masquerade as a measured parallel result. *)
-  let unverified = domains_available <= 1 || jobs <= 1 in
-  let note =
-    if unverified then
-      "single-core host: the pool degrades to the sequential path, so \
-       speedups of ~1x are expected and do not exercise the domain pool; \
-       re-run on a multicore host for meaningful ratios"
-    else
-      Printf.sprintf
-        "pooled arms ran on %d worker domains of %d available" jobs
-        domains_available
-  in
-  if unverified then
-    Printf.printf
-      "\nNOTE: only %d domain(s) available — parallel speedups are \
-       UNVERIFIED on this host; BENCH_parallel.json is stamped \
-       \"unverified\": true.\n"
-      domains_available;
   Printf.printf
-    "\n%d worker domains (machine recommends %d, %d available); the fuzz\n\
-     driver runs %d cases. Speedup is wall-clock; on a single-core host\n\
-     both arms take the sequential path and the ratio sits at ~1x by\n\
-     construction.\n"
-    jobs (Pool.recommended ()) domains_available fuzz_cases;
-  write_json "BENCH_parallel.json"
+    "\n%d worker domains; the fuzz driver runs %d cases. Speedup is \
+     wall-clock; at one job or on a one-domain host both arms take the \
+     sequential path and the ratio sits at ~1x by construction.\n"
+    jobs fuzz_cases;
+  write_bench "parallel" ~pooled:true ~unit:"ns per whole driver run"
     [
-      ("benchmark", Json.Str "perf-parallel");
-      ("unit", Json.Str "seconds wall-clock");
-      ("jobs", Json.Int jobs);
-      ("recommended_domains", Json.Int (Pool.recommended ()));
-      ("domains_available", Json.Int domains_available);
-      ("unverified", Json.Bool unverified);
-      ("note", Json.Str note);
       ("fuzz_cases", Json.Int fuzz_cases);
       ( "drivers",
         Json.Arr
           (List.map
-             (fun (name, serial_s, parallel_s, speedup, identical) ->
+             (fun (name, serial, pooled, speedup, identical) ->
                Json.Obj
                  [
                    ("driver", Json.Str name);
-                   ("serial_s", Json.float serial_s);
-                   ("parallel_s", Json.float parallel_s);
-                   ("speedup", Json.float speedup);
+                   ("serial", stats_json serial);
+                   ("pooled", stats_json pooled);
+                   ("speedup", num 3 speedup);
                    ("identical", Json.Bool identical);
                  ])
              points) );
-    ]
-
-(* ------------------------------------------------------------- perf-core *)
-
-(* The allocation-free hot core, measured the way mimalloc-bench measures
-   allocators: one warm workload re-run under several minor-heap sizes
-   (OCAMLRUNPARAM s=...), recording wall-clock, bytes allocated per
-   evaluation (Gc.allocated_bytes) and max RSS (VmHWM). The runtime reads
-   OCAMLRUNPARAM once at program start, so each cell of the matrix
-   re-executes this binary in a hidden probe mode
-   (`perf-core-probe <kernel>`) with the environment set; the parent
-   parses one machine-readable line per run.
-
-   The baselines are wall-clock and allocated-bytes numbers for the boxed
-   simulator (fresh model, fresh residency and a Bytes memo key per
-   iteration on every call) captured on this host immediately before the
-   arena rewrite; that code path no longer exists in the library, so they
-   are recorded as constants. The acceptance bars from the issue: >= 5x
-   wall-clock on the bic plain evaluation and >= 10x fewer minor
-   allocations per warm evaluation. *)
-
-let core_kernels = [ "fir"; "dec-fir"; "imi"; "mat"; "pat"; "bic" ]
-
-(* kernel -> (ns/evaluation, allocated bytes/evaluation) of the boxed
-   simulator before the rewrite; same host, same budget, same
-   allocate-then-simulate workload. *)
-let core_baselines =
-  [
-    ("fir", (8_863_926.0, 6_735_043.0));
-    ("dec-fir", (4_608_154.0, 3_357_536.0));
-    ("imi", (16_870_975.0, 7_630_516.0));
-    ("mat", (15_698_910.0, 7_603_077.0));
-    ("pat", (22_454_023.0, 13_409_664.0));
-    ("bic", (161_386_013.0, 105_876_090.0));
-  ]
-
-(* Minor-heap matrix: label and OCAMLRUNPARAM for the probe process.
-   [None] inherits the parent's runtime defaults. *)
-let core_gc_matrix =
-  [
-    ("default", None);
-    ("s=32k", Some "s=32k");
-    ("s=256k", Some "s=256k");
-    ("s=4M", Some "s=4M");
-  ]
-
-let core_probe_reps = 9
-
-let vmhwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let rec scan acc =
-      match input_line ic with
-      | exception End_of_file -> acc
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-          scan
-            (try
-               Scanf.sscanf
-                 (String.sub line 6 (String.length line - 6))
-                 " %d"
-                 Fun.id
-             with Scanf.Scan_failure _ | End_of_file | Failure _ -> acc)
-        else scan acc
-    in
-    let kb = scan 0 in
-    close_in ic;
-    kb
-
-(* Hidden mode: run one kernel's warm-evaluation loop under whatever
-   OCAMLRUNPARAM this process was started with and print one line. The
-   prepared CPA-RA state and the simulator scratch are built once; every
-   timed evaluation is a full allocation + simulation — the Flow.sweep
-   inner loop. *)
-let perf_core_probe kernel =
-  let nest =
-    match List.assoc_opt kernel (Srfa_kernels.Kernels.all ()) with
-    | Some nest -> nest
-    | None ->
-      Printf.eprintf "perf-core-probe: unknown kernel %s\n" kernel;
-      exit 1
-  in
-  let analysis = Flow.analyze nest in
-  let prepared = Cpa_ra.prepare analysis in
-  let scratch = Simulator.scratch ~dfg:(Cpa_ra.dfg prepared) analysis in
-  let evaluate () =
-    let alloc = Allocator.run ~prepared Allocator.Cpa_ra analysis ~budget in
-    ignore (Simulator.run ~scratch alloc)
-  in
-  (* Warm the scratch to its high-water mark before measuring. *)
-  evaluate ();
-  let times = Array.make core_probe_reps 0.0 in
-  (* Empty the minor heap before both readings: OCaml 5.1's Gc.counters
-     counts the words still in the minor heap at an eighth of their
-     size, so an unflushed reading under-reads by up to 8x unless a
-     minor collection happens to fall inside the timed loop — which
-     made the allocation column depend on the minor-heap size. *)
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  for i = 0 to core_probe_reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    evaluate ();
-    times.(i) <- (Unix.gettimeofday () -. t0) *. 1e9
-  done;
-  Gc.minor ();
-  let allocated =
-    (Gc.allocated_bytes () -. before) /. float_of_int core_probe_reps
-  in
-  Array.sort compare times;
-  Printf.printf "kernel=%s median_ns=%.0f alloc_per_eval=%.0f rss_kb=%d\n"
-    kernel
-    times.(core_probe_reps / 2)
-    allocated (vmhwm_kb ())
-
-let run_core_probe ~runparam kernel =
-  let env =
-    Array.of_list
-      ((match runparam with
-       | None -> []
-       | Some v -> [ "OCAMLRUNPARAM=" ^ v ])
-      @ List.filter
-          (fun s ->
-            not (String.length s >= 14 && String.sub s 0 14 = "OCAMLRUNPARAM="))
-          (Array.to_list (Unix.environment ())))
-  in
-  let ic, oc, ec =
-    Unix.open_process_args_full Sys.executable_name
-      [| Sys.executable_name; "perf-core-probe"; kernel |]
-      env
-  in
-  let line = try Some (input_line ic) with End_of_file -> None in
-  let status = Unix.close_process_full (ic, oc, ec) in
-  match (status, line) with
-  | Unix.WEXITED 0, Some line -> (
-    try
-      Scanf.sscanf line "kernel=%s@ median_ns=%f alloc_per_eval=%f rss_kb=%d"
-        (fun _ ns alloc rss -> Some (ns, alloc, rss))
-    with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
-  | _ -> None
-
-let perf_core () =
-  section
-    "perf-core: allocation-free hot core across a GC minor-heap matrix";
-  (* One probe process per (kernel, GC config) cell. *)
-  let cells =
-    List.map
-      (fun kernel ->
-        ( kernel,
-          List.map
-            (fun (label, runparam) ->
-              (label, run_core_probe ~runparam kernel))
-            core_gc_matrix ))
-      core_kernels
-  in
-  let default_of row = List.assoc "default" row in
-  (* Absolute numbers under the default GC against the boxed baselines. *)
-  let table =
-    T.create
-      ~headers:
-        [
-          ("kernel", T.Left); ("boxed ns", T.Right); ("warm ns", T.Right);
-          ("speedup", T.Right); ("boxed B/eval", T.Right);
-          ("warm B/eval", T.Right); ("alloc cut", T.Right);
-        ]
-  in
-  let points =
-    List.map
-      (fun (kernel, row) ->
-        let base_ns, base_alloc = List.assoc kernel core_baselines in
-        let measured = default_of row in
-        let speedup =
-          match measured with
-          | Some (ns, _, _) when ns > 0.0 -> Some (base_ns /. ns)
-          | _ -> None
-        in
-        let alloc_cut =
-          match measured with
-          | Some (_, alloc, _) when alloc > 0.0 -> Some (base_alloc /. alloc)
-          | _ -> None
-        in
-        let fmt f = function
-          | Some v -> Printf.sprintf f v
-          | None -> "-"
-        in
-        T.add_row table
-          [
-            kernel;
-            Printf.sprintf "%.0f" base_ns;
-            fmt "%.0f" (Option.map (fun (ns, _, _) -> ns) measured);
-            fmt "%.1fx" speedup;
-            Printf.sprintf "%.0f" base_alloc;
-            fmt "%.0f" (Option.map (fun (_, a, _) -> a) measured);
-            fmt "%.0fx" alloc_cut;
-          ];
-        (kernel, base_ns, base_alloc, measured, speedup, alloc_cut, row))
-      cells
-  in
-  T.print table;
-  (* Normalized medians across the minor-heap matrix, mimalloc-bench
-     style: each row normalized to its default-GC median so the matrix
-     reads as sensitivity, not absolute speed. *)
-  let table =
-    T.create
-      ~headers:
-        (("kernel", T.Left)
-        :: List.map (fun (label, _) -> (label, T.Right)) core_gc_matrix)
-  in
-  List.iter
-    (fun (kernel, _, _, measured, _, _, row) ->
-      let base = Option.map (fun (ns, _, _) -> ns) measured in
-      T.add_row table
-        (kernel
-        :: List.map
-             (fun (label, _) ->
-               match (base, List.assoc label row) with
-               | Some b, Some (ns, _, _) when b > 0.0 ->
-                 Printf.sprintf "%.2f" (ns /. b)
-               | _ -> "-")
-             core_gc_matrix))
-    points;
-  Printf.printf "wall-clock normalized to the default minor heap:\n\n";
-  T.print table;
-  let bic =
-    List.find_opt (fun (kernel, _, _, _, _, _, _) -> kernel = "bic") points
-  in
-  let bic_speedup_ok, bic_alloc_ok =
-    match bic with
-    | Some (_, _, _, _, Some s, Some a, _) -> (s >= 5.0, a >= 10.0)
-    | _ -> (false, false)
-  in
-  Printf.printf
-    "\nbic plain evaluation speedup target >= 5x: %s\n\
-     bic warm-allocation reduction target >= 10x: %s\n"
-    (if bic_speedup_ok then "ok" else "MISMATCH")
-    (if bic_alloc_ok then "ok" else "MISMATCH");
-  write_json "BENCH_core.json"
-    [
-      ("benchmark", Json.Str "perf-core");
-      ( "unit",
-        Json.Str
-          "ns/evaluation, warm: prepared CPA-RA state and simulator scratch \
-           reused across evaluations" );
-      ("budget", Json.Int budget);
-      ("reps", Json.Int core_probe_reps);
-      ( "baseline_note",
-        Json.Str
-          "baseline_ns/baseline_alloc_bytes are the boxed pre-arena \
-           simulator captured on this host immediately before the rewrite; \
-           that code path no longer exists, so they are recorded as \
-           constants" );
-      ( "gc_configs",
-        Json.Arr
-          (List.map (fun (label, _) -> Json.Str label) core_gc_matrix) );
-      ( "targets",
-        Json.Obj
-          [
-            ("bic_speedup_min_x", Json.Raw "5.0");
-            ("alloc_reduction_min_x", Json.Raw "10.0");
-          ] );
-      ( "checks",
-        Json.Obj
-          [
-            ("bic_speedup_ok", Json.Bool bic_speedup_ok);
-            ("bic_alloc_reduction_ok", Json.Bool bic_alloc_ok);
-          ] );
-      ( "kernels",
-        Json.Arr
-          (List.map
-             (fun (kernel, base_ns, base_alloc, measured, speedup, alloc_cut, row)
-             ->
-               Json.Obj
-                 [
-                   ("kernel", Json.Str kernel);
-                   ("baseline_ns", Json.ns base_ns);
-                   ("baseline_alloc_bytes", Json.ns base_alloc);
-                   ( "median_ns",
-                     Json.opt Json.ns
-                       (Option.map (fun (ns, _, _) -> ns) measured) );
-                   ( "alloc_bytes_per_eval",
-                     Json.opt Json.ns
-                       (Option.map (fun (_, a, _) -> a) measured) );
-                   ("speedup_x", Json.opt Json.float speedup);
-                   ("alloc_reduction_x", Json.opt Json.float alloc_cut);
-                   ( "gc_matrix",
-                     Json.Arr
-                       (List.map
-                          (fun (label, cell) ->
-                            Json.Obj
-                              [
-                                ("config", Json.Str label);
-                                ( "median_ns",
-                                  Json.opt Json.ns
-                                    (Option.map (fun (ns, _, _) -> ns) cell)
-                                );
-                                ( "alloc_bytes_per_eval",
-                                  Json.opt Json.ns
-                                    (Option.map (fun (_, a, _) -> a) cell) );
-                                ( "rss_kb",
-                                  Json.opt
-                                    (fun (_, _, r) -> Json.Int r)
-                                    cell );
-                              ])
-                          row) );
-                 ])
-             points) );
-    ]
-
-(* ------------------------------------------------------------ perf-serve *)
-
-(* The daemon measured end-to-end over its own Unix socket: a private
-   server domain, one blocking client, wall-clock per round-trip. Cold
-   is the first request a (kernel, device) pair ever sees — parse,
-   analyse, build the cycle model, allocate, simulate; warm is the same
-   request again, i.e. a tier-2 hit that only renders the cached report.
-   The mixed campaign then replays a 1000-request production-shaped mix
-   (repeats, budget ladders, algorithm spreads, malformed lines, bad
-   fields, infeasible budgets) and requires that not one response is an
-   E-INTERNAL — the daemon's totality contract. *)
-
-let serve_warm_reps = 100
-
-let serve_campaign_requests = 1000
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
-let perf_serve () =
-  section "perf-serve: the allocation daemon over its Unix socket";
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "srfa-bench-%d.sock" (Unix.getpid ()))
-  in
-  let daemon =
-    Domain.spawn (fun () -> Srfa_server.Server.run ~jobs:2 ~socket ())
-  in
-  let client = Srfa_server.Server.Client.connect socket in
-  let rpc line =
-    let t0 = Unix.gettimeofday () in
-    let resp = Srfa_server.Server.Client.rpc client line in
-    ((Unix.gettimeofday () -. t0) *. 1e6, resp)
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  (* -- cold vs warm per kernel ------------------------------------- *)
-  let kernels = List.map fst (Srfa_kernels.Kernels.all ()) in
-  let points =
-    List.map
-      (fun kernel ->
-        let line = Printf.sprintf {|{"kernel": "%s", "budget": %d}|} kernel budget in
-        let cold_us, cold_resp = rpc line in
-        assert (contains cold_resp "\"cache\": \"miss\"");
-        let warm = Array.make serve_warm_reps 0.0 in
-        for i = 0 to serve_warm_reps - 1 do
-          warm.(i) <- fst (rpc line)
-        done;
-        Array.sort compare warm;
-        let p50 = percentile warm 0.50 and p99 = percentile warm 0.99 in
-        (kernel, cold_us, p50, p99, cold_us /. p50))
-      kernels
-  in
-  let table =
-    T.create
-      ~headers:
-        [
-          ("kernel", T.Left); ("cold us", T.Right); ("warm p50 us", T.Right);
-          ("warm p99 us", T.Right); ("cold/warm", T.Right);
-        ]
-  in
-  List.iter
-    (fun (kernel, cold, p50, p99, ratio) ->
-      T.add_row table
-        [
-          kernel;
-          Printf.sprintf "%.0f" cold;
-          Printf.sprintf "%.0f" p50;
-          Printf.sprintf "%.0f" p99;
-          Printf.sprintf "%.0fx" ratio;
-        ])
-    points;
-  T.print table;
-  (* Koka-artifact style: each kernel's columns normalized to its own
-     warm median, so the table reads as cache leverage, not kernel size. *)
-  let table =
-    T.create
-      ~headers:
-        [
-          ("kernel", T.Left); ("warm p50", T.Right); ("warm p99", T.Right);
-          ("cold", T.Right);
-        ]
-  in
-  List.iter
-    (fun (kernel, cold, p50, p99, _) ->
-      T.add_row table
-        [
-          kernel; "1.00";
-          Printf.sprintf "%.2f" (p99 /. p50);
-          Printf.sprintf "%.2f" (cold /. p50);
-        ])
-    points;
-  Printf.printf "round-trip latency normalized to each kernel's warm median:\n\n";
-  T.print table;
-  let bic_ratio =
-    match List.find_opt (fun (k, _, _, _, _) -> k = "bic") points with
-    | Some (_, _, _, _, r) -> r
-    | None -> 0.0
-  in
-  let bic_ok = bic_ratio >= 10.0 in
-  Printf.printf "\nbic cache-hit speedup target >= 10x: %s (%.0fx)\n"
-    (if bic_ok then "ok" else "MISMATCH")
-    bic_ratio;
-  (* -- 1000-request mixed campaign ---------------------------------- *)
-  let algorithms =
-    [ "fr-ra"; "pr-ra"; "cpa-ra"; "cpa-ra+"; "knapsack"; "portfolio" ]
-  in
-  let budgets = [ 8; 16; 32; 64; 128 ] in
-  let seed = ref 0x5f3a9c1 in
-  let rand bound =
-    (* Deterministic xorshift so the campaign replays identically. *)
-    let s = !seed in
-    let s = s lxor (s lsl 13) in
-    let s = s lxor (s lsr 7) in
-    let s = s lxor (s lsl 17) in
-    seed := s land max_int;
-    !seed mod bound
-  in
-  let pick xs = List.nth xs (rand (List.length xs)) in
-  let last = ref {|{"kernel": "fir"}|} in
-  let request () =
-    let roll = rand 100 in
-    if roll < 55 then (
-      let line =
-        Printf.sprintf {|{"kernel": "%s", "budget": %d, "algorithm": "%s"}|}
-          (pick kernels) (pick budgets) (pick algorithms)
-      in
-      last := line;
-      line)
-    else if roll < 75 then !last (* repeat: the hit path *)
-    else if roll < 82 then
-      Printf.sprintf {|{"kernel": "%s", "device": "xc2v6000"}|} (pick kernels)
-    else if roll < 88 then
-      Printf.sprintf {|{"kernel": "%s", "budget": 1}|} (pick kernels)
-    else if roll < 93 then {|{"kernel": "no-such-kernel"}|}
-    else if roll < 97 then "} definitely not json {"
-    else {|{"op": "stats"}|}
-  in
-  let latencies = Array.make serve_campaign_requests 0.0 in
-  let ok = ref 0 and errors = ref 0 and internal = ref 0 in
-  let campaign_t0 = Unix.gettimeofday () in
-  for i = 0 to serve_campaign_requests - 1 do
-    let us, resp = rpc (request ()) in
-    latencies.(i) <- us;
-    if contains resp "E-INTERNAL" then incr internal;
-    if contains resp "\"status\": \"ok\"" then incr ok else incr errors
-  done;
-  let campaign_s = Unix.gettimeofday () -. campaign_t0 in
-  Array.sort compare latencies;
-  let p50 = percentile latencies 0.50 and p99 = percentile latencies 0.99 in
-  let rps = float_of_int serve_campaign_requests /. campaign_s in
-  let internal_ok = !internal = 0 in
-  let rss = vmhwm_kb () in
-  Printf.printf
-    "\nmixed campaign: %d requests in %.2fs — %.0f req/s, p50 %.0fus, p99 \
-     %.0fus (%d ok, %d coded errors)\n"
-    serve_campaign_requests campaign_s rps p50 p99 !ok !errors;
-  Printf.printf "zero E-INTERNAL responses: %s (%d)\n"
-    (if internal_ok then "ok" else "MISMATCH")
-    !internal;
-  Printf.printf "peak RSS: %d kB\n" rss;
-  ignore (Srfa_server.Server.Client.rpc client {|{"op": "shutdown"}|});
-  Srfa_server.Server.Client.close client;
-  Domain.join daemon;
-  write_json "BENCH_serve.json"
-    [
-      ("benchmark", Json.Str "perf-serve");
-      ( "unit",
-        Json.Str
-          "us/round-trip over a Unix-domain socket, daemon in-process \
-           (2 worker domains); cold = first sight of (kernel, device), \
-           warm = tier-2 cache hit" );
-      ("budget", Json.Int budget);
-      ("warm_reps", Json.Int serve_warm_reps);
-      ( "targets",
-        Json.Obj
-          [
-            ("bic_hit_speedup_min_x", Json.Raw "10.0");
-            ("campaign_e_internal_max", Json.Int 0);
-          ] );
-      ( "checks",
-        Json.Obj
-          [
-            ("bic_hit_speedup_ok", Json.Bool bic_ok);
-            ("campaign_no_internal_errors", Json.Bool internal_ok);
-          ] );
-      ( "kernels",
-        Json.Arr
-          (List.map
-             (fun (kernel, cold, p50, p99, ratio) ->
-               Json.Obj
-                 [
-                   ("kernel", Json.Str kernel);
-                   ("cold_us", Json.ns cold);
-                   ("warm_p50_us", Json.ns p50);
-                   ("warm_p99_us", Json.ns p99);
-                   ("cold_over_warm_x", Json.float ratio);
-                 ])
-             points) );
-      ( "campaign",
-        Json.Obj
-          [
-            ("requests", Json.Int serve_campaign_requests);
-            ("seconds", Json.float campaign_s);
-            ("requests_per_sec", Json.ns rps);
-            ("p50_us", Json.ns p50);
-            ("p99_us", Json.ns p99);
-            ("ok", Json.Int !ok);
-            ("coded_errors", Json.Int !errors);
-            ("e_internal", Json.Int !internal);
-            ("rss_kb", Json.Int rss);
-          ] );
-    ]
-
-(* The resilience layer priced: the same production-shaped request mix
-   against a clean daemon and against one running a ~10% fault plan
-   (stalling and raising workers, failing cache inserts — the sites
-   that do not sever the measuring client's own connection), then a
-   pipelined cold flood against a max_inflight:4 daemon to price
-   overload shedding. The totality contract shifts under faults: raising
-   workers *should* surface as isolated E-INTERNAL responses; what must
-   still hold is one response per request and a live daemon at the end. *)
-
-let robust_requests = 400
-
-let perf_robust () =
-  section "perf-robust: the daemon under injected faults and overload";
-  let module Server = Srfa_server.Server in
-  let module Client = Srfa_server.Server.Client in
-  let module Fault = Srfa_util.Fault in
-  let robust_socket tag =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "srfa-bench-robust-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let kernels = List.map fst (Srfa_kernels.Kernels.all ()) in
-  let mix () =
-    (* Deterministic xorshift, regenerated per campaign so clean and
-       faulted daemons answer the byte-identical request sequence. *)
-    let seed = ref 0x2f6e25 in
-    let rand bound =
-      let s = !seed in
-      let s = s lxor (s lsl 13) in
-      let s = s lxor (s lsr 7) in
-      let s = s lxor (s lsl 17) in
-      seed := s land max_int;
-      !seed mod bound
-    in
-    let pick xs = List.nth xs (rand (List.length xs)) in
-    let last = ref {|{"kernel": "fir"}|} in
-    Array.init robust_requests (fun _ ->
-        let roll = rand 100 in
-        if roll < 60 then (
-          (* A wide budget spread keeps most of the mix cold — the fault
-             sites live on the cold path (pool jobs, cache inserts), so a
-             hit-dominated mix would leave the plan nothing to bite. *)
-          let line =
-            Printf.sprintf {|{"kernel": "%s", "budget": %d}|} (pick kernels)
-              (16 + rand 185)
-          in
-          last := line;
-          line)
-        else !last)
-  in
-  let campaign ~faults tag =
-    let sock = robust_socket tag in
-    let daemon =
-      Domain.spawn (fun () -> Server.run ~jobs:2 ~faults ~socket:sock ())
-    in
-    let client = Client.connect sock in
-    let lines = mix () in
-    let lat = Array.make robust_requests 0.0 in
-    let ok = ref 0 and internal = ref 0 and other = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    Array.iteri
-      (fun i line ->
-        let r0 = Unix.gettimeofday () in
-        let resp = Client.rpc client line in
-        lat.(i) <- (Unix.gettimeofday () -. r0) *. 1e6;
-        if contains resp {|"status": "ok"|} then incr ok
-        else if contains resp "E-INTERNAL" then incr internal
-        else incr other)
-      lines;
-    let seconds = Unix.gettimeofday () -. t0 in
-    (* The daemon must still be standing to answer this. *)
-    let alive = contains (Client.rpc client {|{"op": "stats"}|}) "stats" in
-    ignore (Client.rpc client {|{"op": "shutdown"}|});
-    Client.close client;
-    Domain.join daemon;
-    Array.sort compare lat;
-    ( float_of_int robust_requests /. seconds,
-      percentile lat 0.50,
-      percentile lat 0.99,
-      !ok,
-      !internal,
-      !other,
-      alive )
-  in
-  let clean_rps, clean_p50, clean_p99, clean_ok, clean_int, clean_other, clean_alive
-      =
-    campaign ~faults:Fault.off "clean"
-  in
-  let plan = "pool.job:delay:1@0.06,pool.job:raise@0.04,cache.insert:error@0.15" in
-  let faults =
-    match Fault.parse ~seed:42 plan with
-    | Ok f -> f
-    | Error msg -> failwith msg
-  in
-  let fault_rps, fault_p50, fault_p99, fault_ok, fault_int, fault_other, fault_alive
-      =
-    campaign ~faults "faulted"
-  in
-  let injected = Fault.injected faults in
-  let fault_rate = float_of_int injected /. float_of_int robust_requests in
-  let table =
-    T.create
-      ~headers:
-        [
-          ("campaign", T.Left); ("req/s", T.Right); ("p50 us", T.Right);
-          ("p99 us", T.Right); ("ok", T.Right); ("E-INTERNAL", T.Right);
-          ("other", T.Right);
-        ]
-  in
-  let row name rps p50 p99 ok int_ other =
-    T.add_row table
-      [
-        name;
-        Printf.sprintf "%.0f" rps;
-        Printf.sprintf "%.0f" p50;
-        Printf.sprintf "%.0f" p99;
-        string_of_int ok;
-        string_of_int int_;
-        string_of_int other;
-      ]
-  in
-  row "clean" clean_rps clean_p50 clean_p99 clean_ok clean_int clean_other;
-  row "faulted" fault_rps fault_p50 fault_p99 fault_ok fault_int fault_other;
-  T.print table;
-  Printf.printf
-    "\nfault plan: %s\ninjected %d faults over %d requests (%.1f%%)\n" plan
-    injected robust_requests (100.0 *. fault_rate);
-  let clean_total_ok = clean_int = 0 in
-  Printf.printf "clean campaign free of E-INTERNAL: %s (%d)\n"
-    (if clean_total_ok then "ok" else "MISMATCH")
-    clean_int;
-  let answered_ok =
-    clean_ok + clean_int + clean_other = robust_requests
-    && fault_ok + fault_int + fault_other = robust_requests
-  in
-  Printf.printf "every request answered in both campaigns: %s\n"
-    (if answered_ok then "ok" else "MISMATCH");
-  Printf.printf "daemons alive after the campaigns: %s\n"
-    (if clean_alive && fault_alive then "ok" else "MISMATCH");
-  (* -- overload: a pipelined cold flood against max_inflight:4 ------- *)
-  let sock = robust_socket "overload" in
-  let max_inflight = 4 in
-  let daemon =
-    Domain.spawn (fun () -> Server.run ~jobs:2 ~max_inflight ~socket:sock ())
-  in
-  let client = Client.connect sock in
-  let flood_n = 64 in
-  let flood =
-    String.concat ""
-      (List.init flood_n (fun i ->
-           Printf.sprintf "{\"id\": \"f%d\", \"kernel\": \"%s\", \"budget\": %d}\n"
-             i
-             (List.nth kernels (i mod List.length kernels))
-             (20 + i)))
-  in
-  let t0 = Unix.gettimeofday () in
-  let wrote = Unix.write_substring client.Client.fd flood 0 (String.length flood) in
-  assert (wrote = String.length flood);
-  let shed = ref 0 and flood_ok = ref 0 and flood_other = ref 0 in
-  for _ = 1 to flood_n do
-    let resp = Client.recv client in
-    if contains resp "E-OVERLOAD" then incr shed
-    else if contains resp {|"status": "ok"|} then incr flood_ok
-    else incr flood_other
-  done;
-  let flood_s = Unix.gettimeofday () -. t0 in
-  let overload_alive = contains (Client.rpc client {|{"op": "stats"}|}) "stats" in
-  ignore (Client.rpc client {|{"op": "shutdown"}|});
-  Client.close client;
-  Domain.join daemon;
-  let shed_rate = float_of_int !shed /. float_of_int flood_n in
-  Printf.printf
-    "\noverload flood: %d pipelined cold requests vs max_inflight=%d in %.3fs \
-     — %d ok, %d shed (%.0f%%), %d other errors\n"
-    flood_n max_inflight flood_s !flood_ok !shed (100.0 *. shed_rate)
-    !flood_other;
-  let overload_ok = !shed > 0 && !flood_ok >= max_inflight && overload_alive in
-  Printf.printf "overload shed some, served some, daemon alive: %s\n"
-    (if overload_ok then "ok" else "MISMATCH");
-  let rss = vmhwm_kb () in
-  Printf.printf "peak RSS: %d kB\n" rss;
-  let campaign_json rps p50 p99 ok int_ other alive =
-    Json.Obj
-      [
-        ("requests", Json.Int robust_requests);
-        ("requests_per_sec", Json.ns rps);
-        ("p50_us", Json.ns p50);
-        ("p99_us", Json.ns p99);
-        ("ok", Json.Int ok);
-        ("e_internal", Json.Int int_);
-        ("other_errors", Json.Int other);
-        ("daemon_alive_after", Json.Bool alive);
-      ]
-  in
-  write_json "BENCH_robust.json"
-    [
-      ("benchmark", Json.Str "perf-robust");
-      ( "unit",
-        Json.Str
-          "us/round-trip over a Unix-domain socket, daemon in-process \
-           (2 worker domains); identical seeded request mix against a \
-           clean daemon and one under the fault plan; overload = one \
-           pipelined cold flood against max_inflight=4" );
-      ("fault_plan", Json.Str plan);
-      ("fault_seed", Json.Int 42);
-      ("injected_faults", Json.Int injected);
-      ("injected_rate", Json.float fault_rate);
-      ( "checks",
-        Json.Obj
-          [
-            ("clean_no_internal_errors", Json.Bool clean_total_ok);
-            ("every_request_answered", Json.Bool answered_ok);
-            ("daemons_survived", Json.Bool (clean_alive && fault_alive));
-            ("overload_shed_and_served", Json.Bool overload_ok);
-          ] );
-      ( "clean",
-        campaign_json clean_rps clean_p50 clean_p99 clean_ok clean_int
-          clean_other clean_alive );
-      ( "faulted",
-        campaign_json fault_rps fault_p50 fault_p99 fault_ok fault_int
-          fault_other fault_alive );
-      ( "overload",
-        Json.Obj
-          [
-            ("flood_requests", Json.Int flood_n);
-            ("max_inflight", Json.Int max_inflight);
-            ("seconds", Json.float flood_s);
-            ("ok", Json.Int !flood_ok);
-            ("shed", Json.Int !shed);
-            ("shed_rate", Json.float shed_rate);
-            ("other_errors", Json.Int !flood_other);
-            ("daemon_alive_after", Json.Bool overload_alive);
-          ] );
-      ("rss_kb", Json.Int rss);
     ]
 
 (* --------------------------------------------------------- perf-rebudget *)
@@ -2036,45 +1145,34 @@ let perf_robust () =
 (* Incremental re-budgeting vs from-scratch re-allocation (DESIGN.md
    §16). The workload is what rebudget exists for: a long oscillating
    budget ladder over a live kernel — a host shrinking and re-growing
-   the register file while the allocation stays resident. The
-   incremental arm answers every event through one rebudget session
+   the register file while the allocation stays resident. Both arms
+   answer the initial budget and then the same events. The
+   incremental arm answers them through one rebudget session
    (cheapest-loss-first reclaim / headroom re-spend, plus the
-   per-budget memo on revisits); the from-scratch arm answers the same
-   events the way a plain allocate client would, one full certified
-   portfolio point per event over the same resident analysis — tier 1
-   is warm in both arms, so the comparison isolates allocation +
-   certification work, not parsing or analysis. Both arms carry the
-   same never-worse contract, so quality is identical by construction;
-   the bench measures cost only. *)
+   per-budget memo on revisits); the from-scratch arm answers them
+   the way a plain allocate client would, one full certified portfolio
+   point each over the same resident analysis — tier 1 is warm in both
+   arms, so the comparison isolates allocation + certification work,
+   not parsing or analysis. Both arms carry the same never-worse
+   contract, so quality is identical by construction; the bench
+   measures cost only. *)
 let perf_rebudget () =
   section "perf-rebudget: incremental re-budgeting vs from-scratch per event";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let median_of f ~repeats =
-    let samples = Array.init repeats (fun _ -> wall f) in
-    Array.sort compare samples;
-    samples.(repeats / 2)
-  in
-  let repeats = 5 in
   let initial = 128 in
-  (* Ten distinct rungs, cycled four times: 40 events per kernel, 30 of
-     which revisit a budget the stream has already certified. *)
+  (* Ten rungs, eight of them distinct, cycled four times: 40 events per
+     kernel after the initial budget. *)
   let rung = [ 64; 32; 16; 8; 12; 24; 48; 96; 64; 32 ] in
   let events = List.concat_map (fun _ -> rung) [ (); (); (); () ] in
+  let n_events = List.length events in
   let kernels =
     ("example", Srfa_kernels.Kernels.example ()) :: Srfa_kernels.Kernels.all ()
   in
   let table =
     T.create
       ~headers:
-        [
-          ("kernel", T.Left); ("events", T.Right); ("scratch ms", T.Right);
-          ("incremental ms", T.Right); ("speedup", T.Right);
-          ("memo hits", T.Right);
-        ]
+        ((("kernel", T.Left) :: ("events", T.Right) :: timed "scratch")
+        @ timed "incremental"
+        @ [ ("speedup", T.Right); ("memo hits", T.Right) ])
   in
   let points =
     List.map
@@ -2098,89 +1196,60 @@ let perf_rebudget () =
               (Printf.sprintf "%s at budget %d: %s" name b
                  (String.concat "; " (List.map Srfa_util.Diag.to_json ds)))
         in
-        let full_s =
-          median_of ~repeats (fun () -> List.iter full_point (initial :: events))
+        let (), full =
+          measure ~samples:5 (fun () ->
+              List.iter full_point (initial :: events))
         in
-        let incr_s =
-          median_of ~repeats (fun () ->
-              ignore
-                (Flow.Core.rebudget ~sim_scratch:scratch Flow.default_config
-                   prepared ~initial ~events))
-        in
-        let steps =
-          Flow.Core.rebudget ~sim_scratch:scratch Flow.default_config prepared
-            ~initial ~events
+        let steps, incr =
+          measure ~samples:5 (fun () ->
+              Flow.Core.rebudget ~sim_scratch:scratch Flow.default_config
+                prepared ~initial ~events)
         in
         let memo_hits =
-          List.length
-            (List.filter (fun s -> s.Flow.Core.memoized) steps)
+          List.length (List.filter (fun s -> s.Flow.Core.memoized) steps)
         in
-        let speedup = full_s /. incr_s in
+        let speedup = full.median /. incr.median in
         T.add_row table
-          [
-            name;
-            string_of_int (1 + List.length events);
-            Printf.sprintf "%.2f" (full_s *. 1e3);
-            Printf.sprintf "%.2f" (incr_s *. 1e3);
-            Printf.sprintf "%.2fx" speedup;
-            string_of_int memo_hits;
-          ];
-        (name, List.length events, full_s, incr_s, speedup, memo_hits))
+          ((name :: string_of_int n_events :: cells full)
+          @ cells incr
+          @ [ Printf.sprintf "%.2fx" speedup; string_of_int memo_hits ]);
+        (name, full, incr, speedup, memo_hits))
       kernels
   in
   T.print table;
-  (* Koka-artifact style: each kernel normalized to its own from-scratch
-     median, so the table reads as incremental leverage, not kernel
-     size. *)
-  let table =
-    T.create
-      ~headers:
-        [ ("kernel", T.Left); ("scratch", T.Right); ("incremental", T.Right) ]
-  in
-  List.iter
-    (fun (name, _, full_s, incr_s, _, _) ->
-      T.add_row table
-        [ name; "1.00"; Printf.sprintf "%.3f" (incr_s /. full_s) ])
-    points;
-  Printf.printf
-    "\nstream cost normalized to each kernel's from-scratch median:\n\n";
-  T.print table;
   let sum f = List.fold_left (fun acc p -> acc +. f p) 0.0 points in
-  let total_full = sum (fun (_, _, f, _, _, _) -> f) in
-  let total_incr = sum (fun (_, _, _, i, _, _) -> i) in
-  let amortized = total_full /. total_incr in
+  let amortized =
+    sum (fun (_, full, _, _, _) -> full.median)
+    /. sum (fun (_, _, incr, _, _) -> incr.median)
+  in
   let target_ok = amortized >= 5.0 in
   Printf.printf
     "\namortized speedup over the whole ladder campaign: %.1fx (target >= \
      5x: %s)\n"
-    amortized
-    (if target_ok then "ok" else "MISMATCH");
-  write_json "BENCH_rebudget.json"
+    amortized (verdict target_ok);
+  write_bench "rebudget"
+    ~unit:
+      "ns per whole stream (the initial budget, then the events); scratch = \
+       one certified portfolio point per budget over a warm analysis, \
+       incremental = one rebudget session answering the same budgets"
     [
-      ("benchmark", Json.Str "perf-rebudget");
-      ( "unit",
-        Json.Str
-          "seconds per whole event stream, median of repeats; scratch = \
-           one certified portfolio point per event over a warm analysis, \
-           incremental = one rebudget session answering the same events" );
       ("initial", Json.Int initial);
-      ("events_per_kernel", Json.Int (List.length events));
+      ("events_per_kernel", Json.Int n_events);
       ("distinct_budgets", Json.Int (List.length (List.sort_uniq compare rung)));
-      ("repeats", Json.Int repeats);
-      ("amortized_speedup", Json.float amortized);
-      ("target_speedup", Json.float 5.0);
+      ("amortized_speedup", num 3 amortized);
+      ("target_speedup", num 3 5.0);
       ("target_ok", Json.Bool target_ok);
       ( "kernels",
         Json.Arr
           (List.map
-             (fun (name, n_events, full_s, incr_s, speedup, memo_hits) ->
+             (fun (name, full, incr, speedup, memo_hits) ->
                Json.Obj
                  [
                    ("kernel", Json.Str name);
                    ("events", Json.Int n_events);
-                   ("scratch_s", Json.float full_s);
-                   ("incremental_s", Json.float incr_s);
-                   ("speedup", Json.float speedup);
+                   ("scratch", stats_json full);
+                   ("incremental", stats_json incr);
+                   ("speedup", num 3 speedup);
                    ("memo_hits", Json.Int memo_hits);
                  ])
              points) );
@@ -2189,11 +1258,11 @@ let perf_rebudget () =
 (* ---------------------------------------------------------- perf-explore *)
 
 (* The joint design-space explorer vs its own naive arm (DESIGN.md
-   §17). The workload is the matmul space the tentpole targets — all
-   legal orders x strip-mine factors {2,4} x a five-rung budget ladder
-   x two algorithms — plus the running example on the same axes. The
-   naive arm evaluates the full product and re-derives analysis, DFG
-   and simulation from scratch per point (space.naive, no pruning, no
+   §17). The workload is the matmul space — all legal orders x
+   strip-mine factors {2,4} x a five-rung budget ladder x two
+   algorithms — plus the running example on the same axes. The naive
+   arm evaluates the full product and re-derives analysis, DFG and
+   simulation from scratch per point (space.naive, no pruning, no
    memo); the optimized arm runs the shipped path: variant-level and
    point-level dominance cuts from lower bounds, one preparation per
    variant, and the entries-keyed simulation memo. Both arms draw the
@@ -2201,18 +1270,6 @@ let perf_rebudget () =
    equality (plus jobs=1 vs jobs=N) before reporting any ratio. *)
 let perf_explore () =
   section "perf-explore: naive product vs pruned+memoised explorer";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let median_of f ~repeats =
-    let results = Array.init repeats (fun _ -> wall f) in
-    let samples = Array.map snd results in
-    Array.sort compare samples;
-    (fst results.(0), samples.(repeats / 2))
-  in
-  let repeats = 3 in
   let space =
     {
       Flow.Core.default_space with
@@ -2235,28 +1292,25 @@ let perf_explore () =
   let table =
     T.create
       ~headers:
-        [
-          ("kernel", T.Left); ("points", T.Right); ("naive s", T.Right);
-          ("explorer s", T.Right); ("speedup", T.Right);
-          ("prune rate", T.Right); ("memo rate", T.Right);
-          ("variants/s", T.Right); (Printf.sprintf "%d-domain s" jobs, T.Right);
-          ("identical", T.Left);
-        ]
+        ((("kernel", T.Left) :: ("points", T.Right) :: timed "naive")
+        @ timed "explorer"
+        @ [
+            ("speedup", T.Right); ("prune rate", T.Right);
+            ("memo rate", T.Right);
+          ]
+        @ timed (Printf.sprintf "%d-domain" jobs)
+        @ [ ("identical", T.Left) ])
   in
   let points =
     Pool.with_pool ~jobs (fun pool ->
         List.map
           (fun (name, nest) ->
-            let explore ?pool space =
+            let explore ?pool space () =
               Flow.Core.explore ?pool ~space Flow.default_config nest
             in
-            let naive_f, naive_s =
-              median_of ~repeats (fun () -> explore naive_space)
-            in
-            let opt_f, opt_s = median_of ~repeats (fun () -> explore space) in
-            let pooled_f, pooled_s =
-              median_of ~repeats (fun () -> explore ~pool space)
-            in
+            let naive_f, naive = measure ~samples:3 (explore naive_space) in
+            let opt_f, opt = measure ~samples:3 (explore space) in
+            let pooled_f, pooled = measure ~samples:3 (explore ~pool space) in
             let identical =
               Flow.Core.frontier_json naive_f = Flow.Core.frontier_json opt_f
               && Flow.Core.frontier_json opt_f
@@ -2273,114 +1327,64 @@ let perf_explore () =
               float_of_int s.Flow.Core.sim_memo_hits
               /. float_of_int s.Flow.Core.points_evaluated
             in
-            let variants_per_s =
-              float_of_int s.Flow.Core.variants_unique /. opt_s
-            in
-            let speedup = naive_s /. opt_s in
+            let speedup = naive.median /. opt.median in
             T.add_row table
-              [
-                name;
-                string_of_int total;
-                Printf.sprintf "%.3f" naive_s;
-                Printf.sprintf "%.3f" opt_s;
-                Printf.sprintf "%.1fx" speedup;
-                Printf.sprintf "%.0f%%" (100.0 *. prune_rate);
-                Printf.sprintf "%.0f%%" (100.0 *. memo_rate);
-                Printf.sprintf "%.0f" variants_per_s;
-                Printf.sprintf "%.3f" pooled_s;
-                (if identical then "yes" else "MISMATCH");
-              ];
-            ( name, total, naive_s, opt_s, pooled_s, speedup, prune_rate,
-              memo_rate, variants_per_s, identical ))
+              ((name :: string_of_int total :: cells naive)
+              @ cells opt
+              @ [
+                  Printf.sprintf "%.1fx" speedup;
+                  Printf.sprintf "%.0f%%" (100.0 *. prune_rate);
+                  Printf.sprintf "%.0f%%" (100.0 *. memo_rate);
+                ]
+              @ cells pooled
+              @ [ (if identical then "yes" else "MISMATCH") ]);
+            ( name, total, naive, opt, pooled, speedup, prune_rate, memo_rate,
+              identical ))
           kernels)
   in
   T.print table;
-  (* Koka-artifact style: each kernel normalized to its own naive
-     median, so the table reads as explorer leverage, not kernel
-     size. *)
-  let norm =
-    T.create
-      ~headers:
-        [
-          ("kernel", T.Left); ("naive", T.Right); ("explorer", T.Right);
-          (Printf.sprintf "%d-domain" jobs, T.Right);
-        ]
-  in
-  List.iter
-    (fun (name, _, naive_s, opt_s, pooled_s, _, _, _, _, _) ->
-      T.add_row norm
-        [
-          name; "1.00";
-          Printf.sprintf "%.3f" (opt_s /. naive_s);
-          Printf.sprintf "%.3f" (pooled_s /. naive_s);
-        ])
-    points;
-  Printf.printf "\nwall-clock normalized to each kernel's naive median:\n\n";
-  T.print norm;
   let mat_speedup =
     List.fold_left
-      (fun acc (name, _, _, _, _, speedup, _, _, _, _) ->
+      (fun acc (name, _, _, _, _, speedup, _, _, _) ->
         if name = "mat" then speedup else acc)
       0.0 points
   in
   let target_ok = mat_speedup >= 5.0 in
   let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, _, id) -> id) points
+    List.for_all (fun (_, _, _, _, _, _, _, _, id) -> id) points
   in
   Printf.printf
     "\nmatmul space: %.1fx naive-vs-explorer (target >= 5x: %s); frontiers \
      byte-identical across naive/pruned/pooled arms: %s\n"
-    mat_speedup
-    (if target_ok then "ok" else "MISMATCH")
+    mat_speedup (verdict target_ok)
     (if all_identical then "yes" else "MISMATCH");
-  let domains_available = Domain.recommended_domain_count () in
-  (* Same stamp as perf-parallel: on a single-core host the pooled arm
-     takes the sequential path, so its column verifies nothing about
-     the domain fan-out. The naive-vs-explorer speedup is single-arm
-     and stays meaningful either way. *)
-  let unverified = domains_available <= 1 || jobs <= 1 in
-  if unverified then
-    Printf.printf
-      "\nNOTE: only %d domain(s) available — the pooled column is \
-       UNVERIFIED on this host; BENCH_explore.json is stamped \
-       \"unverified\": true.\n"
-      domains_available;
-  write_json "BENCH_explore.json"
+  write_bench "explore" ~pooled:true
+    ~unit:
+      "ns per whole-space exploration; naive = full product, per-point \
+       analysis/DFG/simulation from scratch; explorer = dominance cuts + \
+       per-variant preparation + entries memo"
     [
-      ("benchmark", Json.Str "perf-explore");
-      ( "unit",
-        Json.Str
-          "seconds per whole-space exploration, median of repeats; naive = \
-           full product, per-point analysis/DFG/simulation from scratch; \
-           explorer = dominance cuts + per-variant preparation + entries \
-           memo" );
-      ("repeats", Json.Int repeats);
-      ("jobs", Json.Int jobs);
-      ("recommended_domains", Json.Int (Pool.recommended ()));
-      ("domains_available", Json.Int domains_available);
-      ("unverified", Json.Bool unverified);
-      ("matmul_speedup", Json.float mat_speedup);
-      ("target_speedup", Json.float 5.0);
+      ("matmul_speedup", num 3 mat_speedup);
+      ("target_speedup", num 3 5.0);
       ("target_ok", Json.Bool target_ok);
       ("frontiers_identical", Json.Bool all_identical);
       ( "kernels",
         Json.Arr
           (List.map
              (fun
-               ( name, total, naive_s, opt_s, pooled_s, speedup, prune_rate,
-                 memo_rate, variants_per_s, identical )
+               ( name, total, naive, opt, pooled, speedup, prune_rate,
+                 memo_rate, identical )
              ->
                Json.Obj
                  [
                    ("kernel", Json.Str name);
                    ("ladder_points", Json.Int total);
-                   ("naive_s", Json.float naive_s);
-                   ("explorer_s", Json.float opt_s);
-                   ("pooled_s", Json.float pooled_s);
-                   ("speedup", Json.float speedup);
-                   ("prune_rate", Json.float prune_rate);
-                   ("memo_hit_rate", Json.float memo_rate);
-                   ("variants_per_s", Json.float variants_per_s);
+                   ("naive", stats_json naive);
+                   ("explorer", stats_json opt);
+                   ("pooled", stats_json pooled);
+                   ("speedup", num 3 speedup);
+                   ("prune_rate", num 3 prune_rate);
+                   ("memo_hit_rate", num 3 memo_rate);
                    ("identical", Json.Bool identical);
                  ])
              points) );
@@ -2406,56 +1410,24 @@ let sections =
     ("ablation-pipelining", ablation_pipelining);
     ("perf", perf);
     ("perf-cuts", perf_cuts);
-    ("perf-fuzz", perf_fuzz);
     ("perf-certify", perf_certify);
     ("perf-parallel", perf_parallel);
-    ("perf-core", perf_core);
-    ("perf-serve", perf_serve);
-    ("perf-robust", perf_robust);
     ("perf-rebudget", perf_rebudget);
     ("perf-explore", perf_explore);
   ]
 
-(* `--sections core,cuts,certify` shorthand: bare names expand to their
-   perf-* section; full section names pass through unchanged. *)
-let expand_section = function
-  | "core" -> "perf-core"
-  | "cuts" -> "perf-cuts"
-  | "fuzz" -> "perf-fuzz"
-  | "certify" -> "perf-certify"
-  | "parallel" -> "perf-parallel"
-  | "serve" -> "perf-serve"
-  | "robust" -> "perf-robust"
-  | "rebudget" -> "perf-rebudget"
-  | "explore" -> "perf-explore"
-  | s -> s
-
 let () =
-  match Array.to_list Sys.argv with
-  (* Hidden re-exec mode used by perf-core to read OCAMLRUNPARAM fresh. *)
-  | _ :: "perf-core-probe" :: kernel :: _ -> perf_core_probe kernel
-  | argv ->
-    let rec parse acc = function
-      | [] -> List.rev acc
-      | "--sections" :: spec :: rest ->
-        parse
-          (List.rev_append
-             (List.map expand_section (String.split_on_char ',' spec))
-             acc)
-          rest
-      | name :: rest -> parse (name :: acc) rest
-    in
-    let requested =
-      match parse [] (match argv with [] -> [] | _ :: rest -> rest) with
-      | [] -> List.map fst sections
-      | names -> names
-    in
-    List.iter
-      (fun name ->
-        match List.assoc_opt name sections with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown section %s (have: %s)\n" name
-            (String.concat ", " (List.map fst sections));
-          exit 1)
-      requested
+  let requested =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst sections
+    | names -> names
+  in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name sections with
+      | Some f -> f ()
+      | None ->
+        Printf.eprintf "unknown section %s (have: %s)\n" name
+          (String.concat ", " (List.map fst sections));
+        exit 1)
+    requested

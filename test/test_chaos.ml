@@ -137,7 +137,15 @@ let test_campaign () =
           match recv ca ~timeout:30.0 with
           | `Line l -> (
             match Protocol.parse_json l with
-            | resp -> Hashtbl.add baseline combo resp
+            | resp ->
+              (* A fault-free daemon never answers E-INTERNAL; one here is
+                 a defect, not a baseline that phase two may match. *)
+              if
+                List.exists
+                  (String.starts_with ~prefix:"E-INTERNAL")
+                  (diag_codes resp)
+              then violate "fault-free daemon answered: %s" l;
+              Hashtbl.add baseline combo resp
             | exception _ -> violate "baseline response unparseable")
           | `Eof | `Timeout -> violate "baseline request unanswered"
         end)

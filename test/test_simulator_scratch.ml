@@ -269,21 +269,30 @@ let test_profile_parity () =
     kernels
 
 (* Warm evaluations must stay off the allocator: after one warming run,
-   a scratch-threaded simulation of the mat kernel allocates under 100 kB
-   (the boxed path allocated megabytes per evaluation). *)
+   for every library kernel, both a scratch-threaded simulation and a
+   whole warm evaluation (allocation from the prepared CPA-RA state, then
+   that simulation) allocate under 100 kB. The boxed path allocated
+   megabytes per evaluation. *)
 let test_allocation_budget () =
-  let nest = List.assoc "mat" kernels in
-  let analysis = Flow.analyze nest in
-  let prepared = Cpa_ra.prepare analysis in
-  let scratch = Simulator.scratch ~dfg:(Cpa_ra.dfg prepared) analysis in
-  let alloc = Allocator.run ~prepared Allocator.Cpa_ra analysis ~budget:64 in
-  ignore (Simulator.run ~scratch alloc);
-  let _, spent =
-    Helpers.allocated_bytes (fun () -> Simulator.run ~scratch alloc)
-  in
-  if spent >= 100_000.0 then
-    Alcotest.failf "warm evaluation allocated %.0f bytes (budget 100000)"
-      spent
+  List.iter
+    (fun (name, nest) ->
+      let analysis = Flow.analyze nest in
+      let prepared = Cpa_ra.prepare analysis in
+      let scratch = Simulator.scratch ~dfg:(Cpa_ra.dfg prepared) analysis in
+      let allocate () =
+        Allocator.run ~prepared Allocator.Cpa_ra analysis ~budget:64
+      in
+      let alloc = allocate () in
+      ignore (Simulator.run ~scratch alloc);
+      let check what f =
+        let _, spent = Helpers.allocated_bytes f in
+        if spent >= 100_000.0 then
+          Alcotest.failf "%s: warm %s allocated %.0f bytes (budget 100000)"
+            name what spent
+      in
+      check "simulation" (fun () -> Simulator.run ~scratch alloc);
+      check "evaluation" (fun () -> Simulator.run ~scratch (allocate ())))
+    kernels
 
 let () =
   Alcotest.run "simulator_scratch"
