@@ -746,10 +746,16 @@ let as_hit line =
     String.sub line 0 start ^ "hit"
     ^ String.sub line stop (String.length line - stop)
 
-let test_response_golden () =
-  with_daemon "golden" (fun socket ->
+(* Send [corpus] one line at a time, twice, to one fresh daemon and
+   return both passes with the MD5 of each: its response lines as they
+   arrive, each followed by '\n'. When the digests are not [pinned],
+   both passes go to a temp file named on stderr, to diff against the
+   file the same case writes at the parent commit when its pins are
+   perturbed. *)
+let two_passes name corpus pinned =
+  with_daemon name (fun socket ->
       let client = Client.connect socket in
-      let pass () = List.map (Client.rpc client) response_corpus in
+      let pass () = List.map (Client.rpc client) corpus in
       let first = pass () in
       let second = pass () in
       Client.close client;
@@ -758,27 +764,71 @@ let test_response_golden () =
         ( Digest.to_hex (Digest.string (bytes first)),
           Digest.to_hex (Digest.string (bytes second)) )
       in
-      if digests <> response_digests then begin
-        (* Keep the bytes, to diff against the file the same case
-           writes at the parent commit when its pins are perturbed. *)
-        let file = Filename.temp_file "srfa-response-golden" ".jsonl" in
+      if digests <> pinned then begin
+        let file = Filename.temp_file ("srfa-" ^ name ^ "-golden") ".jsonl" in
         Out_channel.with_open_bin file (fun oc ->
             output_string oc (bytes (first @ second)));
-        Printf.eprintf "response golden: both passes written to %s\n" file
+        Printf.eprintf "%s golden: both passes written to %s\n" name file
       end;
-      Alcotest.(check int) "corpus lines" 337 (List.length response_corpus);
-      Alcotest.(check (pair string string))
-        "MD5 of the first and the second pass" response_digests digests;
-      List.iteri
-        (fun i (a, b) ->
-          if as_hit a <> b then
-            Alcotest.failf
-              "line %d: the second pass differs from the first beyond its \
-               cache member:\n%s\n%s"
-              (i + 1) a b)
-        (List.combine first second);
-      check "the guard line carries warnings"
-        (member [ "warnings" ] (List.nth second 336) <> None))
+      (first, second, digests))
+
+let test_response_golden () =
+  let first, second, digests =
+    two_passes "response" response_corpus response_digests
+  in
+  Alcotest.(check int) "corpus lines" 337 (List.length response_corpus);
+  Alcotest.(check (pair string string))
+    "MD5 of the first and the second pass" response_digests digests;
+  List.iteri
+    (fun i (a, b) ->
+      if as_hit a <> b then
+        Alcotest.failf
+          "line %d: the second pass differs from the first beyond its \
+           cache member:\n%s\n%s"
+          (i + 1) a b)
+    (List.combine first second);
+  check "the guard line carries warnings"
+    (member [ "warnings" ] (List.nth second 336) <> None)
+
+(* The session and frontier stores' bytes, pinned the same way. The
+   rebudget lines take a cold bootstrap, incremental hits, a memoized
+   revisit, a clamp, a second stream, a second device and a second
+   spelling of one kernel; the explore lines take a canonically equal
+   spec twice, tiling, two spellings, certification, explicit orders
+   and a bad orders field. The second pass finds every session live and
+   every frontier stored. The digests were recorded before the cache's
+   stores became namespaces of one store. *)
+let stateful_corpus =
+  [
+    {|{"id": "r", "op": "rebudget", "kernel": "fir", "budget": 32}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "fir", "budget": 8}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "fir", "budget": 32}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "fir", "budget": 1}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "fir", "budget": 16, "stream": "b"}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "mat", "device": "xc2v6000", "budget": 64}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "MATMUL", "device": "xc2v6000", "budget": 16}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "bic", "budget": 24, "stream": "c"}|};
+    {|{"id": "r", "op": "rebudget", "kernel": "bic", "budget": 64, "stream": "c"}|};
+    {|{"id": "x", "op": "explore", "kernel": "fir", "budgets": "8,16"}|};
+    {|{"id": "x", "op": "explore", "kernel": "fir", "budgets": " 8 , 16 "}|};
+    {|{"id": "x", "op": "explore", "kernel": "mat", "tiles": "2", "budgets": "16,64", "algorithms": "cpa-ra,portfolio"}|};
+    {|{"id": "x", "op": "explore", "kernel": "MATMUL", "tiles": "2", "budgets": "16,64", "algorithms": "cpa-ra,portfolio"}|};
+    {|{"id": "x", "op": "explore", "kernel": "example", "certify": true, "budgets": "16,64", "algorithms": "cpa-ra,pr-ra"}|};
+    {|{"id": "x", "op": "explore", "kernel": "imi", "orders": "identity", "budgets": "32", "device": "xc2v6000"}|};
+    {|{"id": "x", "op": "explore", "kernel": "pat", "orders": "1,0;0,1", "budgets": "16"}|};
+    {|{"id": "x", "op": "explore", "kernel": "fir", "orders": "bogus"}|};
+  ]
+
+let stateful_digests =
+  ("a883939cca1bf2d6a88137ad778424c5", "4c325f1f316243535541a6476a6df9ed")
+
+let test_stateful_golden () =
+  let _, _, digests =
+    two_passes "rebudget-explore" stateful_corpus stateful_digests
+  in
+  Alcotest.(check int) "corpus lines" 17 (List.length stateful_corpus);
+  Alcotest.(check (pair string string))
+    "MD5 of the first and the second pass" stateful_digests digests
 
 (* One daemon, one stateful sequence: the cold / analysis-reuse / hit
    paths, an inline source and a parse error, the protocol error codes,
@@ -1196,6 +1246,8 @@ let () =
           Alcotest.test_case "oversized request" `Quick test_oversized_request;
           Alcotest.test_case "scripted request mix" `Quick test_request_mix;
           Alcotest.test_case "response golden" `Quick test_response_golden;
+          Alcotest.test_case "rebudget and explore golden" `Quick
+            test_stateful_golden;
           Alcotest.test_case "limits" `Quick test_limits;
           Alcotest.test_case "worker isolation" `Quick test_worker_isolation;
           Alcotest.test_case "short write" `Quick test_short_write;
