@@ -3,6 +3,15 @@
 
      dune exec bench/dump/report_dump.exe > reports.txt
 
+   [--digests] prints one MD5 per input instead, over that input's
+   lines, and [--check FILE] compares them with FILE, naming every input
+   whose lines moved. report_dump.md5 holds the pinned digests, and
+   `dune runtest` checks them. After an intended change to reports,
+   diff the full dump against the parent's, then re-pin:
+
+     dune exec bench/dump/report_dump.exe -- --digests \
+       > bench/dump/report_dump.md5
+
    Inputs: the library and Extra kernels and the Fig. 1 example at
    default and smaller sizes, every legal factor-2 strip-mine and every
    legal interchange of each, and the valid fuzz kernels among case ids
@@ -37,11 +46,14 @@ let smaller =
 
 let diags ds = "[" ^ String.concat ", " (List.map Diag.to_json ds) ^ "]"
 
+(* One input's lines. *)
 let dump (name, nest) =
+  let b = Buffer.create 4096 in
   let prepared = Flow.Core.prepare nest in
   Array.iter
     (fun i ->
-      Format.printf "%s\tinfo\t%a@." name Srfa_reuse.Analysis.pp_info i)
+      Printf.bprintf b "%s\tinfo\t%s\n" name
+        (Format.asprintf "%a" Srfa_reuse.Analysis.pp_info i))
     prepared.Flow.Core.analysis.Srfa_reuse.Analysis.infos;
   let sim_scratch =
     Flow.Core.scratch ~config:Flow.Core.default_config prepared
@@ -59,7 +71,7 @@ let dump (name, nest) =
               Srfa_server.Protocol.json_of_report report ^ "\t" ^ diags warnings
             | Error ds -> "error\t" ^ diags ds
           in
-          Printf.printf "%s\t%s\t%d\t%s\n" name (Allocator.name algorithm)
+          Printf.bprintf b "%s\t%s\t%d\t%s\n" name (Allocator.name algorithm)
             budget line)
         Allocator.all;
       if budget >= prepared.Flow.Core.minimum then begin
@@ -67,19 +79,77 @@ let dump (name, nest) =
           Allocator.run ~prepared:prepared.Flow.Core.cpa Allocator.Cpa_ra
             prepared.Flow.Core.analysis ~budget
         in
-        Printf.printf "%s\tprofile\t%d\t%s\n" name budget
+        Printf.bprintf b "%s\tprofile\t%d\t%s\n" name budget
           (String.concat " "
              (List.map
                 (fun (cost, n) -> Printf.sprintf "%d:%d" cost n)
                 (Srfa_sched.Simulator.profile ~scratch:sim_scratch alloc)))
       end)
-    budgets
+    budgets;
+  Buffer.contents b
+
+let inputs =
+  List.concat_map
+    (fun kernel -> kernel :: Helpers.variants kernel)
+    (defaults @ smaller)
+  @ List.map
+      (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest))
+      (Helpers.gen_valid ~seed:42 ~cases:1000)
+
+(* (input name, MD5 of its lines), in dump order. *)
+let digests () =
+  List.map
+    (fun ((name, _) as input) ->
+      (name, Digest.to_hex (Digest.string (dump input))))
+    inputs
+
+(* Each line of [file] is "<md5>\t<input name>". *)
+let check file =
+  let pinned =
+    List.map
+      (fun line ->
+        match String.index_opt line '\t' with
+        | Some i ->
+          (String.sub line (i + 1) (String.length line - i - 1),
+           String.sub line 0 i)
+        | None -> failwith (Printf.sprintf "%s: malformed line %S" file line))
+      (In_channel.with_open_bin file In_channel.input_lines)
+  in
+  let current = digests () in
+  let moved =
+    List.filter_map
+      (fun (name, d) ->
+        match List.assoc_opt name pinned with
+        | Some p when p = d -> None
+        | Some _ -> Some name
+        | None -> Some (name ^ " (not pinned)"))
+      current
+    @ List.filter_map
+        (fun (name, _) ->
+          if List.mem_assoc name current then None
+          else Some (name ^ " (no longer dumped)"))
+        pinned
+  in
+  if moved <> [] then begin
+    Printf.printf "report dump: %d of %d inputs moved:\n" (List.length moved)
+      (List.length current);
+    List.iter (Printf.printf "  %s\n") moved;
+    print_string
+      "Diff the output of `dune exec bench/dump/report_dump.exe` against\n\
+       its output at the parent commit. If every moved line is meant to\n\
+       move, re-pin with\n\
+      \  dune exec bench/dump/report_dump.exe -- --digests \
+       > bench/dump/report_dump.md5\n\
+       and name the moved inputs in CHANGES.md.\n";
+    exit 1
+  end
 
 let () =
-  List.iter dump
-    (List.concat_map
-       (fun kernel -> kernel :: Helpers.variants kernel)
-       (defaults @ smaller)
-    @ List.map
-        (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest))
-        (Helpers.gen_valid ~seed:42 ~cases:1000))
+  match Sys.argv with
+  | [| _ |] -> List.iter (fun input -> print_string (dump input)) inputs
+  | [| _; "--digests" |] ->
+    List.iter (fun (name, d) -> Printf.printf "%s\t%s\n" d name) (digests ())
+  | [| _; "--check"; file |] -> check file
+  | _ ->
+    prerr_endline "usage: report_dump.exe [--digests | --check FILE]";
+    exit 2

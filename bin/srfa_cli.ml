@@ -563,7 +563,22 @@ let explore_cmd =
        $(b,identity), or an explicit semicolon-separated list of \
        permutations like $(b,0,2,1;2,0,1)."
     in
-    Arg.(value & opt string "all" & info [ "orders" ] ~docv:"SPEC" ~doc)
+    let parse s =
+      Option.to_result (Srfa_core.Flow.Core.order_spec_of_string s)
+        ~none:
+          (`Msg
+            (Printf.sprintf
+               "invalid loop-order spec %S (all, identity, or permutations \
+                like 0,2,1;2,0,1)"
+               s))
+    in
+    let print ppf o =
+      Format.pp_print_string ppf (Srfa_core.Flow.Core.order_spec_to_string o)
+    in
+    Arg.(
+      value
+      & opt (conv (parse, print)) Srfa_core.Flow.Core.All_orders
+      & info [ "orders" ] ~docv:"SPEC" ~doc)
   in
   let tiles_arg =
     let doc =
@@ -611,17 +626,6 @@ let explore_cmd =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let parse_orders s =
-    match String.lowercase_ascii s with
-    | "all" -> Srfa_core.Flow.Core.All_orders
-    | "identity" | "id" -> Srfa_core.Flow.Core.Identity_order
-    | _ ->
-      Srfa_core.Flow.Core.Orders
-        (String.split_on_char ';' s
-        |> List.map (fun o ->
-               String.split_on_char ',' o
-               |> List.map (fun k -> int_of_string (String.trim k))))
-  in
   let run nest orders tiles budgets algorithms json csv trace_file certify
       no_prune jobs =
     guarded @@ fun () ->
@@ -629,7 +633,7 @@ let explore_cmd =
     report_diags jobs_warnings;
     let space =
       {
-        Srfa_core.Flow.Core.orders = parse_orders orders;
+        Srfa_core.Flow.Core.orders;
         tile_factors = tiles;
         space_budgets = budgets;
         space_algorithms = algorithms;

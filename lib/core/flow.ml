@@ -354,6 +354,26 @@ module Core = struct
     | All_orders
     | Orders of int list list
 
+  let order_spec_of_string s =
+    let perm o =
+      List.map
+        (fun k -> int_of_string (String.trim k))
+        (String.split_on_char ',' o)
+    in
+    match String.lowercase_ascii s with
+    | "all" -> Some All_orders
+    | "identity" | "id" -> Some Identity_order
+    | _ -> (
+      try Some (Orders (List.map perm (String.split_on_char ';' s)))
+      with Failure _ -> None)
+
+  let order_spec_to_string = function
+    | All_orders -> "all"
+    | Identity_order -> "identity"
+    | Orders os ->
+      let perm o = String.concat "," (List.map string_of_int o) in
+      String.concat "|" (List.map perm os)
+
   type space = {
     orders : order_spec;
     tile_factors : int list;

@@ -153,6 +153,18 @@ module Core : sig
             (counted in [orders_skipped]), the identity is always
             included *)
 
+  val order_spec_of_string : string -> order_spec option
+  (** The CLI's [--orders] and the daemon's ["orders"] field:
+      [all], [identity] or [id] in any case, else semicolon-separated
+      permutations of comma-separated integers like ["0,2,1;2,0,1"]
+      (blanks around each integer are ignored). [None] when an entry is
+      not an integer, the empty string included. *)
+
+  val order_spec_to_string : order_spec -> string
+  (** The canonical rendering the daemon keys frontiers on: [all],
+      [identity], or the permutations joined with ['|'] (not the [';']
+      the parser reads), e.g. ["0,2,1|2,0,1"]. *)
+
   type space = {
     orders : order_spec;
     tile_factors : int list;

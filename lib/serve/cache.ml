@@ -5,47 +5,33 @@ module Trace = Srfa_util.Trace
 module Lru = Srfa_util.Lru
 module Fault = Srfa_util.Fault
 
+let ( let* ) = Result.bind
+
 (* Bump on any change to the key material layout or to the canonical
    source rendering's meaning; the test_serve goldens pin the resulting
    digests so an accidental change fails loudly instead of silently
    cold-starting every deployed cache. *)
 let scheme_version = "srfa-cache-v1"
 
+(* Every key is the hex MD5 of the scheme version and its parts, one
+   per line. Each namespace has its own LRU, so a key need only be
+   unique within one. *)
+let digest parts =
+  Digest.to_hex (Digest.string (String.concat "\n" (scheme_version :: parts)))
+
 let tier1_key ~(device : Srfa_hw.Device.t) source =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" [ scheme_version; device.Srfa_hw.Device.name; source ]))
-
-(* Rebudget sessions live in their own key namespace (the "rebudget"
-   component): a session must never collide with — or be inserted into —
-   the allocate tiers, whose entries the chaos campaign re-verifies
-   byte-identical against a fault-free baseline. *)
-let session_key ~tier1 ~stream =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" [ scheme_version; tier1; "rebudget"; stream ]))
-
-(* The frontier tier's namespace: one kernel's whole design-space answer,
-   keyed on the canonical space spec (DESIGN.md §17). Like sessions,
-   disjoint from the allocate tiers by the literal component. *)
-let explore_key ~tier1 ~spec =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" [ scheme_version; tier1; "explore"; spec ]))
+  digest [ device.Srfa_hw.Device.name; source ]
 
 let tier2_key ~tier1 ~algorithm ~budget ~cut_work_limit =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            scheme_version;
-            tier1;
-            Allocator.name algorithm;
-            string_of_int budget;
-            (match cut_work_limit with
-            | None -> "guard-default"
-            | Some n -> string_of_int n);
-          ]))
+  digest
+    [
+      tier1;
+      Allocator.name algorithm;
+      string_of_int budget;
+      (match cut_work_limit with
+      | None -> "guard-default"
+      | Some n -> string_of_int n);
+    ]
 
 (* ---- resolved requests ------------------------------------------------- *)
 
@@ -106,7 +92,6 @@ let find_named name =
           Some n))
 
 let resolve (r : Protocol.request) =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
   (* The kernel's nest, canonical source and tier-1 key on a device. *)
   let* nest, source, key_on =
     match r.Protocol.kernel with
@@ -183,7 +168,7 @@ let config_for r =
       | Some n -> { Flow.default_guards with cut_work_limit = Some n });
   }
 
-(* ---- tiers ------------------------------------------------------------- *)
+(* ---- the store --------------------------------------------------------- *)
 
 type entry = {
   t1 : string;
@@ -209,51 +194,78 @@ type explore_value = {
   explore_warnings : Diag.t list;
 }
 
+type _ ns =
+  | Analyses : entry ns
+  | Reports : report_value ns
+  | Sessions : Flow.Core.rebudget_session ns
+  | Frontiers : explore_value ns
+
+(* One namespace's LRU, with the tier number its trace events carry and
+   the prefix of its stats keys. *)
+type 'v tier = { lru : 'v Lru.t; number : int; prefix : string }
+
 type t = {
-  tier1 : entry Lru.t;
-  tier2 : report_value Lru.t;
-  sessions : Flow.Core.rebudget_session Lru.t;
-      (* live rebudget streams (DESIGN.md §16), keyed by (tier-1,
-         stream name). Mutable single-owner values: every step runs on
-         the accept thread, never on a pool domain, so they share the
-         tier-1 scratch without racing it. Eviction just cold-starts
-         the stream on its next event. *)
-  explores : explore_value Lru.t;
-      (* finished design-space frontiers keyed by (tier-1, space spec).
-         Immutable rendered strings, safe to serve any number of
-         times — the explore analogue of tier 2. *)
+  analyses : entry tier;
+  reports : report_value tier;
+  sessions : Flow.Core.rebudget_session tier;
+  frontiers : explore_value tier;
   trace : Trace.sink;
   faults : Fault.t;
 }
 
 let create ?(tier1_bytes = 48 * 1024 * 1024) ?(tier2_bytes = 16 * 1024 * 1024)
     ?(trace = Trace.null) ?(faults = Fault.off) () =
+  let tier number prefix capacity =
+    { lru = Lru.create ~capacity; number; prefix }
+  in
   {
-    tier1 = Lru.create ~capacity:tier1_bytes;
-    tier2 = Lru.create ~capacity:tier2_bytes;
-    sessions = Lru.create ~capacity:(16 * 1024 * 1024);
-    explores = Lru.create ~capacity:(16 * 1024 * 1024);
+    analyses = tier 1 "tier1" tier1_bytes;
+    reports = tier 2 "tier2" tier2_bytes;
+    sessions = tier 3 "session" (16 * 1024 * 1024);
+    frontiers = tier 4 "explore" (16 * 1024 * 1024);
     trace;
     faults;
   }
 
+let tier : type v. t -> v ns -> v tier =
+ fun t -> function
+  | Analyses -> t.analyses
+  | Reports -> t.reports
+  | Sessions -> t.sessions
+  | Frontiers -> t.frontiers
+
+let emit t s name key =
+  Trace.emit t.trace (fun () ->
+      Trace.event name
+        [ ("tier", Trace.Int s.number); ("key", Trace.String key) ])
+
+let find t ns key =
+  let s = tier t ns in
+  let hit = Lru.find s.lru key in
+  emit t s (if Option.is_some hit then "cache.hit" else "cache.miss") key;
+  hit
+
 let word_bytes = Sys.word_size / 8
 
-let cost_of v = (1 + Obj.reachable_words (Obj.repr v)) * word_bytes
+(* The cache.insert fault site: an injected failure means the store did
+   not happen (a full disk, an allocation failure). Whatever the action,
+   the contract is "skip the insert and stay correct" — the value is
+   recomputed on the next miss; the daemon must never die here because
+   inserts run on the accept thread. *)
+let insert t ns key v =
+  let s = tier t ns in
+  match Fault.check t.faults "cache.insert" with
+  | Some _ -> emit t s "fault.cache.insert" key
+  | None ->
+    let cost = (1 + Obj.reachable_words (Obj.repr v)) * word_bytes in
+    List.iter
+      (fun (evicted, _) -> emit t s "cache.evict" evicted)
+      (Lru.add s.lru key ~cost v)
 
-let emit_lookup t ~tier ~key hit =
-  Trace.emit t.trace (fun () ->
-      Trace.event
-        (if hit then "cache.hit" else "cache.miss")
-        [ ("tier", Trace.Int tier); ("key", Trace.String key) ])
-
-let emit_evicted t ~tier evicted =
-  List.iter
-    (fun (key, _) ->
-      Trace.emit t.trace (fun () ->
-          Trace.event "cache.evict"
-            [ ("tier", Trace.Int tier); ("key", Trace.String key) ]))
-    evicted
+(* Everything below may fail on user input; failures become
+   diagnostics, never exceptions out of the cache. *)
+let guarded f =
+  match f () with v -> Ok v | exception exn -> Error [ Diag.of_exn exn ]
 
 let build_entry r =
   let prepared = Flow.Core.prepare r.nest in
@@ -264,50 +276,29 @@ let build_entry r =
     device = r.device;
   }
 
-let find_report t key =
-  let hit = Lru.find t.tier2 key in
-  emit_lookup t ~tier:2 ~key (hit <> None);
-  hit
+type status = [ `Hit | `Analysis | `Miss ]
 
-let find_entry t key =
-  let hit = Lru.find t.tier1 key in
-  emit_lookup t ~tier:1 ~key (hit <> None);
-  hit
+(* The resident tier-1 entry, or a fresh one, built and inserted.
+   Preparation can fail too (semantic validation, dependency cycles);
+   the boundary matches Flow.Core.checked's. *)
+let analysis t (r : resolved) =
+  match find t Analyses r.t1 with
+  | Some e -> Ok (e, `Analysis)
+  | None ->
+    let* e = guarded (fun () -> build_entry r) in
+    insert t Analyses r.t1 e;
+    Ok (e, `Miss)
 
-(* The cache.insert fault site: an injected failure means the store did
-   not happen (a full disk, an allocation failure). Whatever the action,
-   the contract is "skip the insert and stay correct" — the value is
-   recomputed on the next miss; the daemon must never die here because
-   inserts run on the accept thread. *)
-let insert_faulted t ~tier ~key =
-  match Fault.check t.faults "cache.insert" with
-  | None -> false
-  | Some _ ->
-    Trace.emit t.trace (fun () ->
-        Trace.event "fault.cache.insert"
-          [ ("tier", Trace.Int tier); ("key", Trace.String key) ]);
-    true
-
-let insert_entry t (e : entry) =
-  if not (insert_faulted t ~tier:1 ~key:e.t1) then
-    emit_evicted t ~tier:1 (Lru.add t.tier1 e.t1 ~cost:(cost_of e) e)
-
-let insert_report t key (v : report_value) =
-  if not (insert_faulted t ~tier:2 ~key) then
-    emit_evicted t ~tier:2 (Lru.add t.tier2 key ~cost:(cost_of v) v)
-
-(* Allocate-and-report against a resident (or freshly built) tier-1
-   entry, rendering the response body once for both the answer and the
-   tier-2 insert. Pure apart from the entry's scratch: callers on worker
-   domains must own the entry exclusively for the duration. *)
+(* Allocate-and-report against a tier-1 entry, rendering the response
+   body once for both the answer and the tier-2 insert. Pure apart from
+   the entry's scratch: callers on worker domains must own the entry
+   exclusively for the duration. *)
 let compute r (entry : entry) =
   Result.map
     (fun (report, warnings) ->
       { report; warnings; body = Protocol.ok_body ~warnings report })
     (Flow.Core.checked_prepared ~sim_scratch:entry.scratch (config_for r)
        r.algorithm entry.prepared)
-
-type status = [ `Hit | `Analysis | `Miss ]
 
 (* ---- rebudget sessions (DESIGN.md §16) --------------------------------
 
@@ -317,43 +308,23 @@ type status = [ `Hit | `Analysis | `Miss ]
    portfolio point was paid; [`Miss] = fully cold. Accept-thread only:
    sessions mutate in place and share the tier-1 scratch. *)
 
-let find_session t key =
-  let hit = Lru.find t.sessions key in
-  emit_lookup t ~tier:3 ~key (hit <> None);
-  hit
-
-let insert_session t key (s : Flow.Core.rebudget_session) =
-  if not (insert_faulted t ~tier:3 ~key) then
-    emit_evicted t ~tier:3 (Lru.add t.sessions key ~cost:(cost_of s) s)
-
 let rebudget t (r : resolved) ~stream =
-  let skey = session_key ~tier1:r.t1 ~stream in
-  match find_session t skey with
-  | Some session -> (
-    match Flow.Core.rebudget_step session ~budget:r.budget with
-    | step -> Ok (step, `Hit)
-    | exception exn -> Error [ Diag.of_exn exn ])
-  | None -> (
-    match
-      match find_entry t r.t1 with
-      | Some e -> Ok (e, `Analysis)
-      | None -> (
-        match build_entry r with
-        | e ->
-          insert_entry t e;
-          Ok (e, `Miss)
-        | exception exn -> Error [ Diag.of_exn exn ])
-    with
-    | Error diags -> Error diags
-    | Ok (entry, status) -> (
-      match
-        Flow.Core.rebudget_start ~sim_scratch:entry.scratch (config_for r)
-          entry.prepared ~budget:r.budget
-      with
-      | session, step ->
-        insert_session t skey session;
-        Ok (step, status)
-      | exception exn -> Error [ Diag.of_exn exn ]))
+  let key = digest [ r.t1; "rebudget"; stream ] in
+  match find t Sessions key with
+  | Some session ->
+    let* step =
+      guarded (fun () -> Flow.Core.rebudget_step session ~budget:r.budget)
+    in
+    Ok (step, `Hit)
+  | None ->
+    let* entry, status = analysis t r in
+    let* session, step =
+      guarded (fun () ->
+          Flow.Core.rebudget_start ~sim_scratch:entry.scratch (config_for r)
+            entry.prepared ~budget:r.budget)
+    in
+    insert t Sessions key session;
+    Ok (step, status)
 
 (* ---- design-space frontiers (DESIGN.md §17) ---------------------------
 
@@ -363,20 +334,10 @@ let rebudget t (r : resolved) ~stream =
    rebudget): the explorer's own per-variant scratch is private, but the
    store mutates. *)
 
-let find_explore t key =
-  let hit = Lru.find t.explores key in
-  emit_lookup t ~tier:4 ~key (hit <> None);
-  hit
-
-let insert_explore t key (v : explore_value) =
-  if not (insert_faulted t ~tier:4 ~key) then
-    emit_evicted t ~tier:4 (Lru.add t.explores key ~cost:(cost_of v) v)
-
 (* Canonicalise the request's space fields: the parsed values are
    re-rendered, so formatting differences ("8, 16" vs "8,16") never
-   fragment the frontier tier. *)
+   fragment the frontier store. *)
 let space_of_request (req : Protocol.request) =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
   let ints what s =
     match
       List.map
@@ -394,23 +355,15 @@ let space_of_request (req : Protocol.request) =
   in
   let* orders =
     match req.Protocol.orders with
-    | None | Some "all" -> Ok Flow.Core.All_orders
-    | Some ("identity" | "id") -> Ok Flow.Core.Identity_order
-    | Some s -> (
-      match
-        List.map
-          (fun o ->
-            match ints "orders" o with Ok ns -> ns | Error _ -> raise Exit)
-          (String.split_on_char ';' s)
-      with
-      | os -> Ok (Flow.Core.Orders os)
-      | exception Exit ->
-        Error
+    | None -> Ok Flow.Core.All_orders
+    | Some s ->
+      Option.to_result (Flow.Core.order_spec_of_string s)
+        ~none:
           [
             Protocol.field_error
               "field \"orders\" must be \"all\", \"identity\" or \
                semicolon-separated permutations like \"0,2,1;2,0,1\"";
-          ])
+          ]
   in
   let* tile_factors =
     match req.Protocol.tiles with None -> Ok [] | Some s -> ints "tiles" s
@@ -452,10 +405,7 @@ let space_of_request (req : Protocol.request) =
   let join ns = String.concat "," (List.map string_of_int ns) in
   let spec =
     Printf.sprintf "orders=%s;tiles=%s;budgets=%s;algorithms=%s;certify=%b"
-      (match orders with
-      | Flow.Core.All_orders -> "all"
-      | Flow.Core.Identity_order -> "identity"
-      | Flow.Core.Orders os -> String.concat "|" (List.map join os))
+      (Flow.Core.order_spec_to_string orders)
       (join tile_factors) (join space_budgets)
       (String.concat "," (List.map Allocator.name space_algorithms))
       req.Protocol.certify
@@ -463,91 +413,68 @@ let space_of_request (req : Protocol.request) =
   Ok (space, spec)
 
 let explore t (r : resolved) ~space ~spec =
-  let key = explore_key ~tier1:r.t1 ~spec in
-  match find_explore t key with
+  let key = digest [ r.t1; "explore"; spec ] in
+  match find t Frontiers key with
   | Some v -> Ok (v, `Hit)
-  | None -> (
-    match Flow.Core.explore ~space (config_for r) r.nest with
-    | f ->
-      let s = f.Flow.Core.frontier_stats in
-      let v =
-        {
-          frontier = Flow.Core.frontier_json ~compact:true f;
-          explore_stats =
-            [
-              ("variants_enumerated", s.Flow.Core.variants_enumerated);
-              ("variants_unique", s.Flow.Core.variants_unique);
-              ("variants_pruned", s.Flow.Core.variants_pruned);
-              ("points_pruned", s.Flow.Core.points_pruned);
-              ("points_evaluated", s.Flow.Core.points_evaluated);
-              ("sim_memo_hits", s.Flow.Core.sim_memo_hits);
-              ("duplicate_variants", s.Flow.Core.duplicate_variants);
-              ("orders_skipped", s.Flow.Core.orders_skipped);
-              ("budgets_skipped", s.Flow.Core.budgets_skipped);
-            ];
-          explore_warnings = f.Flow.Core.frontier_warnings;
-        }
-      in
-      insert_explore t key v;
-      Ok (v, `Miss)
-    | exception exn -> Error [ Diag.of_exn exn ])
+  | None ->
+    let* f =
+      guarded (fun () -> Flow.Core.explore ~space (config_for r) r.nest)
+    in
+    let s = f.Flow.Core.frontier_stats in
+    let v =
+      {
+        frontier = Flow.Core.frontier_json ~compact:true f;
+        explore_stats =
+          [
+            ("variants_enumerated", s.Flow.Core.variants_enumerated);
+            ("variants_unique", s.Flow.Core.variants_unique);
+            ("variants_pruned", s.Flow.Core.variants_pruned);
+            ("points_pruned", s.Flow.Core.points_pruned);
+            ("points_evaluated", s.Flow.Core.points_evaluated);
+            ("sim_memo_hits", s.Flow.Core.sim_memo_hits);
+            ("duplicate_variants", s.Flow.Core.duplicate_variants);
+            ("orders_skipped", s.Flow.Core.orders_skipped);
+            ("budgets_skipped", s.Flow.Core.budgets_skipped);
+          ];
+        explore_warnings = f.Flow.Core.frontier_warnings;
+      }
+    in
+    insert t Frontiers key v;
+    Ok (v, `Miss)
 
 (* The single-threaded serving path for in-process callers (tests and
-   benchmarks; the daemon drives the tiers itself at every jobs count):
+   benchmarks; the daemon drives the store itself at every jobs count):
    look up, build what is missing, cache what was computed. Errors are
    never cached — they are cheap to recompute and usually the caller's
    fault. *)
 let respond t (r : resolved) =
-  let t2 =
+  let key =
     tier2_key ~tier1:r.t1 ~algorithm:r.algorithm ~budget:r.budget
       ~cut_work_limit:r.cut_work_limit
   in
-  match find_report t t2 with
+  match find t Reports key with
   | Some v -> Ok (v.report, v.warnings, `Hit)
-  | None -> (
-    match
-      match find_entry t r.t1 with
-      | Some e -> Ok (e, `Analysis)
-      | None -> (
-        (* Preparation can fail too (semantic validation, dependency
-           cycles); the boundary matches Flow.Core.checked's. *)
-        match build_entry r with
-        | e ->
-          insert_entry t e;
-          Ok (e, `Miss)
-        | exception exn -> Error [ Diag.of_exn exn ])
-    with
-    | Error diags -> Error diags
-    | Ok (entry, status) -> (
-      match compute r entry with
-      | Ok v ->
-        insert_report t t2 v;
-        Ok (v.report, v.warnings, status)
-      | Error diags -> Error diags))
+  | None ->
+    let* entry, status = analysis t r in
+    let* v = compute r entry in
+    insert t Reports key v;
+    Ok (v.report, v.warnings, status)
 
 (* Every allocate request that resolves looks tier 2 up exactly once, so
    the tier-2 hit + miss total counts served allocate requests; rebudget,
    explore and stats requests never look tier 2 up and are not counted. *)
 let stats t =
-  [
-    ("served", Lru.hits t.tier2 + Lru.misses t.tier2);
-    ("tier1_entries", Lru.length t.tier1);
-    ("tier1_bytes", Lru.used t.tier1);
-    ("tier1_hits", Lru.hits t.tier1);
-    ("tier1_misses", Lru.misses t.tier1);
-    ("tier1_evictions", Lru.evictions t.tier1);
-    ("tier2_entries", Lru.length t.tier2);
-    ("tier2_bytes", Lru.used t.tier2);
-    ("tier2_hits", Lru.hits t.tier2);
-    ("tier2_misses", Lru.misses t.tier2);
-    ("tier2_evictions", Lru.evictions t.tier2);
-    ("sessions", Lru.length t.sessions);
-    ("session_hits", Lru.hits t.sessions);
-    ("session_misses", Lru.misses t.sessions);
-    ("session_evictions", Lru.evictions t.sessions);
-    ("explore_entries", Lru.length t.explores);
-    ("explore_bytes", Lru.used t.explores);
-    ("explore_hits", Lru.hits t.explores);
-    ("explore_misses", Lru.misses t.explores);
-    ("explore_evictions", Lru.evictions t.explores);
-  ]
+  let row s =
+    List.map
+      (fun (what, count) -> (s.prefix ^ what, count s.lru))
+      [
+        ("_entries", Lru.length);
+        ("_bytes", Lru.used);
+        ("_hits", Lru.hits);
+        ("_misses", Lru.misses);
+        ("_evictions", Lru.evictions);
+      ]
+  in
+  (("served", Lru.hits t.reports.lru + Lru.misses t.reports.lru)
+  :: row t.analyses)
+  @ row t.reports @ row t.sessions @ row t.frontiers

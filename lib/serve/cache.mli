@@ -1,33 +1,33 @@
-(** The daemon's two-tier content-addressed cache.
+(** The daemon's content-addressed cache: one store of four typed
+    namespaces ({!ns}), each a byte-bounded {!Srfa_util.Lru} with its own
+    key material and trace tier number.
 
-    Tier 1 is keyed on hash(canonical kernel source, device) and holds
-    every budget-independent product of the kernel — the parsed IR, the
-    {!Srfa_reuse.Analysis}, the DFG and the prepared cycle model, bundled
-    as a {!Srfa_core.Flow.Core.prepared} plus a warm simulator scratch.
-    Tier 2 is keyed on hash(tier-1 key, algorithm, budget, guard
-    override) and holds finished reports with their rendered response
-    bodies. The split mirrors the paper's
-    observation that the reuse analysis is budget-independent: a budget
-    ladder over a cached kernel pays for analysis once and then only for
-    allocation + simulation, and a repeated request pays for neither.
+    - Tier 1, {!Analyses}: hash(canonical kernel source, device) to
+      every budget-independent product of the kernel — the parsed IR,
+      the {!Srfa_reuse.Analysis}, the DFG and the prepared cycle model,
+      bundled as a {!Srfa_core.Flow.Core.prepared} plus a warm simulator
+      scratch.
+    - Tier 2, {!Reports}: hash(tier-1 key, algorithm, budget, guard
+      override) to a finished report and its rendered response body.
+    - Tier 3, {!Sessions}: hash(tier-1 key, "rebudget", stream name) to
+      a live, mutable {!Srfa_core.Flow.Core.rebudget_session}
+      (DESIGN.md §16).
+    - Tier 4, {!Frontiers}: hash(tier-1 key, "explore", canonical space
+      spec) to a finished design-space frontier (DESIGN.md §17).
 
-    A third store holds live {e rebudget sessions} — mutable
-    {!Srfa_core.Flow.Core.rebudget_session} values keyed on
-    hash(tier-1 key, "rebudget", stream name) — in their own key
-    namespace, never the allocate tiers (DESIGN.md §16). A fourth holds
-    finished {e design-space frontiers} (DESIGN.md §17): rendered
-    frontier JSON plus explore counters, keyed on hash(tier-1 key,
-    "explore", canonical space spec).
+    Tiers 1 and 2 split along the paper's observation that the reuse
+    analysis is budget-independent: a budget ladder over a cached kernel
+    pays for analysis once and then only for allocation + simulation,
+    and a repeated request pays for neither.
 
-    All stores are byte-budget-bounded {!Srfa_util.Lru}s; lookups,
-    misses and evictions are announced as [cache.hit] / [cache.miss] /
-    [cache.evict] trace events (fields: [tier] — 3 is the session
-    store — and [key]). The cache itself is single-owner: the server
+    {!find} and {!insert} trace [cache.hit] / [cache.miss] /
+    [cache.evict] / [fault.cache.insert] events with fields [tier] (the
+    number above) and [key]. The cache is single-owner: the server
     mutates it from the accept loop only and hands tier-1 entries to at
-    most one worker domain at a time (see {!Server}). Rebudget steps
-    additionally run on the accept thread itself, which is what lets a
-    session share its tier-1 entry's scratch without racing the pooled
-    compute. Key scheme details: DESIGN.md §14. *)
+    most one worker domain at a time (see {!Server}). Rebudget steps run
+    on the accept thread itself, which lets a session share its tier-1
+    entry's scratch without racing the pooled compute. Key scheme:
+    DESIGN.md §14. *)
 
 module Flow = Srfa_core.Flow
 module Allocator = Srfa_core.Allocator
@@ -44,16 +44,6 @@ val tier1_key : device:Srfa_hw.Device.t -> string -> string
 val tier2_key :
   tier1:string -> algorithm:Allocator.algorithm -> budget:int ->
   cut_work_limit:int option -> string
-
-val session_key : tier1:string -> stream:string -> string
-(** The rebudget-session namespace: hex MD5 of the scheme version, the
-    tier-1 key, the literal ["rebudget"] and the stream name. Disjoint
-    from {!tier2_key} material by construction. *)
-
-val explore_key : tier1:string -> spec:string -> string
-(** The frontier namespace: hex MD5 of the scheme version, the tier-1
-    key, the literal ["explore"] and the canonical space spec (see
-    {!space_of_request}). Disjoint from the other tiers. *)
 
 (** A protocol request resolved against the kernel registry, the device
     table and the algorithm names — everything hashable. *)
@@ -103,19 +93,42 @@ type report_value = {
           nothing else *)
 }
 
+type explore_value = {
+  frontier : string;
+      (** {!Flow.Core.frontier_json} [~compact:true] of the answer *)
+  explore_stats : (string * int) list;
+      (** the explore counters (variants, cuts, memo hits) as rendered
+          into the response's ["explore"] sub-object *)
+  explore_warnings : Diag.t list;
+}
+
+(** The four namespaces, in tier order (see above), typed by the values
+    they hold. *)
+type _ ns =
+  | Analyses : entry ns
+  | Reports : report_value ns
+  | Sessions : Flow.Core.rebudget_session ns
+  | Frontiers : explore_value ns
+
 type t
 
 val create :
   ?tier1_bytes:int -> ?tier2_bytes:int ->
   ?trace:Srfa_util.Trace.sink -> ?faults:Srfa_util.Fault.t -> unit -> t
-(** Defaults: 48 MB for tier 1 and 16 MB for tier 2; the session and
-    frontier tiers hold 16 MB each.
-    Entry costs are measured with [Obj.reachable_words], i.e. real heap
-    bytes. [faults] arms the [cache.insert] injection site: a firing
-    rule makes the insert silently not happen (traced as
-    [fault.cache.insert]) — the value is recomputed on the next miss
-    (for a session: the stream cold-starts on its next event),
-    correctness is unaffected. *)
+(** [tier1_bytes] and [tier2_bytes] bound {!Analyses} and {!Reports}
+    (defaults 48 MB and 16 MB); {!Sessions} and {!Frontiers} hold 16 MB
+    each. *)
+
+val find : t -> 'v ns -> string -> 'v option
+(** [find t ns key] looks [key] up in [ns], making it the most recently
+    used entry there, and traces [cache.hit] or [cache.miss]. *)
+
+val insert : t -> 'v ns -> string -> 'v -> unit
+(** [insert t ns key v] stores [v] under [key] in [ns], charged its real
+    heap size ([Obj.reachable_words]), and traces a [cache.evict] per
+    entry evicted to make room. When the [cache.insert] fault site
+    fires, the insert silently does not happen: the value is recomputed
+    on the next miss (a session cold-starts on its next event). *)
 
 type status = [ `Hit | `Analysis | `Miss ]
 
@@ -123,7 +136,7 @@ val respond :
   t -> resolved ->
   (Srfa_estimate.Report.t * Diag.t list * status, Diag.t list) result
 (** The single-threaded serving path for in-process callers (tests and
-    benchmarks; {!Server} drives the tiers itself, see below): tier-2
+    benchmarks; {!Server} drives the store itself, see below): tier-2
     lookup, then tier-1, then a cold build; computed values are
     inserted, errors are returned inline and never cached. A tier-2 hit
     returns the {e physically} same report value as the request that
@@ -133,14 +146,10 @@ val respond :
     leaves rendering to the caller. Reports and bodies are immutable,
     safe to serve any number of times. *)
 
-(* The batched server drives the tiers directly (lookups and inserts on
-   the accept loop, compute on worker domains): *)
+(* The batched server drives the store itself: {!find} and {!insert} on
+   the accept loop, these two on worker domains. *)
 
-val find_report : t -> string -> report_value option
-val find_entry : t -> string -> entry option
 val build_entry : resolved -> entry
-val insert_entry : t -> entry -> unit
-val insert_report : t -> string -> report_value -> unit
 
 val compute : resolved -> entry -> (report_value, Diag.t list) result
 (** {!Flow.Core.checked_prepared} against the entry's prepared kernel and
@@ -159,15 +168,6 @@ val rebudget :
     session mutates in place and shares the tier-1 scratch. Results
     are never inserted into the allocate tiers. *)
 
-type explore_value = {
-  frontier : string;
-      (** {!Flow.Core.frontier_json} [~compact:true] of the answer *)
-  explore_stats : (string * int) list;
-      (** the explore counters (variants, cuts, memo hits) as rendered
-          into the response's ["explore"] sub-object *)
-  explore_warnings : Diag.t list;
-}
-
 val space_of_request :
   Protocol.request ->
   (Flow.Core.space * string, Diag.t list) result
@@ -175,8 +175,9 @@ val space_of_request :
     budgets, algorithms, certify) into an explorer space plus the
     canonical spec string the frontier tier is keyed on — parsed values
     are re-rendered, so request formatting never fragments the tier.
-    Defaults: all legal orders, no tiling, {!Flow.default_budgets},
-    CPA-RA. Bad fields are [E-PROTO-002]. *)
+    Orders go through {!Flow.Core.order_spec_of_string}. Defaults: all
+    legal orders, no tiling, {!Flow.default_budgets}, CPA-RA. Bad fields
+    are [E-PROTO-002]. *)
 
 val explore :
   t -> resolved -> space:Flow.Core.space -> spec:string ->
@@ -187,8 +188,9 @@ val explore :
     allocate tiers. *)
 
 val stats : t -> (string * int) list
-(** Served-allocate count (tier-2 hits plus misses: every allocate
-    request that resolves looks tier 2 up once; rebudget, explore and
-    stats requests are not counted) plus per-tier entries/bytes/hits/
-    misses/evictions (the session store included), as rendered by
-    {!Protocol.response_stats}. *)
+(** [served] (tier-2 hits plus misses: every allocate request that
+    resolves looks tier 2 up once; rebudget, explore and stats requests
+    are not counted), then one row per namespace in tier order:
+    [<p>_entries], [<p>_bytes], [<p>_hits], [<p>_misses] and
+    [<p>_evictions] for [p] = [tier1], [tier2], [session] and [explore].
+    {!Protocol.response_stats} renders them in this order. *)

@@ -250,7 +250,7 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
               Cache.tier2_key ~tier1:t1 ~algorithm:r.Cache.algorithm
                 ~budget:r.Cache.budget ~cut_work_limit:r.Cache.cut_work_limit
             in
-            match Cache.find_report cache t2 with
+            match Cache.find cache Cache.Reports t2 with
             | Some v ->
               (* A hit renders only its envelope around the stored body. *)
               slots.(slot) <-
@@ -282,7 +282,10 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
                 | None ->
                   order := t1 :: !order;
                   Hashtbl.replace jobs t1
-                    { entry = Cache.find_entry cache t1; items = [ item ] }
+                    {
+                      entry = Cache.find cache Cache.Analyses t1;
+                      items = [ item ];
+                    }
               end))))
     lines;
   let jobs_arr =
@@ -291,7 +294,9 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
   let outputs = Pool.map pool (isolated_job ~faults) jobs_arr in
   Array.iter
     (fun (built, results) ->
-      Option.iter (Cache.insert_entry cache) built;
+      Option.iter
+        (fun (e : Cache.entry) -> Cache.insert cache Cache.Analyses e.t1 e)
+        built;
       List.iter
         (fun { it; outcome; status; fresh } ->
           match expired ~now:(Unix.gettimeofday ()) it with
@@ -303,7 +308,7 @@ let process_batch ~cache ~pool ~faults ~counters ~stats ~default_deadline_ms
           | None -> (
             match outcome with
             | Ok v ->
-              if fresh then Cache.insert_report cache it.t2 v;
+              if fresh then Cache.insert cache Cache.Reports it.t2 v;
               slots.(it.slot) <-
                 Protocol.ok_envelope ?id:it.rid ~cache:status v.Cache.body
             | Error diags ->

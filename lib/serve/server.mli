@@ -1,6 +1,6 @@
 (** The allocation daemon: a Unix-domain-socket accept loop speaking the
-    JSONL {!Protocol}, backed by {!Cache}'s four stores: tier 1
-    (analyses), tier 2 (reports), rebudget sessions and explore
+    JSONL {!Protocol}, backed by {!Cache}'s one store of four namespaces:
+    tier 1 (analyses), tier 2 (reports), rebudget sessions and explore
     frontiers.
 
     Concurrency model — single-threaded IO, pooled compute. The accept

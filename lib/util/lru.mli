@@ -1,14 +1,14 @@
 (** A string-keyed LRU map with a byte-cost budget.
 
-    The serving layer's two cache tiers both need the same policy — keep
-    the most recently used entries, bound the total {e cost} (bytes, not
-    entry count), evict from the cold end — so the policy lives here as a
-    standalone structure instead of being buried in the server. Costs are
+    Each of the serving cache's four namespaces needs the same policy —
+    keep the most recently used entries, bound the total {e cost} (bytes,
+    not entry count), evict from the cold end — so the policy lives here
+    as a standalone structure instead of being buried in the server. Costs are
     supplied per value at {!add} time and accounted exactly: the sum of
     the costs of the resident entries never exceeds the capacity.
 
-    Not thread-safe: the server owns one per tier and mutates them from
-    its accept loop only. *)
+    Not thread-safe: the cache owns one per namespace, and the server
+    mutates them from its accept loop only. *)
 
 type 'v t
 

@@ -236,6 +236,43 @@ let test_order_explorer_degrades () =
        (fun (d : Srfa_util.Diag.t) -> d.Srfa_util.Diag.code = "W-GUARD-EXPLORE")
        warnings)
 
+(* One parser reads the CLI's --orders and the daemon's "orders" field.
+   Keywords match in any case; a spec that is not all integers is
+   rejected, not raised. The rendering is the daemon's frontier-key
+   layout. *)
+let test_order_spec_strings () =
+  let spec =
+    Alcotest.(
+      option
+        (testable
+           (fun ppf o ->
+             Format.pp_print_string ppf (Core.order_spec_to_string o))
+           ( = )))
+  in
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.check spec (Printf.sprintf "%S" input) expected
+        (Core.order_spec_of_string input))
+    [
+      ("all", Some Core.All_orders);
+      ("ALL", Some Core.All_orders);
+      ("identity", Some Core.Identity_order);
+      ("id", Some Core.Identity_order);
+      ("0,2,1;2,0,1", Some (Core.Orders [ [ 0; 2; 1 ]; [ 2; 0; 1 ] ]));
+      (" 1 , 0 ", Some (Core.Orders [ [ 1; 0 ] ]));
+      ("0,x", None);
+      ("", None);
+    ];
+  Alcotest.(check (list string))
+    "rendering"
+    [ "all"; "identity"; "0,2,1|2,0,1" ]
+    (List.map Core.order_spec_to_string
+       [
+         Core.All_orders;
+         Core.Identity_order;
+         Core.Orders [ [ 0; 2; 1 ]; [ 2; 0; 1 ] ];
+       ])
+
 let test_certify_composes () =
   let nest = Helpers.example () in
   let space =
@@ -443,6 +480,8 @@ let () =
             test_explicit_illegal_orders_skipped;
           Alcotest.test_case "Order_explorer degrades without raising" `Quick
             test_order_explorer_degrades;
+          Alcotest.test_case "order spec strings" `Quick
+            test_order_spec_strings;
         ] );
       ( "bounds",
         List.map QCheck_alcotest.to_alcotest [ prop_lower_bounds_sound ] );

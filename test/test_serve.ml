@@ -338,6 +338,26 @@ let respond_exn cache r =
   | Error ds ->
     Alcotest.failf "respond: %s" (String.concat "; " (List.map Diag.to_json ds))
 
+let diags ds = String.concat "; " (List.map Diag.to_json ds)
+
+let rebudget_request kernel budget =
+  resolve_exn
+    (Printf.sprintf {|{"op": "rebudget", "kernel": "%s", "budget": %d}|}
+       kernel budget)
+
+let explore_request = {|{"op": "explore", "kernel": "fir", "budgets": "8,16"}|}
+
+(* One explore request against [cache]: the frontier bytes and the
+   cache status. *)
+let explore_exn cache line =
+  let req = Result.get_ok (Protocol.parse_request line) in
+  match Cache.space_of_request req with
+  | Error ds -> Alcotest.failf "space: %s" (diags ds)
+  | Ok (space, spec) -> (
+    match Cache.explore cache (resolve_exn line) ~space ~spec with
+    | Ok (v, status) -> (v.Cache.frontier, status)
+    | Error ds -> Alcotest.failf "explore: %s" (diags ds))
+
 (* A cache whose every insert is faulted still answers correctly — it
    just recomputes. Injection must never change an answer, only cost. *)
 let test_fault_cache_insert () =
@@ -355,9 +375,57 @@ let test_fault_cache_insert () =
     "recomputed report identical"
     (Protocol.json_of_report report1)
     (Protocol.json_of_report report2);
+  let rebudget () =
+    match Cache.rebudget cache (rebudget_request "fir" 32) ~stream:"s" with
+    | Ok (step, status) -> (step.Srfa_core.Flow.Core.report, status)
+    | Error ds -> Alcotest.failf "rebudget: %s" (diags ds)
+  in
+  let report3, s3 = rebudget () in
+  let report4, s4 = rebudget () in
+  Alcotest.(check bool) "no session survives" true (s3 = `Miss && s4 = `Miss);
+  Alcotest.(check string)
+    "restarted session's report identical"
+    (Protocol.json_of_report report3)
+    (Protocol.json_of_report report4);
+  let frontier1, s5 = explore_exn cache explore_request in
+  let frontier2, s6 = explore_exn cache explore_request in
+  Alcotest.(check bool) "no frontier stored" true (s5 = `Miss && s6 = `Miss);
+  Alcotest.(check string) "re-explored frontier identical" frontier1 frontier2;
   let stats = Cache.stats cache in
   Alcotest.(check int) "nothing resident" 0
-    (List.assoc "tier1_entries" stats + List.assoc "tier2_entries" stats)
+    (List.assoc "tier1_entries" stats + List.assoc "tier2_entries" stats);
+  List.iter
+    (fun (key, n) ->
+      if String.ends_with ~suffix:"_entries" key then
+        Alcotest.(check int) key 0 n)
+    stats
+
+(* One stats row per namespace, in tier order, each with the same five
+   counters; one allocate, one rebudget and one explore leave every
+   namespace holding something it is charged for. *)
+let test_stats_row () =
+  let cache = Cache.create () in
+  Alcotest.(check (list string))
+    "stats keys"
+    ("served"
+    :: List.concat_map
+         (fun ns ->
+           List.map (fun c -> ns ^ "_" ^ c)
+             [ "entries"; "bytes"; "hits"; "misses"; "evictions" ])
+         [ "tier1"; "tier2"; "session"; "explore" ])
+    (List.map fst (Cache.stats cache));
+  ignore (respond_exn cache (resolve_exn {|{"kernel": "fir", "budget": 64}|}));
+  (match Cache.rebudget cache (rebudget_request "mat" 32) ~stream:"s" with
+  | Ok _ -> ()
+  | Error ds -> Alcotest.failf "rebudget: %s" (diags ds));
+  ignore (explore_exn cache explore_request);
+  List.iter
+    (fun (key, n) ->
+      if
+        String.ends_with ~suffix:"_entries" key
+        || String.ends_with ~suffix:"_bytes" key
+      then Alcotest.(check bool) (key ^ " is positive") true (n > 0))
+    (Cache.stats cache)
 
 (* The IO-shell seam: reports are plain values the shell renders without
    mutating, so a repeated request is answered with the physically same
@@ -555,7 +623,7 @@ let test_named_memo () =
 let test_tier1_bytes () =
   let within_5pct what cache (r : Cache.resolved) =
     let t1 = Cache.tier1_key ~device:r.device r.source in
-    match Cache.find_entry cache t1 with
+    match Cache.find cache Cache.Analyses t1 with
     | None -> Alcotest.failf "%s: no tier-1 entry" what
     | Some e ->
       let reachable =
@@ -635,7 +703,9 @@ let test_rebudget_sessions () =
   Alcotest.(check bool)
     "a new stream reuses only the analysis" true (st4 = `Analysis);
   let stats = Cache.stats cache in
-  Alcotest.(check int) "two live sessions" 2 (List.assoc "sessions" stats);
+  Alcotest.(check int)
+    "two live sessions" 2
+    (List.assoc "session_entries" stats);
   Alcotest.(check bool)
     "session hits counted" true (List.assoc "session_hits" stats >= 2);
   (* Sessions never leak into the allocate report tier. *)
@@ -973,7 +1043,7 @@ let test_request_mix () =
       in
       check "stats count the hits" (stat "tier2_hits" >= 1 && stat "served" >= 8);
       check "stats expose the session store"
-        (stat "sessions" >= 2 && stat "session_hits" >= 2);
+        (stat "session_entries" >= 2 && stat "session_hits" >= 2);
       (* 12. shutdown *)
       let bye = rpc {|{"op": "shutdown"}|} in
       check "shutdown answers bye" (member [ "bye" ] bye = Some (Protocol.Bool true));
@@ -1238,6 +1308,7 @@ let () =
             test_tier1_bytes;
           Alcotest.test_case "inline source with a huge array" `Quick
             test_inline_wide_array;
+          Alcotest.test_case "stats row" `Quick test_stats_row;
         ] );
       ( "daemon",
         [
