@@ -3,6 +3,17 @@
 
      dune exec bench/dump/frontier_dump.exe > frontiers.txt
 
+   [--digests] prints one MD5 per input instead, over that input's
+   lines, and [--check FILE] compares them with FILE, naming every input
+   whose lines moved (see pinned.ml). frontier_dump.md5 holds the pinned
+   digests of all 70 inputs. `dune runtest` checks all but imi, mat, bic
+   and conv2d, which carry most of the cost; `dune build @frontier-dump`
+   checks all 70. After an intended change to frontiers, diff the full
+   dump against the parent's, then re-pin:
+
+     dune exec bench/dump/frontier_dump.exe -- --digests \
+       > bench/dump/frontier_dump.md5
+
    Inputs: the ten kernels of perfbench's design workload at its sizes,
    and the first 60 valid fuzz kernels of campaign 42. Each input is
    explored serially under five spaces: the design workload's own
@@ -62,25 +73,28 @@ let spaces =
     ("exhaustive", { design_space with Flow.Core.prune = false });
   ]
 
+(* One input's lines. *)
 let dump (name, nest) =
+  let b = Buffer.create 4096 in
   List.iter
     (fun (space_name, space) ->
       let f = Flow.Core.explore ~space Flow.Core.default_config nest in
       let s = f.Flow.Core.frontier_stats in
-      Printf.printf "%s\t%s\t%s\n" name space_name
+      Printf.bprintf b "%s\t%s\t%s\n" name space_name
         (Flow.Core.frontier_json f);
-      Printf.printf
+      Printf.bprintf b
         "%s\t%s\tstats variants=%d pruned_variants=%d evaluated=%d \
          pruned=%d memo_hits=%d\n"
         name space_name s.Flow.Core.variants_unique s.Flow.Core.variants_pruned
         s.Flow.Core.points_evaluated s.Flow.Core.points_pruned
         s.Flow.Core.sim_memo_hits)
-    spaces
+    spaces;
+  Buffer.contents b
 
-let () =
-  let gen =
-    List.filteri (fun i _ -> i < 60) (Helpers.gen_valid ~seed:42 ~cases:1000)
-  in
-  List.iter dump
-    (design_kernels
-    @ List.map (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest)) gen)
+let inputs =
+  design_kernels
+  @ List.map
+      (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest))
+      (List.filteri (fun i _ -> i < 60) (Helpers.gen_valid ~seed:42 ~cases:1000))
+
+let () = Pinned.main ~tool:"frontier_dump" ~dump inputs

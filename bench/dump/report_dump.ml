@@ -5,9 +5,9 @@
 
    [--digests] prints one MD5 per input instead, over that input's
    lines, and [--check FILE] compares them with FILE, naming every input
-   whose lines moved. report_dump.md5 holds the pinned digests, and
-   `dune runtest` checks them. After an intended change to reports,
-   diff the full dump against the parent's, then re-pin:
+   whose lines moved (see pinned.ml). report_dump.md5 holds the pinned
+   digests, and `dune runtest` checks them. After an intended change to
+   reports, diff the full dump against the parent's, then re-pin:
 
      dune exec bench/dump/report_dump.exe -- --digests \
        > bench/dump/report_dump.md5
@@ -96,60 +96,4 @@ let inputs =
       (fun (id, nest) -> (Printf.sprintf "gen %d" id, nest))
       (Helpers.gen_valid ~seed:42 ~cases:1000)
 
-(* (input name, MD5 of its lines), in dump order. *)
-let digests () =
-  List.map
-    (fun ((name, _) as input) ->
-      (name, Digest.to_hex (Digest.string (dump input))))
-    inputs
-
-(* Each line of [file] is "<md5>\t<input name>". *)
-let check file =
-  let pinned =
-    List.map
-      (fun line ->
-        match String.index_opt line '\t' with
-        | Some i ->
-          (String.sub line (i + 1) (String.length line - i - 1),
-           String.sub line 0 i)
-        | None -> failwith (Printf.sprintf "%s: malformed line %S" file line))
-      (In_channel.with_open_bin file In_channel.input_lines)
-  in
-  let current = digests () in
-  let moved =
-    List.filter_map
-      (fun (name, d) ->
-        match List.assoc_opt name pinned with
-        | Some p when p = d -> None
-        | Some _ -> Some name
-        | None -> Some (name ^ " (not pinned)"))
-      current
-    @ List.filter_map
-        (fun (name, _) ->
-          if List.mem_assoc name current then None
-          else Some (name ^ " (no longer dumped)"))
-        pinned
-  in
-  if moved <> [] then begin
-    Printf.printf "report dump: %d of %d inputs moved:\n" (List.length moved)
-      (List.length current);
-    List.iter (Printf.printf "  %s\n") moved;
-    print_string
-      "Diff the output of `dune exec bench/dump/report_dump.exe` against\n\
-       its output at the parent commit. If every moved line is meant to\n\
-       move, re-pin with\n\
-      \  dune exec bench/dump/report_dump.exe -- --digests \
-       > bench/dump/report_dump.md5\n\
-       and name the moved inputs in CHANGES.md.\n";
-    exit 1
-  end
-
-let () =
-  match Sys.argv with
-  | [| _ |] -> List.iter (fun input -> print_string (dump input)) inputs
-  | [| _; "--digests" |] ->
-    List.iter (fun (name, d) -> Printf.printf "%s\t%s\n" d name) (digests ())
-  | [| _; "--check"; file |] -> check file
-  | _ ->
-    prerr_endline "usage: report_dump.exe [--digests | --check FILE]";
-    exit 2
+let () = Pinned.main ~tool:"report_dump" ~dump inputs
