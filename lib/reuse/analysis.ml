@@ -155,63 +155,38 @@ let total_registers_full t =
   Array.fold_left (fun acc i -> acc + i.nu) 0 t.infos
 
 (* Candidate slot-rank expression: a mixed-radix index over the in-window
-   levels the reference depends on. Verified against the true first-touch
-   order by walking one window; coupled index maps (where later iterations
-   revisit elements out of radix order) fail the check and return None. *)
+   levels the reference reads. Inside a window those levels are visited
+   in lexicographic order, and the first visit of each of their
+   coordinate tuples comes in that order, so the candidate is the
+   first-touch rank of the tuple. It is the rank of the element iff no
+   two tuples touch the same element, i.e. iff the sumset of the
+   levels' coefficients over their trip counts has as many sums as the
+   box has tuples; otherwise the window touches fewer elements than the
+   candidate's largest value. *)
 let rank_affine t (i : info) =
   if not i.has_reuse then None
   else begin
     let counts = Array.of_list (Nest.trip_counts t.nest) in
     let depth = Array.length counts in
-    let wl = i.window_level in
-    let inner = List.init (depth - wl) (fun n -> wl + n) in
-    let appearing =
-      List.filter (fun l -> i.lin_coeffs.(l) <> 0) inner
+    let read =
+      List.filter
+        (fun l -> i.lin_coeffs.(l) <> 0)
+        (List.init (depth - i.window_level) (fun n -> i.window_level + n))
     in
     let coeffs = Array.make depth 0 in
-    let _ =
+    let tuples =
       List.fold_right
         (fun l radix ->
           coeffs.(l) <- radix;
           radix * counts.(l))
-        appearing 1
+        read 1
     in
-    (* Validate on one window (outer coordinates pinned to 0). *)
-    let ranks = Arena.Table.create ~capacity:64 () in
-    let next = ref 0 in
-    let ok = ref true in
-    let point = Array.make depth 0 in
-    let rec walk l =
-      if !ok then
-        if l = depth then begin
-          let e = element_of i.lin_coeffs i.lin_const point in
-          let true_rank =
-            match Arena.Table.find ranks e ~default:(-1) with
-            | -1 ->
-              let r = !next in
-              Arena.Table.set ranks e r;
-              incr next;
-              r
-            | r -> r
-          in
-          let predicted = ref 0 in
-          for l' = 0 to depth - 1 do
-            predicted := !predicted + (coeffs.(l') * point.(l'))
-          done;
-          if !predicted <> true_rank then ok := false
-        end
-        else begin
-          let hi = if l < wl then 0 else counts.(l) - 1 in
-          let c = ref 0 in
-          while !ok && !c <= hi do
-            point.(l) <- !c;
-            walk (l + 1);
-            incr c
-          done
-        end
+    let sums =
+      sumset_size
+        (Array.of_list (List.map (fun l -> i.lin_coeffs.(l)) read))
+        (Array.of_list (List.map (fun l -> counts.(l)) read))
     in
-    walk 0;
-    if !ok then Some coeffs else None
+    if sums = tuples then Some coeffs else None
   end
 
 module Tracker = struct

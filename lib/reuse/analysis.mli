@@ -67,15 +67,22 @@ val num_groups : t -> int
 
 val rank_affine : t -> info -> int array option
 (** Per-level coefficients [r] such that the group's slot rank at every
-    iteration point equals [sum_l r.(l) * point.(l)]. The candidate — a
-    mixed-radix index over the in-window loop levels the reference actually
-    depends on — is validated against the first-touch order of one window
-    walk, which holds for every window: inside a window the element index
-    is a per-window constant plus the same affine function of the
-    in-window coordinates, so every window has the same first-touch
-    order. [None] when the window's first-touch order is not affine (e.g.
-    coupled 2-D stencils like BIC's image reference), in which case code
-    generation falls back to RAM for the partial range. *)
+    iteration point equals [sum_l r.(l) * point.(l)]. The candidate is a
+    mixed-radix index over the in-window loop levels the reference reads
+    (nonzero coefficient). Inside a window those levels are visited in
+    lexicographic order, and each tuple of their coordinates is first
+    visited in that order too, so the candidate is the first-touch rank
+    of the tuple. It is the rank of the element exactly when the index
+    is injective on those levels: when the sumset of their coefficients
+    over their trip counts (counted as for [nu], without visiting a
+    point) has one sum per tuple. If two tuples share an element, the
+    window touches fewer elements than the candidate's largest value, so
+    no affine rank exists. The criterion holds for every window alike:
+    inside a window the element index is a per-window constant plus the
+    same affine function of the in-window coordinates. [None] for groups
+    without reuse and for coupled indices such as BIC's image reference,
+    in which case code generation falls back to RAM for the partial
+    range. *)
 
 val total_registers_full : t -> int
 (** Sum of [nu] over all groups: the register demand of aggressive full

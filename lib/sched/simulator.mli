@@ -1,10 +1,12 @@
 (** Whole-nest execution simulation.
 
     Accumulates the cycle cost of every iteration under the given
-    allocation, tracking register residency per reference group (see
-    {!Srfa_reuse.Analysis.Tracker}). Per-iteration costs are memoised on
-    the set of groups that hit RAM, so the walk is linear in the number
-    of points it visits.
+    allocation, from each reference group's register residency (see
+    {!Srfa_reuse.Analysis.Tracker}). A walk counts the points at which
+    each distinct set of groups hits RAM, then costs each set once and
+    weights it by its count, so it is linear in the number of points it
+    visits with one table update per run of equal sets, plus one
+    makespan per distinct set.
 
     Under {!Residency.Pinned} that is the {e in-window suffix}, not the
     nest. Inside a reuse window a group's element index is a per-window
@@ -44,9 +46,9 @@ type config = {
       (** register-file management discipline; the paper's is {!Residency.Pinned} *)
   execution : execution;
   mask_group_cap : int;
-      (** widest charged-group set memoised on an int bitmask (default 60).
-          Nests with more reference groups fall back to a string-keyed
-          memo: identical results, slightly slower lookups, and a
+      (** widest charged-group set counted on an int bitmask (default 60).
+          Nests with more reference groups fall back to a string key:
+          identical results, slightly slower lookups, and a
           ["guard.mask"] trace event instead of the former hard abort. *)
 }
 
@@ -67,8 +69,9 @@ type result = {
 
 type scratch
 (** Reusable simulation state for one (analysis, latency) pair: the DFG,
-    the prepared {!Cycle_model} half, the residency tracker, the makespan
-    memos, the per-iteration bit buffers and the Pinned rank cache.
+    the prepared {!Cycle_model} half, the residency tracker, the
+    charged-set count tables, the per-iteration bit buffers and the
+    Pinned rank cache.
     Passing one to {!run} makes repeated simulations of the same nest (a
     budget ladder, a portfolio, a sweep) allocation-free apart from the
     result record itself. Not thread-safe: keep one scratch per domain. *)
@@ -79,10 +82,14 @@ val scratch :
     (default {!default_config}); [dfg] donates an already-built graph for
     the same analysis (checked by identity, else rebuilt). For a
     {!Residency.Pinned} config the scratch records every group's slot
-    rank over the in-window suffix here, by one tracked walk, so its size
-    is fixed when it is built; past [2^23] ranks (suffix points times
-    groups) Pinned simulations walk the suffix through the tracker
-    instead. *)
+    rank over the in-window suffix here, so its size is fixed when it is
+    built. It fills them group by group without stepping the tracker: a
+    group without reuse ranks [max_int]; where
+    {!Srfa_reuse.Analysis.rank_affine} gives the ranks' affine form, an
+    odometer over the suffix adds one coefficient per point; any other
+    group's element indices get one first-touch pass, restarted at each
+    of its windows. Past [2^23] ranks (suffix points times groups)
+    Pinned simulations walk the suffix through the tracker instead. *)
 
 val run :
   ?trace:Srfa_util.Trace.sink ->
@@ -92,7 +99,7 @@ val run :
   result
 (** Simulates the allocation's nest. [trace] receives a ["guard.mask"]
     event when the nest exceeds [config.mask_group_cap] groups and the
-    walk degrades to the string-keyed memo. A [scratch] built from a
+    walk degrades to string keys. A [scratch] built from a
     different analysis or latency table is ignored (a fresh one is made),
     so threading one through heterogeneous call sites is always safe. *)
 
@@ -114,7 +121,8 @@ val cycles_floor : ?config:config -> scratch -> beta_max:int -> int
     least [beta_max] goes to RAM whatever the allocation, and a group
     without reuse goes to RAM under every policy, so each iteration costs
     at least the {!Cycle_model.charged_path_bound} of those groups; the
-    floor sums it over the weighted suffix. At budget [b] over [n]
+    floor sums it over the weighted suffix, one bound per distinct
+    charged set. At budget [b] over [n]
     groups every group holds at most [b - (n - 1)] registers. The
     design-space explorer prunes with this bound. *)
 

@@ -115,6 +115,54 @@ let variants ?(factors = [ 2 ]) (name, nest) =
   in
   tiled @ permuted
 
+(* The window-walk oracle for [Analysis.rank_affine]: the same mixed-radix
+   candidate over the in-window levels the reference reads, kept only
+   if it reproduces the first-touch ranks of one window walk (outer
+   levels at 0). Every window has the same first-touch order, so one
+   window decides. *)
+let rank_affine_walked (analysis : Srfa_reuse.Analysis.t)
+    (i : Srfa_reuse.Analysis.info) =
+  let open Srfa_reuse.Analysis in
+  if not i.has_reuse then None
+  else begin
+    let counts = Array.of_list (Nest.trip_counts analysis.nest) in
+    let depth = Array.length counts in
+    let wl = i.window_level in
+    let coeffs = Array.make depth 0 and radix = ref 1 in
+    for l = depth - 1 downto wl do
+      if i.lin_coeffs.(l) <> 0 then begin
+        coeffs.(l) <- !radix;
+        radix := !radix * counts.(l)
+      end
+    done;
+    let ranks = Hashtbl.create 64 in
+    let ok = ref true in
+    let point = Array.make depth 0 in
+    let rec walk l =
+      if l = depth then begin
+        let e = element_index i point in
+        let rank =
+          match Hashtbl.find_opt ranks e with
+          | Some r -> r
+          | None ->
+            let r = Hashtbl.length ranks in
+            Hashtbl.add ranks e r;
+            r
+        in
+        let predicted = ref 0 in
+        Array.iteri (fun l c -> predicted := !predicted + (c * point.(l))) coeffs;
+        if !predicted <> rank then ok := false
+      end
+      else
+        for c = 0 to (if l < wl then 0 else counts.(l) - 1) do
+          point.(l) <- c;
+          if !ok then walk (l + 1)
+        done
+    in
+    walk 0;
+    if !ok then Some coeffs else None
+  end
+
 (* [f ()] and the bytes it allocated. The minor heap is emptied before
    both readings: OCaml 5.1's Gc.counters counts the words still in the
    minor heap at an eighth of their size, so an unflushed reading

@@ -132,6 +132,44 @@ let test_rank_affine_matches_tracker () =
   in
   List.iter check_kernel (Helpers.small_kernels ())
 
+(* rank_affine decides by a sumset count; the window walk it replaced
+   (Helpers.rank_affine_walked) is its oracle. The two must agree on
+   every group, [None] included: the tracker case above checks only that
+   a [Some] is right, while the simulator's rank-cache fill also relies
+   on [Some] whenever the window's ranks are affine. *)
+let check_rank_affine (name, nest) =
+  let an = Helpers.analyze nest in
+  Array.iter
+    (fun (i : Analysis.info) ->
+      let show = function
+        | None -> "None"
+        | Some r ->
+          "Some [" ^ String.concat ";" (Array.to_list (Array.map string_of_int r))
+          ^ "]"
+      in
+      let got = Analysis.rank_affine an i
+      and walked = Helpers.rank_affine_walked an i in
+      if got <> walked then
+        Alcotest.failf "%s %s: rank_affine %s, walked %s" name
+          (Group.name i.Analysis.group) (show got) (show walked))
+    an.Analysis.infos
+
+let test_rank_affine_complete () =
+  let kernels =
+    Srfa_kernels.Kernels.all () @ Srfa_kernels.Extra.all ()
+    @ [ ("example", Helpers.example ()) ]
+  in
+  let cases =
+    List.filteri (fun k _ -> k < 500) (Helpers.gen_valid ~seed:42 ~cases:1200)
+  in
+  Alcotest.(check int) "500 valid cases" 500 (List.length cases);
+  List.iter
+    (fun kernel ->
+      List.iter check_rank_affine
+        (kernel :: Helpers.variants ~factors:[ 2; 3; 4 ] kernel))
+    (kernels
+    @ List.map (fun (id, nest) -> (Printf.sprintf "gen case %d" id, nest)) cases)
+
 (* Per-point reference for the sumset counts: a hash set of the element
    indices over the whole nest ([distinct]) and over one reuse window
    ([nu]: outer levels at 0, the carrying level over [0, delta), inner
@@ -306,5 +344,7 @@ let () =
             test_tracker_residency;
           Alcotest.test_case "rank affine matches tracker" `Slow
             test_rank_affine_matches_tracker;
+          Alcotest.test_case "rank affine equals the window walk" `Quick
+            test_rank_affine_complete;
         ] );
     ]

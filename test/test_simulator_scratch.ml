@@ -7,9 +7,12 @@
    and cost profiles exactly. Further inputs move the suffix: the Extra
    kernels, the Fig. 1 example (the whole nest is one window),
    gradient-pair (no group has reuse: a one-point suffix), tiled and
-   permuted variants, negative index coefficients and valid fuzz
-   kernels, in both execution modes. A final check pins the allocation
-   budget of a warm evaluation. *)
+   permuted variants, negative index coefficients, a coupled group with
+   several windows in the suffix and valid fuzz kernels, in both
+   execution modes. The cycle floor is held to a whole-nest reference,
+   and the bytes-key fallback to the bitmask path for every consumer.
+   The last checks pin the allocation of a warm evaluation and of a
+   cold scratch build. *)
 
 open Srfa_reuse
 open Srfa_test_helpers
@@ -178,12 +181,31 @@ let small_extra () =
     ("gradient-pair", E.gradient_pair ~size:6 ());
   ]
 
+(* x[t][j+k] is carried by i, so the suffix (from i on, since c[k] is
+   carried by t) holds four of its windows, and its ranks are not affine
+   (j + k revisits elements): the rank-cache fill's first-touch pass must
+   restart at each window. *)
+let coupled_inner () =
+  Srfa_frontend.Parser.parse
+    {|kernel coupled_inner {
+  input  int x[3][6];
+  input  int c[3];
+  output int y[3][4];
+
+  for (t = 0; t < 3; t++)
+    for (i = 0; i < 4; i++)
+      for (j = 0; j < 4; j++)
+        for (k = 0; k < 3; k++)
+          y[t][i] += c[k] * x[t][j + k];
+}|}
+
 let test_weighted_kernels () =
   List.iter check_weighted
     (Srfa_kernels.Extra.all ()
     @ [
         ("example", Helpers.example ());
         ("reversed fir", Helpers.reversed_fir ());
+        ("coupled inner", coupled_inner ());
       ])
 
 let test_weighted_variants () =
@@ -191,7 +213,10 @@ let test_weighted_variants () =
     (fun kernel -> List.iter check_weighted (Helpers.variants kernel))
     (Helpers.small_kernels ()
     @ small_extra ()
-    @ [ ("reversed fir", Helpers.reversed_fir ()) ])
+    @ [
+        ("reversed fir", Helpers.reversed_fir ());
+        ("coupled inner", coupled_inner ());
+      ])
 
 let test_weighted_gen () =
   let cases = Helpers.gen_valid ~seed:42 ~cases:500 in
@@ -220,21 +245,33 @@ let test_differential_dynamic () =
         [ Residency.Lru; Residency.Direct_mapped ])
     kernels
 
-(* Degrading the bitmask memo to the bytes-key fallback must not change a
-   single number. *)
+(* Degrading the bitmask keys to the bytes-key fallback must not change a
+   single number, for any consumer of the counted sets: run, profile and
+   the cycle floor, at the feasibility minimum and at 64. *)
 let test_mask_fallback () =
   List.iter
     (fun (name, nest) ->
       let analysis = Flow.analyze nest in
       let scratch = Simulator.scratch analysis in
-      let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget:64 in
       let degraded =
         { Simulator.default_config with Simulator.mask_group_cap = 1 }
       in
-      check_same
-        (Printf.sprintf "%s mask fallback" name)
-        (Simulator.run alloc)
-        (Simulator.run ~config:degraded ~scratch alloc))
+      let minimum = Srfa_core.Ordering.feasibility_minimum analysis in
+      List.iter
+        (fun budget ->
+          let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
+          let label = Printf.sprintf "%s budget %d mask fallback" name budget in
+          check_same label (Simulator.run alloc)
+            (Simulator.run ~config:degraded ~scratch alloc);
+          Alcotest.(check (list (pair int int)))
+            (label ^ " profile") (Simulator.profile alloc)
+            (Simulator.profile ~config:degraded ~scratch alloc);
+          let beta_max = budget - (Analysis.num_groups analysis - 1) in
+          Alcotest.(check int)
+            (label ^ " floor")
+            (Simulator.cycles_floor (Simulator.scratch analysis) ~beta_max)
+            (Simulator.cycles_floor ~config:degraded scratch ~beta_max))
+        (List.sort_uniq compare [ minimum; 64 ]))
     kernels
 
 (* A scratch built for one analysis is ignored for another (fresh state
@@ -268,6 +305,47 @@ let test_profile_parity () =
         (List.fold_left (fun acc (_, n) -> acc + n) 0 warm))
     kernels
 
+(* Whole-nest reference for Simulator.cycles_floor: every point of the
+   nest, stepped by a fresh tracker, charges the groups whose slot rank
+   is at least [beta_max] and costs the charged-path bound of that set. *)
+let reference_floor analysis ~beta_max =
+  let prepared =
+    Cycle_model.prepare
+      ~dfg:(Srfa_dfg.Graph.build analysis)
+      ~latency:Simulator.default_config.Simulator.latency
+  in
+  let tracker = Analysis.Tracker.create analysis in
+  let total = ref 0 in
+  Srfa_ir.Iterspace.iter analysis.Analysis.nest (fun point ->
+      Analysis.Tracker.step tracker point;
+      let charged (g : Group.t) =
+        Analysis.Tracker.slot_rank tracker g.Group.id >= beta_max
+      in
+      total := !total + Cycle_model.charged_path_bound prepared ~charged);
+  !total
+
+let test_floor_reference () =
+  let inputs =
+    List.concat_map
+      (fun kernel -> kernel :: Helpers.variants kernel)
+      (Helpers.small_kernels ())
+    @ List.map
+        (fun (id, nest) -> (Printf.sprintf "gen case %d" id, nest))
+        (Helpers.gen_valid ~seed:42 ~cases:300)
+  in
+  List.iter
+    (fun (name, nest) ->
+      let analysis = Flow.analyze nest in
+      let scratch = Simulator.scratch analysis in
+      List.iter
+        (fun beta_max ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s beta_max %d" name beta_max)
+            (reference_floor analysis ~beta_max)
+            (Simulator.cycles_floor scratch ~beta_max))
+        [ 1; 2; 3; 5; 8; 16; 64; max_int ])
+    inputs
+
 (* Warm evaluations must stay off the allocator: after one warming run,
    for every library kernel, both a scratch-threaded simulation and a
    whole warm evaluation (allocation from the prepared CPA-RA state, then
@@ -294,6 +372,43 @@ let test_allocation_budget () =
       check "evaluation" (fun () -> Simulator.run ~scratch (allocate ())))
     kernels
 
+(* The in-window suffix's length: the product of the trip counts inside
+   the outermost carrying level of any group with reuse. *)
+let suffix_points analysis =
+  let counts = Array.of_list (Srfa_ir.Nest.trip_counts analysis.Analysis.nest) in
+  let depth = Array.length counts in
+  let level =
+    Array.fold_left
+      (fun acc (i : Analysis.info) ->
+        if i.Analysis.has_reuse then min acc i.Analysis.window_level else acc)
+      depth analysis.Analysis.infos
+  in
+  Array.fold_left ( * ) 1 (Array.sub counts level (depth - level))
+
+(* A cold scratch fills its rank cache without stepping the tracker:
+   beyond the cache itself (suffix x groups words), a second build of
+   each library kernel allocates under 200 kB. The tracked walk it
+   replaced allocated 796 kB beyond the cache on imi. *)
+let test_scratch_allocation () =
+  List.iter
+    (fun (name, nest) ->
+      let analysis = Flow.analyze nest in
+      let dfg = Cpa_ra.dfg (Cpa_ra.prepare analysis) in
+      ignore (Simulator.scratch ~dfg analysis);
+      let _, spent =
+        Helpers.allocated_bytes (fun () -> Simulator.scratch ~dfg analysis)
+      in
+      let cache =
+        suffix_points analysis * Analysis.num_groups analysis
+        * (Sys.word_size / 8)
+      in
+      if spent -. float_of_int cache >= 200_000.0 then
+        Alcotest.failf
+          "%s: scratch build allocated %.0f bytes beyond its %d-byte rank \
+           cache (budget 200000)"
+          name (spent -. float_of_int cache) cache)
+    kernels
+
 let () =
   Alcotest.run "simulator_scratch"
     [
@@ -309,6 +424,8 @@ let () =
             test_foreign_scratch_ignored;
           Alcotest.test_case "profile parity and coverage" `Quick
             test_profile_parity;
+          Alcotest.test_case "cycle floor vs whole-nest reference" `Quick
+            test_floor_reference;
         ] );
       ( "weighted walk",
         [
@@ -322,5 +439,7 @@ let () =
         [
           Alcotest.test_case "warm evaluation allocation budget" `Quick
             test_allocation_budget;
+          Alcotest.test_case "cold scratch allocation budget" `Quick
+            test_scratch_allocation;
         ] );
     ]
