@@ -32,8 +32,9 @@ val run :
   Analysis.t -> budget:int -> Allocation.t
 (** Every algorithm runs as a strategy over {!Engine}; [trace] observes
     its decisions (see {!Engine} for the event vocabulary). [prepared] is
-    {!Cpa_ra.prepare} scratch, reused across budgets by {!Flow.sweep} and
-    ignored by the non-CPA algorithms.
+    {!Cpa_ra.prepare} scratch, reused across budgets by {!Flow.sweep}
+    (as a {!Cpa_ra.ladder}, with its round memo) and ignored by the
+    non-CPA algorithms.
 
     [cut_work_limit] (default unlimited) caps the max-flow effort of every
     CPA cut query (see {!Srfa_dfg.Cut.cheapest}). When the guard trips,

@@ -29,6 +29,36 @@ type prepared
 
 val prepare : Analysis.t -> prepared
 
+val ladder : prepared -> prepared
+(** A copy of the scratch for one budget ladder: it shares the DFG and
+    the critical extraction state, and adds a memo of round answers.
+
+    A round's question — the cheapest improvable cut of the critical
+    graph — depends only on the allocation state, never on the budget.
+    So the memo keys each answer on every group's beta and stores the
+    cut, its requirement, the critical length and the query's
+    ["cut.flow"] event. A round whose state is already stored skips the
+    critical extraction and the cut query and replays the event
+    unchanged, so allocations, {!allocate_traced} steps and traces are
+    those of a run without the memo. Every budget, CPA-RA, CPA+ and the
+    portfolio's candidate share one memo: their rounds ask the same
+    questions.
+
+    Two guards keep a hit honest. A stored answer whose query needed
+    more max-flow work than the caller's [cut_work_limit] allows is
+    computed again, so the work guard trips as it would have. The first
+    query fixes the latency model the memo answers for; a query under
+    another model bypasses the memo.
+
+    The memo grows with every new state, so give it only to the owner
+    of a ladder ({!Flow.Core.sweep_kernel} and each explore variant
+    hold one); a scratch cached across requests stays memo-free. Not
+    thread-safe, like the scratch itself. *)
+
+val rounds_computed : prepared -> int
+(** Rounds the ladder's memo computed rather than answered from a
+    stored state (0 for a scratch without a memo). *)
+
 val dfg : prepared -> Srfa_dfg.Graph.t
 (** The DFG the scratch was built from — donate it to
     {!Srfa_sched.Simulator.scratch} so one kernel needs one graph build

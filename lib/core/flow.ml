@@ -298,9 +298,11 @@ module Core = struct
   let sweep_kernel ~config ~algorithms ~budgets ?trace (kernel, nest) =
     let prepared = prepare nest in
     let analysis = prepared.analysis in
-    (* One simulator scratch per kernel, created inside the task so each
-       pool domain owns its own (the scratch is not thread-safe). *)
+    (* One simulator scratch and one CPA-RA round memo per kernel, created
+       inside the task so each pool domain owns its own (neither is
+       thread-safe). *)
     let sim_scratch = scratch ~config prepared in
+    let cpa = Cpa_ra.ladder prepared.cpa in
     let carry = ref None in
     List.concat_map
       (fun budget ->
@@ -311,10 +313,10 @@ module Core = struct
               let report =
                 match algorithm with
                 | Allocator.Portfolio ->
-                  portfolio_point ?trace ~prepared:prepared.cpa ~sim_scratch
-                    ~carry { config with budget } kernel analysis
+                  portfolio_point ?trace ~prepared:cpa ~sim_scratch ~carry
+                    { config with budget } kernel analysis
                 | _ ->
-                  evaluate_analysis ?trace ~prepared:prepared.cpa ~sim_scratch
+                  evaluate_analysis ?trace ~prepared:cpa ~sim_scratch
                     { config with budget } algorithm analysis
               in
               { kernel; algorithm; budget; report })
@@ -339,10 +341,13 @@ module Core = struct
         one simulator scratch per distinct variant (variants deduped by
         a canonical-source digest), and within a variant an
         entries-keyed simulation memo — two budgets that produce the
-        same allocation (ladders saturate) share one simulation. Within
-        a budget, one CPA-RA allocation serves the CPA-RA point and
-        every certified point, and certification looks its simulations
-        up in the memo.
+        same allocation (ladders saturate) share one simulation — and a
+        betas-keyed CPA-RA round memo ([Cpa_ra.ladder]): every budget
+        starts from the same state and saturated budgets share their
+        tails, so most cut rounds are answered, not computed. Within a
+        budget, one CPA-RA allocation serves the CPA-RA point and every
+        certified point, and certification looks its simulations up in
+        the memo.
      3. pool fan-out: variants shard across domains with the
         byte-identical parallel-vs-serial contract: per-variant
         [Trace.buffered] sinks spliced in variant order, and a frontier
@@ -645,6 +650,7 @@ module Core = struct
     let analysis = prepared.analysis in
     let n = prepared.minimum in
     let sim_scratch = scratch ~config prepared in
+    let cpa = Cpa_ra.ladder prepared.cpa in
     let iterations = Srfa_ir.Nest.iterations nest in
     let depth = Srfa_ir.Nest.depth nest in
     let ngroups = Analysis.num_groups analysis in
@@ -829,8 +835,8 @@ module Core = struct
              point reports it and every certified point certifies it. *)
           let candidate =
             lazy
-              (allocation ~config:cfg ~trace:sink ~prepared:prepared.cpa
-                 ~sim_scratch Allocator.Cpa_ra analysis)
+              (allocation ~config:cfg ~trace:sink ~prepared:cpa ~sim_scratch
+                 Allocator.Cpa_ra analysis)
           in
           List.iter
             (fun alg ->
@@ -890,8 +896,8 @@ module Core = struct
                         ~sim_config:cfg.sim alg point_analysis ~budget:b
                     else if alg = Allocator.Cpa_ra then Lazy.force candidate
                     else
-                      allocation ~config:cfg ~trace:sink
-                        ~prepared:prepared.cpa ~sim_scratch alg analysis
+                      allocation ~config:cfg ~trace:sink ~prepared:cpa
+                        ~sim_scratch alg analysis
                   in
                   let sim = run_sim ~sink alloc in
                   let report =
@@ -924,16 +930,27 @@ module Core = struct
      a cut point is either strictly dominated by an online entry — and
      so by transitivity by some final frontier point — or it ties an
      entry with a smaller key, which the collapse would have kept
-     instead anyway. *)
+     instead anyway.
+
+     Dominance is tested against the running skyline, not every point:
+     dominance is transitive, so a dominated point is dominated by some
+     undominated one, and the skyline (an antichain, kept newest first)
+     ends as exactly the undominated points. *)
   let assemble_frontier results =
-    let all = List.concat_map (fun r -> r.r_points) results in
-    let survivors =
-      List.filter
-        (fun p ->
-          not
-            (List.exists (fun q -> coords_dominates q.coords p.coords) all))
-        all
+    let skyline =
+      List.fold_left
+        (fun sky p ->
+          if List.exists (fun q -> coords_dominates q.coords p.coords) sky
+          then sky
+          else
+            p
+            :: List.filter
+                 (fun q -> not (coords_dominates p.coords q.coords))
+                 sky)
+        []
+        (List.concat_map (fun r -> r.r_points) results)
     in
+    let survivors = List.rev skyline in
     let collapsed =
       (* points arrive in (variant, serial) order already *)
       let seen = Hashtbl.create 16 in

@@ -129,7 +129,9 @@ module Core : sig
     string * Nest.t -> sweep_point list
   (** One kernel's full budget ladder, sequential by construction (the
       portfolio carry-forward threads state budget to budget). This is
-      the unit of work {!sweep} fans out over kernels. *)
+      the unit of work {!sweep} fans out over kernels. The ladder holds
+      one CPA-RA round memo ({!Cpa_ra.ladder}) across its budgets and
+      algorithms. *)
 
   (** {2 Design-space exploration}
 

@@ -77,8 +77,35 @@ let enumerate_exhaustive ?(max_groups = 16) cg =
    optimum, and never on the paper's kernels. *)
 exception Work_limit of { phases : int; paths : int; limit : int }
 
-let cheapest ?(trace = Srfa_util.Trace.null) ?(work_limit = max_int) cg
-    ~eligible ~weight =
+type answer = {
+  cut : Group.t list;
+  weight : int;
+  critical_length : int;
+  candidates : int;
+  flow_value : int;
+  flow : Flownet.stats;
+}
+
+let flow_event a =
+  let open Srfa_util.Trace in
+  event "cut.flow"
+    [
+      ("candidates", Int a.candidates);
+      ("cut", List (List.map (fun g -> String (Group.name g)) a.cut));
+      ("weight", Int a.weight);
+      ("flow_value", Int a.flow_value);
+      ("max_flow_runs", Int a.flow.Flownet.runs);
+      ("bfs_phases", Int a.flow.Flownet.phases);
+      ("augmenting_paths", Int a.flow.Flownet.augmenting_paths);
+    ]
+
+(* The units [Flownet.max_flow]'s guard counts. The network is fresh per
+   query and the guard checks after every unit, so a query trips at
+   [work_limit] exactly when this total exceeds it. *)
+let work a = a.flow.Flownet.phases + a.flow.Flownet.augmenting_paths
+
+let cheapest_answer ?(trace = Srfa_util.Trace.null) ?(work_limit = max_int)
+    cg ~eligible ~weight =
   let g = Critical.graph cg in
   let groups = Array.of_list (Critical.charged_ref_groups cg) in
   let k = Array.length groups in
@@ -180,19 +207,21 @@ let cheapest ?(trace = Srfa_util.Trace.null) ?(work_limit = max_int) cg
         candidates
     in
     assert (is_cut cg cut);
-    let total = List.fold_left (fun acc grp -> acc + weight grp) 0 cut in
-    Srfa_util.Trace.emit trace (fun () ->
-        let open Srfa_util.Trace in
-        let stats = Flownet.stats split.Flownet.net in
-        event "cut.flow"
-          [
-            ("candidates", Int (List.length candidates));
-            ("cut", List (List.map (fun g -> String (Group.name g)) cut));
-            ("weight", Int total);
-            ("flow_value", Int best);
-            ("max_flow_runs", Int stats.Flownet.runs);
-            ("bfs_phases", Int stats.Flownet.phases);
-            ("augmenting_paths", Int stats.Flownet.augmenting_paths);
-          ]);
-    Some (cut, total)
+    let answer =
+      {
+        cut;
+        weight = List.fold_left (fun acc grp -> acc + weight grp) 0 cut;
+        critical_length = Critical.length cg;
+        candidates = List.length candidates;
+        flow_value = best;
+        flow = Flownet.stats split.Flownet.net;
+      }
+    in
+    Srfa_util.Trace.emit trace (fun () -> flow_event answer);
+    Some answer
   end
+
+let cheapest ?trace ?work_limit cg ~eligible ~weight =
+  Option.map
+    (fun a -> (a.cut, a.weight))
+    (cheapest_answer ?trace ?work_limit cg ~eligible ~weight)

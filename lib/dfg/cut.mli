@@ -50,6 +50,38 @@ val cheapest :
     {!Work_limit} is raised.
     @raise Work_limit when the work budget is exhausted. *)
 
+(** One answered {!cheapest} query: the cut and its weight, the
+    {!Critical.length} of the CG it cuts, and what its ["cut.flow"] event
+    reports besides — the eligible candidate count, the max-flow value
+    under the tie-break scaling, and the {!Flownet.stats} the query cost
+    (its network is fresh, so these are the query's own totals). *)
+type answer = {
+  cut : Group.t list;
+  weight : int;
+  critical_length : int;
+  candidates : int;
+  flow_value : int;
+  flow : Flownet.stats;
+}
+
+val cheapest_answer :
+  ?trace:Srfa_util.Trace.sink ->
+  ?work_limit:int ->
+  Critical.t ->
+  eligible:(Group.t -> bool) ->
+  weight:(Group.t -> int) ->
+  answer option
+(** {!cheapest} with the whole answer: same events, same exception. *)
+
+val flow_event : answer -> Srfa_util.Trace.event
+(** The ["cut.flow"] event {!cheapest_answer} emitted for this answer,
+    field for field — a caller that stores answers replays it on reuse. *)
+
+val work : answer -> int
+(** BFS phases plus augmenting paths: the units [work_limit] counts. The
+    query that produced the answer raises {!Work_limit} under a
+    [work_limit] exactly when it is below this total. *)
+
 val enumerate_exhaustive :
   ?max_groups:int -> Critical.t -> Group.t list list
 (** All minimal cuts, each sorted by group position; the list is ordered by

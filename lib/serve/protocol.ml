@@ -134,7 +134,12 @@ let parse_request line =
     let* device = str "device" in
     let* algorithm = str "algorithm" in
     let* budget = int "budget" in
-    let* cut_work_limit = int "cut_work_limit" in
+    let* cut_work_limit =
+      match int "cut_work_limit" with
+      | Ok (Some n) when n < 0 ->
+        Error "field \"cut_work_limit\" must be a non-negative integer"
+      | r -> r
+    in
     let* deadline_ms = int "deadline_ms" in
     let* stream = str "stream" in
     let* orders = str "orders" in

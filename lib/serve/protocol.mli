@@ -13,7 +13,8 @@
       portfolio);
     - ["budget"]: register budget (default 64; for a rebudget request
       it is the mandatory event target);
-    - ["cut_work_limit"]: optional override of the CPA cut-work guard;
+    - ["cut_work_limit"]: optional override of the CPA cut-work guard,
+      a non-negative integer;
     - ["deadline_ms"]: optional per-request wall-clock deadline
       (overrides the server default; tripping it is [E-DEADLINE]);
     - ["stream"]: optional rebudget session name (default

@@ -149,33 +149,157 @@ let test_outcome_shape () =
     (Allocation.total_registers outcome.Certify.allocation <= 64)
 
 (* Repair passes must not corrupt the Cpa_ra.prepare scratch shared
-   across budget points: running the portfolio over a shared [prepared]
-   must match fresh-scratch runs entry for entry. *)
+   across budget points, and a ladder's round memo must be invisible.
+   One ladder serves CPA-RA, CPA+ and the portfolio at every budget,
+   visiting the budgets in ascending, descending and shuffled order; each
+   answer must equal a fresh-scratch run's: entries, allocate_traced
+   steps and the full event list. *)
+let ladder_budgets = [ 8; 12; 16; 24; 32; 48; 64; 96; 128 ]
+
+type ladder_alg = Cpa | Cpa_plus | Portfolio
+
+let run_traced ~prepared alg an ~budget =
+  let sink, events = Srfa_util.Trace.collector () in
+  let alloc, steps =
+    match alg with
+    | Cpa -> Cpa_ra.allocate_traced ~trace:sink ~prepared an ~budget
+    | Cpa_plus ->
+      Cpa_ra.allocate_traced ~spend_leftover:true ~trace:sink ~prepared an
+        ~budget
+    | Portfolio ->
+      (Allocator.run ~trace:sink ~prepared Allocator.Portfolio an ~budget, [])
+  in
+  let step (s : Cpa_ra.trace_step) =
+    Printf.sprintf "%s req=%d full=%b len=%d"
+      (String.concat "," (List.map Group.name s.Cpa_ra.cut))
+      s.Cpa_ra.required s.Cpa_ra.granted_full s.Cpa_ra.critical_length
+  in
+  ( entries alloc,
+    List.map step steps,
+    List.map Srfa_util.Trace.to_json (events ()) )
+
+let check_same what (e1, s1, ev1) (e2, s2, ev2) =
+  Alcotest.(check bool) (what ^ ": entries identical") true (e1 = e2);
+  Alcotest.(check (list string)) (what ^ ": steps") s2 s1;
+  Alcotest.(check (list string)) (what ^ ": events") ev2 ev1
+
+let memo_inputs () =
+  let fuzz =
+    List.filteri
+      (fun i _ -> i < 200)
+      (Helpers.gen_valid ~seed:42 ~cases:500)
+  in
+  Alcotest.(check int) "200 valid fuzz kernels" 200 (List.length fuzz);
+  let kernels = Helpers.small_kernels () in
+  kernels
+  @ List.concat_map Helpers.variants kernels
+  @ List.map (fun (id, nest) -> (Printf.sprintf "fuzz %d" id, nest)) fuzz
+
+let shuffled seed l =
+  let a = Array.of_list l in
+  let st = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
 let test_prepared_state_no_leak () =
-  List.iter
-    (fun (name, nest) ->
+  List.iteri
+    (fun idx (name, nest) ->
       let an = Helpers.analyze nest in
-      let shared = Cpa_ra.prepare an in
+      let budgets = List.filter (feasible an) ladder_budgets in
+      let algs = [ Cpa; Cpa_plus; Portfolio ] in
+      let fresh =
+        List.map
+          (fun budget ->
+            ( budget,
+              List.map
+                (fun alg ->
+                  run_traced ~prepared:(Cpa_ra.prepare an) alg an ~budget)
+                algs ))
+          budgets
+      in
       List.iter
-        (fun budget ->
-          if feasible an budget then begin
-            let with_shared =
-              Allocator.run ~prepared:shared Allocator.Portfolio an ~budget
+        (fun (order, budgets) ->
+          let ladder = Cpa_ra.ladder (Cpa_ra.prepare an) in
+          List.iter
+            (fun budget ->
+              List.iter2
+                (fun alg reference ->
+                  check_same
+                    (Printf.sprintf "%s @ %d (%s)" name budget order)
+                    (run_traced ~prepared:ladder alg an ~budget)
+                    reference)
+                algs (List.assoc budget fresh))
+            budgets)
+        [
+          ("ascending", budgets);
+          ("descending", List.rev budgets);
+          ("shuffled", shuffled idx budgets);
+        ])
+    (memo_inputs ())
+
+(* A stored round never skips the work guard: a ladder filled without a
+   limit, asked again at a limit every cut query trips, answers exactly
+   what a memo-free run does — the PR-RA fallback and its event. *)
+let test_memo_work_guard () =
+  let an = Helpers.analyze (Srfa_kernels.Kernels.bic ()) in
+  let ladder = Cpa_ra.ladder (Cpa_ra.prepare an) in
+  let budgets = List.filter (feasible an) ladder_budgets in
+  let algs = Allocator.[ Cpa_ra; Cpa_plus; Portfolio ] in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun alg -> ignore (Allocator.run ~prepared:ladder alg an ~budget))
+        algs)
+    budgets;
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun alg ->
+          let guarded prepared =
+            let sink, events = Srfa_util.Trace.collector () in
+            let alloc =
+              Allocator.run ~trace:sink ~cut_work_limit:1 ?prepared alg an
+                ~budget
             in
-            let with_fresh =
-              Allocator.run ~prepared:(Cpa_ra.prepare an) Allocator.Portfolio
-                an ~budget
-            in
-            for gid = 0 to Analysis.num_groups an - 1 do
-              Alcotest.(check bool)
-                (Printf.sprintf "%s @ %d: entry %d identical" name budget gid)
-                true
-                (Allocation.entry with_shared gid
-                = Allocation.entry with_fresh gid)
-            done
-          end)
-        budgets)
-    (Helpers.small_kernels ())
+            (entries alloc, List.map Srfa_util.Trace.to_json (events ()))
+          in
+          let what =
+            Printf.sprintf "bic @ %d, %s, limit 1" budget (Allocator.name alg)
+          in
+          let entries, events = guarded (Some ladder) in
+          let entries', events' = guarded None in
+          Alcotest.(check bool) (what ^ ": entries identical") true
+            (entries = entries');
+          Alcotest.(check (list string)) (what ^ ": events") events' events;
+          Alcotest.(check bool) (what ^ ": fallback.pr_ra fired") true
+            (List.exists
+               (fun e -> Helpers.contains_substring e "fallback.pr_ra")
+               events))
+        algs)
+    budgets
+
+(* The memo pays on the paper's example: across a nine-budget CPA-RA
+   ladder it computes fewer rounds than the ladder answers. *)
+let test_memo_hits () =
+  let an = Helpers.analyze (Helpers.example ()) in
+  let ladder = Cpa_ra.ladder (Cpa_ra.prepare an) in
+  let answered =
+    List.fold_left
+      (fun acc budget ->
+        let _, steps = Cpa_ra.allocate_traced ~prepared:ladder an ~budget in
+        acc + List.length steps)
+      0 ladder_budgets
+  in
+  let computed = Cpa_ra.rounds_computed ladder in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < %d rounds computed < %d answered" computed answered)
+    true
+    (0 < computed && computed < answered)
 
 let () =
   Alcotest.run "certify"
@@ -189,5 +313,9 @@ let () =
           Alcotest.test_case "outcome shape" `Quick test_outcome_shape;
           Alcotest.test_case "prepared scratch does not leak" `Quick
             test_prepared_state_no_leak;
+          Alcotest.test_case "round memo keeps the work guard" `Quick
+            test_memo_work_guard;
+          Alcotest.test_case "round memo answers the example's ladder"
+            `Quick test_memo_hits;
         ] );
     ]

@@ -124,6 +124,17 @@ let test_parse_request () =
   Alcotest.(check string)
     "allocate without kernel" "E-PROTO-002"
     (code {|{"budget": 8}|});
+  (* A negative work guard is refused where the line is read, before any
+     tier-1 entry is built for it. *)
+  Alcotest.(check string)
+    "negative cut_work_limit" "E-PROTO-002"
+    (code {|{"kernel": "fir", "cut_work_limit": -1}|});
+  Alcotest.(check string)
+    "negative cut_work_limit on explore" "E-PROTO-002"
+    (code {|{"op": "explore", "kernel": "fir", "cut_work_limit": -1}|});
+  Alcotest.(check string)
+    "zero cut_work_limit" "(ok)"
+    (code {|{"kernel": "fir", "cut_work_limit": 0}|});
   (match Protocol.parse_request {|{"op": "stats"}|} with
   | Ok r -> Alcotest.(check bool) "stats op" true (r.Protocol.op = Protocol.Stats)
   | Error _ -> Alcotest.fail "stats request rejected");
@@ -649,6 +660,41 @@ let test_tier1_bytes () =
         Alcotest.failf "rebudget: %s"
           (String.concat "; " (List.map Diag.to_json ds)));
       within_5pct (kernel ^ " after rebudget") cache r)
+    [ "bic"; "fir"; "mat"; "imi" ]
+
+(* Later requests at other algorithms and budgets reuse the tier-1 entry
+   without growing it, so what was charged at insert stays what it
+   holds. A CPA-RA round memo in the cached scratch would grow with every
+   new allocation state; budget ladders keep theirs to themselves
+   (Cpa_ra.ladder). *)
+let test_tier1_bytes_across_requests () =
+  List.iter
+    (fun kernel ->
+      let cache = Cache.create () in
+      let request (alg, budget) =
+        resolve_exn
+          (Printf.sprintf {|{"kernel": "%s", "algorithm": "%s", "budget": %d}|}
+             kernel alg budget)
+      in
+      let pairs =
+        [ ("cpa-ra", 64); ("cpa-ra", 8); ("cpa-ra+", 16); ("portfolio", 32);
+          ("cpa-ra", 128) ]
+      in
+      List.iter (fun p -> ignore (respond_exn cache (request p))) pairs;
+      let r = request (List.hd pairs) in
+      match
+        Cache.find cache Cache.Analyses
+          (Cache.tier1_key ~device:r.device r.source)
+      with
+      | None -> Alcotest.failf "%s: no tier-1 entry" kernel
+      | Some e ->
+        let reachable =
+          (1 + Obj.reachable_words (Obj.repr e)) * (Sys.word_size / 8)
+        in
+        let charged = List.assoc "tier1_bytes" (Cache.stats cache) in
+        if abs (charged - reachable) * 20 > reachable then
+          Alcotest.failf "%s: charged %d B, reachable %d B" kernel charged
+            reachable)
     [ "bic"; "fir"; "mat"; "imi" ]
 
 (* An inline source may declare arrays far larger than the loops read.
@@ -1306,6 +1352,8 @@ let () =
           Alcotest.test_case "rebudget sessions" `Quick test_rebudget_sessions;
           Alcotest.test_case "tier-1 bytes charged at insert" `Quick
             test_tier1_bytes;
+          Alcotest.test_case "tier-1 bytes hold across requests" `Quick
+            test_tier1_bytes_across_requests;
           Alcotest.test_case "inline source with a huge array" `Quick
             test_inline_wide_array;
           Alcotest.test_case "stats row" `Quick test_stats_row;
