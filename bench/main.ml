@@ -784,7 +784,7 @@ let write_bench name ~unit ?(pooled = false) members =
 (* ------------------------------------------------------------------ perf *)
 
 (* Per-call cost of the allocators on the Fig. 1 example, of the hardened
-   pipeline against raw evaluate (run_checked adds guard bookkeeping, the
+   pipeline against raw evaluate (checked adds guard bookkeeping, the
    event-model second opinion and warning synthesis; it must stay close
    to free), and of the fuzz harness: one generate-and-judge case over a
    mix of valid, mask-stress and broken kernels, and a pooled campaign. *)
@@ -832,8 +832,11 @@ let perf () =
               let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
               ignore (Simulator.run alloc) );
           ( "evaluate (raw)",
-            fun () -> ignore (Flow.evaluate Allocator.Cpa_ra nest) );
-          ("run_checked (hardened)", fun () -> ignore (Flow.run_checked nest));
+            fun () ->
+              ignore
+                (Flow.evaluate_analysis Flow.default_config Allocator.Cpa_ra
+                   (Flow.analyze nest)) );
+          ("checked (hardened)", fun () -> ignore (Flow.checked nest));
           ( "fuzz case (generate+judge)",
             fun () ->
               let id = !case_id in

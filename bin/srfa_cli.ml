@@ -260,7 +260,7 @@ let check_cmd =
     | Result.Error diags -> fail_diags ~file diags
     | Ok nest -> (
       let config = config_of_budget budget in
-      match Srfa_core.Flow.run_checked ~config ~algorithm nest with
+      match Srfa_core.Flow.checked ~config ~algorithm nest with
       | Result.Error diags -> fail_diags ~file diags
       | Ok (report, warnings) ->
         report_diags ~file warnings;
@@ -596,10 +596,17 @@ let explore_cmd =
       & info [ "budgets" ] ~docv:"N,N,..." ~doc)
   in
   let algorithms_arg =
-    let doc = "Comma-separated algorithms (default: cpa-ra)." in
+    let doc = "Comma-separated algorithms, at least one (default: cpa-ra)." in
+    let algorithms = Arg.list algorithm_conv in
+    let parse s =
+      match Arg.conv_parser algorithms s with
+      | Ok [] -> Error (`Msg "expected at least one algorithm")
+      | parsed -> parsed
+    in
+    let algorithms = Arg.conv (parse, Arg.conv_printer algorithms) in
     Arg.(
       value
-      & opt (list algorithm_conv) [ Srfa_core.Allocator.Cpa_ra ]
+      & opt algorithms [ Srfa_core.Allocator.Cpa_ra ]
       & info [ "algorithms" ] ~docv:"ALG,ALG,..." ~doc)
   in
   let json_arg =
@@ -726,42 +733,44 @@ let explore_cmd =
 (* The events file is JSON: either a bare array of events, or an object
    {"initial": N, "events": [...]} that also pins the opening budget.
    Each event is an absolute target — a bare integer or {"budget": N} —
-   or a relative {"delta": D} against the previous effective budget. *)
-let rebudget_events_of_json ~initial json =
+   or a relative {"delta": D} against the previous effective budget.
+   The file is read where the option is parsed, so a malformed one is a
+   usage error like a missing one. The value is the pinned opening
+   budget, if any, and each event as a function of the previous target. *)
+let events_conv =
   let module J = Srfa_util.Json in
-  let bad what = failwith (Printf.sprintf "events file: %s" what) in
-  let initial, events =
-    match json with
-    | J.Arr events -> (initial, events)
+  let event = function
+    | J.Int n -> Fun.const n
+    | J.Obj _ as obj -> (
+      match (J.member "budget" obj, J.member "delta" obj) with
+      | Some (J.Int n), None -> Fun.const n
+      | None, Some (J.Int d) -> ( + ) d
+      | _ -> failwith "event objects carry \"budget\" or \"delta\" (integer)")
+    | _ -> failwith "events are integers or {\"budget\"|\"delta\": N} objects"
+  in
+  let of_json = function
+    | J.Arr events -> (None, List.map event events)
     | J.Obj _ as obj ->
       let initial =
         match J.member "initial" obj with
-        | Some (J.Int n) -> n
-        | None -> initial
-        | Some _ -> bad "\"initial\" must be an integer"
+        | Some (J.Int n) -> Some n
+        | None -> None
+        | Some _ -> failwith "\"initial\" must be an integer"
       in
       (match J.member "events" obj with
-      | Some (J.Arr events) -> (initial, events)
-      | _ -> bad "expected an \"events\" array")
-    | _ -> bad "expected an array of events or an object with one"
+      | Some (J.Arr events) -> (initial, List.map event events)
+      | _ -> failwith "expected an \"events\" array")
+    | _ -> failwith "expected an array of events or an object with one"
   in
-  let last = ref initial in
-  let absolute = function
-    | J.Int n -> n
-    | J.Obj _ as obj -> (
-      match (J.member "budget" obj, J.member "delta" obj) with
-      | Some (J.Int n), None -> n
-      | None, Some (J.Int d) -> !last + d
-      | _ -> bad "event objects carry \"budget\" or \"delta\" (integer)")
-    | _ -> bad "events are integers or {\"budget\"|\"delta\": N} objects"
+  let parse file =
+    Result.bind (Arg.conv_parser Arg.file file) (fun file ->
+        let read ic = J.parse (In_channel.input_all ic) in
+        match of_json (In_channel.with_open_text file read) with
+        | events -> Ok events
+        | exception (J.Malformed why | Failure why | Sys_error why) ->
+          Error (`Msg (Printf.sprintf "events file %s: %s" file why)))
   in
-  ( initial,
-    List.map
-      (fun ev ->
-        let target = absolute ev in
-        last := target;
-        target)
-      events )
+  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "FILE")
 
 let rebudget_cmd =
   let events_arg =
@@ -773,7 +782,7 @@ let rebudget_cmd =
     in
     Arg.(
       required
-      & opt (some file) None
+      & opt (some events_conv) None
       & info [ "events" ] ~docv:"FILE" ~doc)
   in
   let initial_arg =
@@ -787,18 +796,12 @@ let rebudget_cmd =
     let doc = "Emit one JSON object per step instead of a table." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run nest initial events_file json_out =
+  let run nest initial (pinned, events) json_out =
     guarded @@ fun () ->
     let module Flow = Srfa_core.Flow in
-    let json =
-      let text =
-        In_channel.with_open_text events_file In_channel.input_all
-      in
-      try Srfa_util.Json.parse text
-      with Srfa_util.Json.Malformed why ->
-        failwith (Printf.sprintf "events file: %s" why)
-    in
-    let initial, events = rebudget_events_of_json ~initial json in
+    let initial = Option.value pinned ~default:initial in
+    let last = ref initial in
+    let events = List.map (fun target -> last := target !last; !last) events in
     let prepared = Flow.Core.prepare nest in
     let steps =
       Flow.Core.rebudget Flow.default_config prepared ~initial ~events

@@ -2,7 +2,7 @@
 
    `srfa_fuzz --cases 1000 --seed 42` generates valid, mask-stress and
    deliberately broken kernels and pushes each through parse_result +
-   Flow.run_checked, asserting the never-crash contract (see
+   Flow.checked, asserting the never-crash contract (see
    Srfa_fuzzer.Harness). Any crash is minimised and printed with the seed
    and case id needed to replay it (`--replay ID`). Exit 0 when the
    campaign is clean, 1 otherwise. *)

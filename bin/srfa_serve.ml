@@ -48,10 +48,17 @@ let faults_arg =
 
 let deadline_arg =
   let doc =
-    "Default per-request deadline in milliseconds (requests may override \
-     with their own deadline_ms field); tripping it answers E-DEADLINE."
+    "Default per-request deadline in milliseconds, at least 0 (requests \
+     may override with their own deadline_ms field); tripping it answers \
+     E-DEADLINE."
   in
-  Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> Error (`Msg (Printf.sprintf "negative deadline %d" n))
+    | parsed -> parsed
+  in
+  let ms = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt (some ms) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
 let max_inflight_arg =
   let doc =

@@ -5,14 +5,15 @@ module Trace = Srfa_util.Trace
 
 (* ---- pure core --------------------------------------------------------
 
-   Everything below [module Core] is deterministic value-to-value
+   Everything in [module Core] is deterministic value-to-value
    computation: (parsed kernel, device/config, algorithm, budget,
    scratch) -> report. No filesystem, no formatters, no channels, no
    exit codes — trace sinks are injected by the caller and the in-memory
-   collector is the only one Core creates itself. The IO shell (the
-   top-level [Flow] functions, the CLI, the serve daemon) owns all
-   rendering and channel state, which is what lets Core values
-   ([prepared], reports) be cached and reused across requests. *)
+   collector is the only one Core creates itself. The callers (the CLI,
+   the serve daemon, the bench) own all rendering and channel state,
+   which is what lets Core values ([prepared], reports) be cached and
+   reused across requests. [Flow] is [Core]: the file ends in
+   [include Core]. *)
 
 module Core = struct
   type guards = { cut_work_limit : int option; event_model_cap : int }
@@ -57,19 +58,33 @@ module Core = struct
     in
     (sink, events)
 
-  let evaluate_analysis ?(trace = Trace.null) ?prepared ?sim_scratch config
-      algorithm analysis =
-    let sink, events = tee_collector trace in
+  (* The design-point step every evaluation shares: allocate into [sink],
+     summarise the decisions [events] collected, simulate and estimate.
+     The allocation comes back too, for the checked pipeline's
+     second-opinion schedule check. *)
+  let evaluate_step ~sink ~events ?prepared ?sim_scratch config algorithm
+      analysis =
     let alloc =
       allocation ~config ~trace:sink ?prepared ?sim_scratch algorithm analysis
     in
     (* Summarise the allocation decisions only (fixed before the simulator
        appends its own guard events to the same stream). *)
     let trace_summary = Trace.summary (events ()) in
-    Srfa_estimate.Report.build ~sim_config:config.sim
-      ~clock_params:config.clock_params ~trace:sink ~trace_summary ?sim_scratch
-      ~version:(Allocator.version_label algorithm)
-      alloc
+    let report =
+      Srfa_estimate.Report.build ~sim_config:config.sim
+        ~clock_params:config.clock_params ~trace:sink ~trace_summary
+        ?sim_scratch
+        ~version:(Allocator.version_label algorithm)
+        alloc
+    in
+    (report, alloc)
+
+  let evaluate_analysis ?(trace = Trace.null) ?prepared ?sim_scratch config
+      algorithm analysis =
+    let sink, events = tee_collector trace in
+    fst
+      (evaluate_step ~sink ~events ?prepared ?sim_scratch config algorithm
+         analysis)
 
   (* ---- prepared kernels ---------------------------------------------- *)
 
@@ -99,9 +114,15 @@ module Core = struct
     Srfa_sched.Simulator.scratch ~config:config.sim ~dfg:prepared.dfg
       prepared.analysis
 
-  let evaluate_prepared ?trace ?sim_scratch config algorithm prepared =
-    evaluate_analysis ?trace ~prepared:prepared.cpa ?sim_scratch config
-      algorithm prepared.analysis
+  let evaluate_all ?(config = default_config) ?(algorithms = Allocator.all)
+      ?trace nest =
+    let prepared = prepare nest in
+    let sim_scratch = scratch ~config prepared in
+    List.map
+      (fun alg ->
+        evaluate_analysis ?trace ~prepared:prepared.cpa ~sim_scratch config alg
+          prepared.analysis)
+      algorithms
 
   (* ---- checked pipeline ---------------------------------------------- *)
 
@@ -169,42 +190,26 @@ module Core = struct
              [ ("cycles", string_of_int cycles); ("cap", string_of_int cap) ])
 
   (* The body shared by the nest-at-a-time entry point and the
-     prepared-kernel one: allocate, report, second-opinion the schedule,
-     translate guard events into warnings. Never raises. *)
+     prepared-kernel one: the evaluate step, a second opinion on the
+     schedule, guard events translated into warnings. Never raises. *)
   let checked_prepared ?(trace = Trace.null) ?sim_scratch config algorithm
       prepared =
     let sink, events = tee_collector trace in
     match
       let sim_scratch =
-        match sim_scratch with
-        | Some s -> s
-        | None ->
-          Srfa_sched.Simulator.scratch ~config:config.sim ~dfg:prepared.dfg
-            prepared.analysis
+        match sim_scratch with Some s -> s | None -> scratch ~config prepared
       in
-      let alloc =
-        allocation ~config ~trace:sink ~prepared:prepared.cpa ~sim_scratch
+      let report, alloc =
+        evaluate_step ~sink ~events ~prepared:prepared.cpa ~sim_scratch config
           algorithm prepared.analysis
-      in
-      let trace_summary = Trace.summary (events ()) in
-      let report =
-        Srfa_estimate.Report.build ~sim_config:config.sim
-          ~clock_params:config.clock_params ~trace:sink ~trace_summary
-          ~sim_scratch
-          ~version:(Allocator.version_label algorithm)
-          alloc
       in
       let event_warning =
         event_model_warning ~sink ~guards:config.guards ~sim_config:config.sim
           ~dfg:prepared.dfg alloc
       in
-      (report, event_warning)
+      (report, warnings_of_events (events ()) @ Option.to_list event_warning)
     with
-    | report, event_warning ->
-      let warnings =
-        warnings_of_events (events ()) @ Option.to_list event_warning
-      in
-      Ok (report, warnings)
+    | checked -> Ok checked
     | exception exn -> Result.Error [ Diag.of_exn exn ]
 
   let checked ?(config = default_config) ?(algorithm = Allocator.Cpa_ra)
@@ -212,6 +217,17 @@ module Core = struct
     match prepare nest with
     | prepared -> checked_prepared ?trace config algorithm prepared
     | exception exn -> Result.Error [ Diag.of_exn exn ]
+
+  (* A report on [alloc] from [sim] when its simulation has already run
+     (certification's slow path ends in one), else from [simulate alloc].
+     Certified points, rebudget steps and explore points all report
+     through here. *)
+  let report_of ~config ?trace_summary ~simulate ?sim ~version alloc =
+    let sim = match sim with Some sim -> sim | None -> simulate alloc in
+    Srfa_estimate.Report.of_result ~clock_params:config.clock_params
+      ?trace_summary ~sim_config:config.sim ~version alloc sim
+
+  let portfolio_version = Allocator.version_label Allocator.Portfolio
 
   (* Budget monotonicity for the certified portfolio: certification alone
      makes a point never worse than the greedy baselines at its own budget,
@@ -232,24 +248,13 @@ module Core = struct
     in
     let alloc = outcome.Certify.allocation in
     let trace_summary = Trace.summary (events ()) in
-    let build alloc =
-      Srfa_estimate.Report.build ~sim_config:config.sim
-        ~clock_params:config.clock_params ~trace:sink ~trace_summary
-        ?sim_scratch
-        ~version:(Allocator.version_label Allocator.Portfolio)
-        alloc
+    let build =
+      report_of ~config ~trace_summary ~version:portfolio_version
+        ~simulate:
+          (Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
+             ?scratch:sim_scratch)
     in
-    (* Reuse the certification's final simulation when the slow path ran;
-       only the dominance fast path needs a fresh one for the report. *)
-    let report =
-      match outcome.Certify.sim with
-      | Some sim ->
-        Srfa_estimate.Report.of_result ~clock_params:config.clock_params
-          ~trace_summary ~sim_config:config.sim
-          ~version:(Allocator.version_label Allocator.Portfolio)
-          alloc sim
-      | None -> build alloc
-    in
+    let report = build ?sim:outcome.Certify.sim alloc in
     let report, final_alloc =
       match !carry with
       | Some (b0, entries0, cycles0)
@@ -291,6 +296,26 @@ module Core = struct
 
   let default_budgets = [ 8; 16; 32; 64; 128 ]
 
+  (* [f ~trace] over [items], results in input order, on [pool] when one
+     is given. Under a pool each item traces into a private buffer, and
+     the buffers are spliced into [trace] in input order after the join:
+     the stream the sequential walk emits, at any job count. *)
+  let fan_out ?pool ~trace f items =
+    match pool with
+    | None -> Array.map (f ~trace) items
+    | Some pool when not (Trace.enabled trace) ->
+      Srfa_util.Pool.map pool (f ~trace) items
+    | Some pool ->
+      let outputs =
+        Srfa_util.Pool.map pool
+          (fun x ->
+            let sink, splice = Trace.buffered () in
+            (f ~trace:sink x, splice))
+          items
+      in
+      Array.iter (fun (_, splice) -> splice trace) outputs;
+      Array.map fst outputs
+
   (* One kernel's full budget ladder. This stays sequential even under a
      pool: the portfolio carry-forward (budget monotonicity) threads state
      from each budget to the next, so the ladder is the unit of work and
@@ -322,6 +347,13 @@ module Core = struct
               { kernel; algorithm; budget; report })
             algorithms)
       budgets
+
+  let sweep ?(config = default_config) ?(algorithms = Allocator.all)
+      ?(budgets = default_budgets) ?(trace = Trace.null) ?pool kernels =
+    fan_out ?pool ~trace
+      (fun ~trace -> sweep_kernel ~config ~algorithms ~budgets ~trace)
+      (Array.of_list kernels)
+    |> Array.to_list |> List.concat
 
   (* ---- design-space exploration (DESIGN.md §17) ---------------------- *)
 
@@ -653,18 +685,19 @@ module Core = struct
     let cpa = Cpa_ra.ladder prepared.cpa in
     let iterations = Srfa_ir.Nest.iterations nest in
     let depth = Srfa_ir.Nest.depth nest in
-    let ngroups = Analysis.num_groups analysis in
     let latency = config.sim.Sim.latency in
     let cm = Srfa_sched.Cycle_model.prepare ~dfg:prepared.dfg ~latency in
+    (* The naive arm re-derives the analysis for every point. *)
+    let point_analysis () = if space.naive then analyze nest else analysis in
     (* The all-RAM baseline: one unpinned feasibility register per group
        (the engine's starting state), nothing resident. Evaluated
        unconditionally — it anchors the frontier's register/area/clock
        floor and is what the dominance cuts prune against. *)
-    let floor_entries =
-      Array.make ngroups { Allocation.beta = 1; Allocation.pinned = false }
-    in
     let floor_alloc =
-      Allocation.make ~analysis ~budget:n ~algorithm:"floor" floor_entries
+      Allocation.make ~analysis:(point_analysis ()) ~budget:n
+        ~algorithm:"floor"
+        (Array.make (Analysis.num_groups analysis)
+           { Allocation.beta = 1; Allocation.pinned = false })
     in
     (* Pipelined cycle floor: the loop-carried recurrence, which is
        RAM-map independent (ports only raise the initiation interval). *)
@@ -718,13 +751,12 @@ module Core = struct
     and variants_pruned = ref 0
     and budgets_skipped = ref 0 in
     let points = ref [] in
-    let clock_params = config.clock_params in
-    let run_sim ~sink alloc =
+    let run_sim alloc =
       let key = entries_key analysis alloc in
       match Hashtbl.find_opt sim_memo key with
       | Some sim ->
         incr memo_hits;
-        Trace.emit sink (fun () ->
+        Trace.emit trace (fun () ->
             Trace.event "explore.memo"
               [
                 ("variant", Trace.String v.v_label);
@@ -733,11 +765,8 @@ module Core = struct
               ]);
         sim
       | None ->
-        let sim =
-          if space.naive then Sim.run ~trace:sink ~config:config.sim alloc
-          else
-            Sim.run ~trace:sink ~config:config.sim ~scratch:sim_scratch alloc
-        in
+        let scratch = if space.naive then None else Some sim_scratch in
+        let sim = Sim.run ~trace ~config:config.sim ?scratch alloc in
         if not space.naive then Hashtbl.add sim_memo key sim;
         sim
     in
@@ -749,7 +778,9 @@ module Core = struct
       | Some sim -> sim
       | None -> Sim.run ~config:config.sim ~scratch:sim_scratch alloc
     in
-    let add_point ~serial ~budget ~algorithm ~floor ~cert ~report =
+    let add_point ~serial ~budget ~algorithm ~version ~floor ~cert ?sim alloc
+        =
+      let report = report_of ~config ~simulate:run_sim ?sim ~version alloc in
       let c = coords_of_report report in
       if space.prune then online_insert online c (v.v_idx, serial);
       incr points_evaluated;
@@ -769,25 +800,8 @@ module Core = struct
         }
         :: !points
     in
-    (* floor point *)
-    let sink = trace in
-    let floor_analysis =
-      if space.naive then analyze nest else analysis
-    in
-    let floor_alloc =
-      if space.naive then
-        Allocation.make ~analysis:floor_analysis ~budget:n ~algorithm:"floor"
-          (Array.make ngroups
-             { Allocation.beta = 1; Allocation.pinned = false })
-      else floor_alloc
-    in
-    let floor_sim = run_sim ~sink floor_alloc in
-    let floor_report =
-      Srfa_estimate.Report.of_result ~clock_params ~sim_config:config.sim
-        ~version:"floor" floor_alloc floor_sim
-    in
-    add_point ~serial:0 ~budget:n ~algorithm:"floor" ~floor:true ~cert:None
-      ~report:floor_report;
+    add_point ~serial:0 ~budget:n ~algorithm:"floor" ~version:"floor"
+      ~floor:true ~cert:None floor_alloc;
     (* budget x algorithm ladder *)
     let budgets =
       List.filter
@@ -802,7 +816,7 @@ module Core = struct
     let algorithms = space.space_algorithms in
     let ladder_size = List.length budgets * List.length algorithms in
     let emit_prune ~scope ~points_cut ~budget ~algorithm =
-      Trace.emit sink (fun () ->
+      Trace.emit trace (fun () ->
           Trace.event "explore.prune"
             ([
                ("scope", Trace.String scope);
@@ -835,7 +849,7 @@ module Core = struct
              point reports it and every certified point certifies it. *)
           let candidate =
             lazy
-              (allocation ~config:cfg ~trace:sink ~prepared:cpa ~sim_scratch
+              (allocation ~config:cfg ~trace ~prepared:cpa ~sim_scratch
                  Allocator.Cpa_ra analysis)
           in
           List.iter
@@ -848,68 +862,49 @@ module Core = struct
                   ~algorithm:(Some (Allocator.name alg))
               end
               else begin
-                let point_analysis =
-                  if space.naive then analyze nest else analysis
+                let certified = space.certify || alg = Allocator.Portfolio in
+                let alloc, sim, cert =
+                  if certified then begin
+                    let outcome =
+                      if space.naive then
+                        Allocator.run_portfolio ~latency ~trace
+                          ?cut_work_limit:cfg.guards.cut_work_limit
+                          ~sim_config:cfg.sim (point_analysis ()) ~budget:b
+                      else
+                        Certify.certify ~trace ~sim_config:cfg.sim
+                          ~sim_scratch ~simulate:memo_sim (Lazy.force candidate)
+                    in
+                    ( outcome.Certify.allocation,
+                      outcome.Certify.sim,
+                      Some
+                        {
+                          dominates =
+                            (match outcome.Certify.comparison with
+                            | Certify.Dominates -> true
+                            | Certify.Simulated _ -> false);
+                          repaired = outcome.Certify.repaired;
+                          adopted = outcome.Certify.adopted;
+                        } )
+                  end
+                  else if space.naive then
+                    ( Allocator.run ~latency ~trace
+                        ?cut_work_limit:cfg.guards.cut_work_limit
+                        ~sim_config:cfg.sim alg (point_analysis ()) ~budget:b,
+                      None,
+                      None )
+                  else if alg = Allocator.Cpa_ra then
+                    (Lazy.force candidate, None, None)
+                  else
+                    ( allocation ~config:cfg ~trace ~prepared:cpa ~sim_scratch
+                        alg analysis,
+                      None,
+                      None )
                 in
-                if space.certify || alg = Allocator.Portfolio then begin
-                  let outcome =
-                    if space.naive then
-                      Allocator.run_portfolio ~latency ~trace:sink
-                        ?cut_work_limit:cfg.guards.cut_work_limit
-                        ~sim_config:cfg.sim point_analysis ~budget:b
-                    else
-                      Certify.certify ~trace:sink ~sim_config:cfg.sim
-                        ~sim_scratch ~simulate:memo_sim (Lazy.force candidate)
-                  in
-                  let alloc = outcome.Certify.allocation in
-                  let version = Allocator.version_label Allocator.Portfolio in
-                  let report =
-                    match outcome.Certify.sim with
-                    | Some sim ->
-                      Srfa_estimate.Report.of_result ~clock_params
-                        ~sim_config:cfg.sim ~version alloc sim
-                    | None ->
-                      let sim = run_sim ~sink alloc in
-                      Srfa_estimate.Report.of_result ~clock_params
-                        ~sim_config:cfg.sim ~version alloc sim
-                  in
-                  let cert =
-                    Some
-                      {
-                        dominates =
-                          (match outcome.Certify.comparison with
-                          | Certify.Dominates -> true
-                          | Certify.Simulated _ -> false);
-                        repaired = outcome.Certify.repaired;
-                        adopted = outcome.Certify.adopted;
-                      }
-                  in
-                  add_point ~serial:!serial ~budget:b
-                    ~algorithm:(Allocator.name Allocator.Portfolio)
-                    ~floor:false ~cert ~report
-                end
-                else begin
-                  let alloc =
-                    if space.naive then
-                      Allocator.run ~latency ~trace:sink
-                        ?cut_work_limit:cfg.guards.cut_work_limit
-                        ~sim_config:cfg.sim alg point_analysis ~budget:b
-                    else if alg = Allocator.Cpa_ra then Lazy.force candidate
-                    else
-                      allocation ~config:cfg ~trace:sink ~prepared:cpa
-                        ~sim_scratch alg analysis
-                  in
-                  let sim = run_sim ~sink alloc in
-                  let report =
-                    Srfa_estimate.Report.of_result ~clock_params
-                      ~sim_config:cfg.sim
-                      ~version:(Allocator.version_label alg)
-                      alloc sim
-                  in
-                  add_point ~serial:!serial ~budget:b
-                    ~algorithm:(Allocator.name alg) ~floor:false ~cert:None
-                    ~report
-                end
+                let alg = if certified then Allocator.Portfolio else alg in
+                add_point ~serial:!serial ~budget:b
+                  ~algorithm:(Allocator.name alg)
+                  ~version:(Allocator.version_label alg) ~floor:false ~cert
+                  ?sim alloc
               end)
             algorithms)
         budgets
@@ -1010,26 +1005,12 @@ module Core = struct
       end
       else []
     in
-    let online = online_create () in
-    let traced = Trace.enabled trace in
-    let run_variant v =
-      if traced then begin
-        let sink, splice = Trace.buffered () in
-        (evaluate_variant ~config ~space ~online ~trace:sink v, splice)
-      end
-      else
-        (evaluate_variant ~config ~space ~online ~trace:Trace.null v,
-         fun _ -> ())
+    let results =
+      fan_out ?pool ~trace
+        (evaluate_variant ~config ~space ~online:(online_create ()))
+        (Array.of_list variants)
+      |> Array.to_list
     in
-    let varr = Array.of_list variants in
-    let outputs =
-      match pool with
-      | Some p when Srfa_util.Pool.jobs p > 1 && Array.length varr > 1 ->
-        Srfa_util.Pool.map p run_variant varr
-      | _ -> Array.map run_variant varr
-    in
-    if traced then Array.iter (fun (_, splice) -> splice trace) outputs;
-    let results = List.map fst (Array.to_list outputs) in
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
     let stats =
       {
@@ -1168,12 +1149,13 @@ module Core = struct
      certified in this stream (a budget ladder that oscillates revisits
      budgets constantly; re-deriving an identical certified allocation
      would be pure waste). Single-owner like every scratch-bearing value
-     in this module: one session per domain at a time. *)
+     in this module: one session per domain at a time. [rb_current] is
+     [None] until the stream's opening event is answered. *)
   type rebudget_session = {
     rb_prepared : prepared;
     rb_config : config;
     rb_scratch : Srfa_sched.Simulator.scratch;
-    mutable rb_current : Allocation.t;
+    mutable rb_current : Allocation.t option;
     rb_memo :
       (int, Allocation.t * Srfa_estimate.Report.t * Srfa_util.Diag.t list)
       Hashtbl.t;
@@ -1200,67 +1182,10 @@ module Core = struct
           ("minimum", string_of_int minimum);
         ]
 
-  let rebudget_report ~cfg ~sink ~trace_summary ~sim_scratch outcome =
-    let alloc = outcome.Certify.allocation in
-    match outcome.Certify.sim with
-    | Some sim ->
-      Srfa_estimate.Report.of_result ~clock_params:cfg.clock_params
-        ~trace_summary ~sim_config:cfg.sim
-        ~version:(Allocator.version_label Allocator.Portfolio)
-        alloc sim
-    | None ->
-      Srfa_estimate.Report.build ~sim_config:cfg.sim
-        ~clock_params:cfg.clock_params ~trace:sink ~trace_summary ~sim_scratch
-        ~version:(Allocator.version_label Allocator.Portfolio)
-        alloc
-
-  let rebudget_start ?(trace = Trace.null) ?sim_scratch config prepared
-      ~budget =
-    let sim_scratch =
-      match sim_scratch with Some s -> s | None -> scratch ~config prepared
-    in
-    let sink, events = tee_collector trace in
-    let minimum = prepared.minimum in
-    let effective = max budget minimum in
-    let clamped = budget < minimum in
-    let clamp_warning =
-      if clamped then [ rebudget_guard ~sink ~requested:budget ~minimum ]
-      else []
-    in
-    let cfg = { config with budget = effective } in
-    let outcome =
-      Allocator.run_portfolio ~latency:cfg.sim.Srfa_sched.Simulator.latency
-        ~trace:sink ?cut_work_limit:cfg.guards.cut_work_limit
-        ~prepared:prepared.cpa ~sim_config:cfg.sim ~sim_scratch
-        prepared.analysis ~budget:effective
-    in
-    let trace_summary = Trace.summary (events ()) in
-    let report = rebudget_report ~cfg ~sink ~trace_summary ~sim_scratch outcome in
-    let base_warnings = warnings_of_events (events ()) in
-    let alloc = outcome.Certify.allocation in
-    let session =
-      {
-        rb_prepared = prepared;
-        rb_config = config;
-        rb_scratch = sim_scratch;
-        rb_current = alloc;
-        rb_memo = Hashtbl.create 8;
-      }
-    in
-    Hashtbl.replace session.rb_memo effective (alloc, report, base_warnings);
-    ( session,
-      {
-        requested = budget;
-        effective;
-        clamped;
-        freed = 0;
-        respent = 0;
-        memoized = false;
-        allocation = alloc;
-        report;
-        warnings = clamp_warning @ base_warnings;
-      } )
-
+  (* Every event of a stream, the opening one included: clamp, answer
+     from the memo when the effective budget was visited before, else
+     certify a fresh allocation — from scratch for the opening event,
+     by reclaiming or re-spending the live one after it. *)
   let rebudget_step ?(trace = Trace.null) session ~budget =
     let prepared = session.rb_prepared in
     let minimum = prepared.minimum in
@@ -1271,59 +1196,85 @@ module Core = struct
       if clamped then [ rebudget_guard ~sink ~requested:budget ~minimum ]
       else []
     in
-    match Hashtbl.find_opt session.rb_memo effective with
-    | Some (alloc, report, base_warnings) ->
-      session.rb_current <- alloc;
-      {
-        requested = budget;
-        effective;
-        clamped;
-        freed = 0;
-        respent = 0;
-        memoized = true;
-        allocation = alloc;
-        report;
-        warnings = clamp_warning @ base_warnings;
-      }
-    | None ->
-      let cfg = { session.rb_config with budget = effective } in
-      let eng = Engine.of_allocation ~trace:sink session.rb_current in
-      let moved = Engine.rebudget ~reason:"rebudget event" eng ~budget:effective in
-      let headroom = Engine.remaining eng in
-      Certify.respend eng;
-      let respent = headroom - Engine.remaining eng in
-      let candidate =
-        Engine.finalize ~pin_all:true eng ~algorithm:Certify.algorithm_name
-      in
-      (* Re-establish the certified never-worse contract at the new
-         budget: the reclaimed/re-spent candidate is certified against
-         FR-RA and PR-RA exactly like a from-scratch portfolio point. *)
-      let outcome =
-        Certify.certify ~trace:sink ~sim_config:cfg.sim
-          ~sim_scratch:session.rb_scratch candidate
-      in
-      let trace_summary = Trace.summary (events ()) in
-      let report =
-        rebudget_report ~cfg ~sink ~trace_summary
-          ~sim_scratch:session.rb_scratch outcome
-      in
-      let base_warnings = warnings_of_events (events ()) in
-      let alloc = outcome.Certify.allocation in
-      Hashtbl.replace session.rb_memo effective (alloc, report, base_warnings);
-      session.rb_current <- alloc;
-      {
-        requested = budget;
-        effective;
-        clamped;
-        freed = moved.Engine.freed;
-        respent;
-        memoized = false;
-        allocation = alloc;
-        report;
-        warnings = clamp_warning @ base_warnings;
-      }
+    let (alloc, report, warnings), freed, respent, memoized =
+      match Hashtbl.find_opt session.rb_memo effective with
+      | Some answer -> (answer, 0, 0, true)
+      | None ->
+        let config = { session.rb_config with budget = effective } in
+        let sim_scratch = session.rb_scratch in
+        let outcome, freed, respent =
+          match session.rb_current with
+          | None ->
+            ( Allocator.run_portfolio
+                ~latency:config.sim.Srfa_sched.Simulator.latency ~trace:sink
+                ?cut_work_limit:config.guards.cut_work_limit
+                ~prepared:prepared.cpa ~sim_config:config.sim ~sim_scratch
+                prepared.analysis ~budget:effective,
+              0,
+              0 )
+          | Some current ->
+            let eng = Engine.of_allocation ~trace:sink current in
+            let moved =
+              Engine.rebudget ~reason:"rebudget event" eng ~budget:effective
+            in
+            let headroom = Engine.remaining eng in
+            Certify.respend eng;
+            let respent = headroom - Engine.remaining eng in
+            let candidate =
+              Engine.finalize ~pin_all:true eng
+                ~algorithm:Certify.algorithm_name
+            in
+            (* Re-establish the certified never-worse contract at the new
+               budget: the reclaimed/re-spent candidate is certified
+               against FR-RA and PR-RA exactly like a from-scratch
+               portfolio point. *)
+            ( Certify.certify ~trace:sink ~sim_config:config.sim ~sim_scratch
+                candidate,
+              moved.Engine.freed,
+              respent )
+        in
+        let alloc = outcome.Certify.allocation in
+        let trace_summary = Trace.summary (events ()) in
+        let report =
+          report_of ~config ~trace_summary
+            ~simulate:
+              (Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
+                 ~scratch:sim_scratch)
+            ?sim:outcome.Certify.sim ~version:portfolio_version alloc
+        in
+        let answer = (alloc, report, warnings_of_events (events ())) in
+        Hashtbl.replace session.rb_memo effective answer;
+        (answer, freed, respent, false)
+    in
+    session.rb_current <- Some alloc;
+    {
+      requested = budget;
+      effective;
+      clamped;
+      freed;
+      respent;
+      memoized;
+      allocation = alloc;
+      report;
+      warnings = clamp_warning @ warnings;
+    }
 
-  let rebudget_current session = session.rb_current
+  let rebudget_start ?trace ?sim_scratch config prepared ~budget =
+    let session =
+      {
+        rb_prepared = prepared;
+        rb_config = config;
+        rb_scratch =
+          (match sim_scratch with
+          | Some s -> s
+          | None -> scratch ~config prepared);
+        rb_current = None;
+        rb_memo = Hashtbl.create 8;
+      }
+    in
+    (session, rebudget_step ?trace session ~budget)
+
+  let rebudget_current session = Option.get session.rb_current
 
   let rebudget ?trace ?sim_scratch config prepared ~initial ~events =
     let session, first =
@@ -1332,80 +1283,4 @@ module Core = struct
     first :: List.map (fun b -> rebudget_step ?trace session ~budget:b) events
 end
 
-(* ---- IO shell ----------------------------------------------------------
-
-   The historical Flow surface, now thin delegations into {!Core}. The
-   subcommands (alloc/sweep/check), the bench and the tests call through
-   these unchanged; anything that needs per-request reuse (the serve
-   daemon) goes to {!Core} directly. *)
-
-type guards = Core.guards = {
-  cut_work_limit : int option;
-  event_model_cap : int;
-}
-
-let default_guards = Core.default_guards
-
-type config = Core.config = {
-  budget : int;
-  sim : Srfa_sched.Simulator.config;
-  clock_params : Srfa_estimate.Clock.params;
-  guards : guards;
-}
-
-let default_config = Core.default_config
-let analyze = Core.analyze
-
-let allocation ?(config = Core.default_config) ?trace ?prepared ?sim_scratch
-    algorithm analysis =
-  Core.allocation ~config ?trace ?prepared ?sim_scratch algorithm analysis
-
-let evaluate ?(config = Core.default_config) ?trace algorithm nest =
-  Core.evaluate_analysis ?trace config algorithm (Core.analyze nest)
-
-let evaluate_all ?(config = Core.default_config) ?(algorithms = Allocator.all)
-    ?trace nest =
-  let prepared = Core.prepare nest in
-  let sim_scratch = Core.scratch ~config prepared in
-  List.map
-    (fun alg -> Core.evaluate_prepared ?trace ~sim_scratch config alg prepared)
-    algorithms
-
-type sweep_point = Core.sweep_point = {
-  kernel : string;
-  algorithm : Allocator.algorithm;
-  budget : int;
-  report : Srfa_estimate.Report.t;
-}
-
-let default_budgets = Core.default_budgets
-
-let run_checked ?(config = Core.default_config)
-    ?(algorithm = Allocator.Cpa_ra) ?trace nest =
-  Core.checked ~config ~algorithm ?trace nest
-
-let sweep ?(config = Core.default_config) ?(algorithms = Allocator.all)
-    ?(budgets = Core.default_budgets) ?trace ?pool kernels =
-  let sweep_kernel = Core.sweep_kernel ~config ~algorithms ~budgets in
-  match pool with
-  | Some pool when Srfa_util.Pool.jobs pool > 1 && List.length kernels > 1 ->
-    (* Parallel across kernels, deterministic by construction: results
-       come back in input order from Pool.map, and each kernel's trace
-       goes into a private buffer spliced back in kernel order — the
-       same kernel-major stream the sequential walk emits. *)
-    let traced = match trace with Some t -> Trace.enabled t | None -> false in
-    let outputs =
-      Srfa_util.Pool.map pool
-        (fun kn ->
-          if traced then
-            let sink, splice = Trace.buffered () in
-            (sweep_kernel ~trace:sink kn, splice)
-          else (sweep_kernel kn, fun _ -> ()))
-        (Array.of_list kernels)
-    in
-    (match trace with
-    | Some t when Trace.enabled t ->
-      Array.iter (fun (_, splice) -> splice t) outputs
-    | _ -> ());
-    List.concat_map fst (Array.to_list outputs)
-  | _ -> List.concat_map (fun kn -> sweep_kernel ?trace kn) kernels
+include Core

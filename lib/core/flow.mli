@@ -3,21 +3,19 @@
     pipeline (C kernel -> scalar replacement -> HLS -> P&R -> simulate),
     with the substitutions documented in DESIGN.md §2.
 
-    The module is split in two layers (DESIGN.md §14):
+    Flow is one layer, the {e pure core} (DESIGN.md §14): deterministic
+    functions from (parsed kernel, device/config, algorithm, budget,
+    scratch) to reports and diagnostics. It touches no filesystem, owns
+    no formatter or channel state, and never calls [exit] — the only
+    effects are writes to caller-injected {!Srfa_util.Trace} sinks and to
+    the explicitly passed mutable scratch. Its values ([prepared],
+    reports) are therefore safe to cache and reuse across requests, which
+    is what the serve daemon's content-addressed cache does. The CLI, the
+    daemon and the bench own all rendering and IO.
 
-    - {!Core} is the {e pure core}: deterministic functions from (parsed
-      kernel, device/config, algorithm, budget, scratch) to reports and
-      diagnostics. It touches no filesystem, owns no formatter or channel
-      state, and never calls [exit] — the only effects are writes to
-      caller-injected {!Srfa_util.Trace} sinks and to the explicitly
-      passed mutable scratch. Core values ([Core.prepared], reports) are
-      therefore safe to cache and reuse across requests, which is what
-      the serve daemon's content-addressed cache does.
-    - The top-level functions below are the {e IO shell}: the historical
-      [Flow] surface the CLI subcommands ([alloc]/[sweep]/[check]), the
-      bench and the tests call. They are thin delegations into {!Core}
-      (plus the pool-parallel sweep driver) and their outputs are
-      byte-identical to the pre-split code. *)
+    The implementation is {!Core}, and [Flow] includes it: [Flow.x] and
+    [Flow.Core.x] are one value. [Core] keeps its name because the
+    repository benchmark (perfbench/) refers to it. *)
 
 open Srfa_ir
 open Srfa_reuse
@@ -34,6 +32,9 @@ module Core : sig
   }
 
   val default_guards : guards
+  (** [cut_work_limit = Some 200_000] (far beyond any of the paper
+      kernels' needs — the fir kernel's full allocation costs under a
+      hundred work units), [event_model_cap = 100_000]. *)
 
   type config = {
     budget : int;                            (** register budget (paper: 64) *)
@@ -43,6 +44,7 @@ module Core : sig
   }
 
   val default_config : config
+  (** Budget 64, default simulator, clock parameters and guards. *)
 
   val analyze : Nest.t -> Analysis.t
 
@@ -56,9 +58,11 @@ module Core : sig
     ?trace:Srfa_util.Trace.sink -> ?prepared:Cpa_ra.prepared ->
     ?sim_scratch:Srfa_sched.Simulator.scratch ->
     config -> Allocator.algorithm -> Analysis.t -> Srfa_estimate.Report.t
-  (** Allocate under an in-memory trace collector (teeing into [trace]
-      when given), simulate, and estimate — the single design-point
-      primitive every entry point reduces to. *)
+  (** Allocate, simulate and estimate one design — the single
+      design-point primitive every entry point reduces to. The allocation
+      runs under an in-memory trace collector either way, so the report's
+      [trace_summary] is always filled in; [trace] additionally receives
+      the raw events (e.g. {!Srfa_util.Trace.channel}). *)
 
   type prepared = {
     nest : Nest.t;
@@ -80,11 +84,12 @@ module Core : sig
       latency table, donating the already-built DFG. Not thread-safe:
       one per domain (see {!Srfa_sched.Simulator.scratch}). *)
 
-  val evaluate_prepared :
-    ?trace:Srfa_util.Trace.sink ->
-    ?sim_scratch:Srfa_sched.Simulator.scratch ->
-    config -> Allocator.algorithm -> prepared -> Srfa_estimate.Report.t
-  (** {!evaluate_analysis} against a prepared kernel. *)
+  val evaluate_all :
+    ?config:config -> ?algorithms:Allocator.algorithm list ->
+    ?trace:Srfa_util.Trace.sink -> Nest.t -> Srfa_estimate.Report.t list
+  (** One report per algorithm (default: {!Allocator.all} — v1, v2, v3,
+      v3+, the knapsack baseline and the certified portfolio), sharing
+      one {!prepare} of the nest and one simulator scratch. *)
 
   val checked_prepared :
     ?trace:Srfa_util.Trace.sink ->
@@ -101,9 +106,18 @@ module Core : sig
     ?trace:Srfa_util.Trace.sink -> Nest.t ->
     (Srfa_estimate.Report.t * Srfa_util.Diag.t list, Srfa_util.Diag.t list)
     result
-  (** {!prepare} + {!checked_prepared}, with preparation failures (semantic
-      validation, dependency cycles) classified through
-      {!Srfa_util.Diag.of_exn} like every other stage. *)
+  (** The total pipeline: analyse, allocate (default {!Allocator.Cpa_ra}),
+      simulate and estimate — never raising. Any library-boundary
+      exception (semantic validation, dependency cycles, infeasible
+      budget, internal invariant) comes back as [Error diags] via
+      {!Srfa_util.Diag.of_exn}. [Ok (report, warnings)] carries one
+      warning diagnostic per tripped resource guard: [W-GUARD-CUT] (CPA
+      fell back to PR-RA on an exhausted cut work budget), [W-GUARD-MASK]
+      (simulator degraded past the bitmask memo cap), [W-GUARD-EVENT]
+      (the event-model second opinion diverged; the report keeps the
+      Cycle_model timing). Every trip is also visible as a trace event
+      ([fallback.pr_ra], [guard.mask], [fallback.cycle_model]) on
+      [trace]. {!prepare} + {!checked_prepared}. *)
 
   val portfolio_point :
     ?trace:Srfa_util.Trace.sink -> prepared:Cpa_ra.prepared ->
@@ -122,6 +136,8 @@ module Core : sig
   }
 
   val default_budgets : int list
+  (** [[8; 16; 32; 64; 128]] — the differential-test grid; 64 is the
+      paper's budget. *)
 
   val sweep_kernel :
     config:config -> algorithms:Allocator.algorithm list ->
@@ -132,6 +148,31 @@ module Core : sig
       the unit of work {!sweep} fans out over kernels. The ladder holds
       one CPA-RA round memo ({!Cpa_ra.ladder}) across its budgets and
       algorithms. *)
+
+  val sweep :
+    ?config:config -> ?algorithms:Allocator.algorithm list ->
+    ?budgets:int list -> ?trace:Srfa_util.Trace.sink ->
+    ?pool:Srfa_util.Pool.t ->
+    (string * Nest.t) list -> sweep_point list
+  (** Batch driver: kernels × algorithms × budgets in one pass, one
+      {!sweep_kernel} per kernel; [config.budget] is superseded by
+      [budgets]. Budgets below a kernel's feasibility minimum (one
+      register per reference group) are skipped rather than raising, so
+      a mixed-kernel sweep never aborts. Points are ordered kernel-major,
+      then budget, then algorithm.
+
+      {!Allocator.Portfolio} points are additionally budget-monotonic:
+      per kernel, the sweep carries the best certified allocation forward
+      (any allocation feasible at a lower budget stays feasible at a
+      higher one) and adopts it whenever a fresh point would report more
+      cycles, so more registers never yield more cycles. Each takeover
+      emits a ["certify.monotonic"] trace event.
+
+      [pool] parallelises the sweep {e across kernels}; the result is
+      equal to the sequential sweep — same points in the same
+      kernel-major order, and the same [trace] stream, each kernel's
+      events buffered ({!Srfa_util.Trace.buffered}) and spliced back in
+      kernel order. *)
 
   (** {2 Design-space exploration}
 
@@ -336,102 +377,4 @@ module Core : sig
       (initial point first — [1 + length events] steps). *)
 end
 
-type guards = Core.guards = {
-  cut_work_limit : int option;
-  event_model_cap : int;
-}
-
-val default_guards : guards
-(** [cut_work_limit = Some 200_000] (far beyond any of the paper kernels'
-    needs — the fir kernel's full allocation costs under a hundred work
-    units), [event_model_cap = 100_000]. *)
-
-type config = Core.config = {
-  budget : int;                              (** register budget (paper: 64) *)
-  sim : Srfa_sched.Simulator.config;
-  clock_params : Srfa_estimate.Clock.params;
-  guards : guards;
-}
-
-val default_config : config
-(** Budget 64, default simulator, clock parameters and guards. *)
-
-val evaluate :
-  ?config:config -> ?trace:Srfa_util.Trace.sink -> Allocator.algorithm ->
-  Nest.t -> Srfa_estimate.Report.t
-(** Analyse, allocate, simulate and estimate one design. The allocation
-    runs under a trace collector either way, so the report's
-    [trace_summary] is always filled in; [trace] additionally forwards the
-    raw events (e.g. to {!Srfa_util.Trace.channel}). *)
-
-val evaluate_all :
-  ?config:config -> ?algorithms:Allocator.algorithm list ->
-  ?trace:Srfa_util.Trace.sink -> Nest.t -> Srfa_estimate.Report.t list
-(** One report per algorithm (default: {!Allocator.all} — v1, v2, v3,
-    v3+, the knapsack baseline and the certified portfolio), sharing a
-    single analysis and one {!Cpa_ra.prepare} of the nest. *)
-
-type sweep_point = Core.sweep_point = {
-  kernel : string;
-  algorithm : Allocator.algorithm;
-  budget : int;
-  report : Srfa_estimate.Report.t;
-}
-
-val default_budgets : int list
-(** [[8; 16; 32; 64; 128]] — the differential-test grid; 64 is the
-    paper's budget. *)
-
-val sweep :
-  ?config:config -> ?algorithms:Allocator.algorithm list ->
-  ?budgets:int list -> ?trace:Srfa_util.Trace.sink ->
-  ?pool:Srfa_util.Pool.t ->
-  (string * Nest.t) list -> sweep_point list
-(** Batch driver: kernels × algorithms × budgets in one pass. Each kernel
-    is analysed once and its CPA scratch ({!Cpa_ra.prepare}) built once,
-    then reused across every budget and algorithm; [config.budget] is
-    superseded by [budgets]. Budgets below a kernel's feasibility minimum
-    (one register per reference group) are skipped rather than raising, so
-    a mixed-kernel sweep never aborts. Points are ordered kernel-major,
-    then budget, then algorithm.
-
-    {!Allocator.Portfolio} points are additionally budget-monotonic: per
-    kernel, the sweep carries the best certified allocation forward (any
-    allocation feasible at a lower budget stays feasible at a higher one)
-    and adopts it whenever a fresh point would report more cycles, so
-    more registers never yield more cycles. Each takeover emits a
-    ["certify.monotonic"] trace event.
-
-    [pool] parallelises the sweep {e across kernels} (each kernel's
-    budget ladder stays sequential, preserving the portfolio
-    carry-forward); the result is equal to the sequential sweep — same
-    points in the same kernel-major order, and the same [trace] stream,
-    each kernel's events buffered ({!Srfa_util.Trace.buffered}) and
-    spliced back in kernel order. *)
-
-val run_checked :
-  ?config:config -> ?algorithm:Allocator.algorithm ->
-  ?trace:Srfa_util.Trace.sink -> Nest.t ->
-  (Srfa_estimate.Report.t * Srfa_util.Diag.t list, Srfa_util.Diag.t list)
-  result
-(** Total pipeline: analyse, allocate (default {!Allocator.Cpa_ra}),
-    simulate and estimate — never raising. Any library-boundary exception
-    (semantic validation, infeasible budget, internal invariant) comes
-    back as [Error diags] via {!Srfa_util.Diag.of_exn}. [Ok (report,
-    warnings)] carries one warning diagnostic per tripped resource guard:
-    [W-GUARD-CUT] (CPA fell back to PR-RA on an exhausted cut work
-    budget), [W-GUARD-MASK] (simulator degraded past the bitmask memo
-    cap), [W-GUARD-EVENT] (the event-model second opinion diverged; the
-    report keeps the Cycle_model timing). Every trip is also visible as a
-    trace event ([fallback.pr_ra], [guard.mask], [fallback.cycle_model])
-    on [trace]. *)
-
-val analyze : Nest.t -> Analysis.t
-(** Re-exported for callers that drive the stages separately. *)
-
-val allocation :
-  ?config:config -> ?trace:Srfa_util.Trace.sink ->
-  ?prepared:Cpa_ra.prepared ->
-  ?sim_scratch:Srfa_sched.Simulator.scratch ->
-  Allocator.algorithm -> Analysis.t ->
-  Allocation.t
+include module type of struct include Core end

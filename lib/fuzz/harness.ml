@@ -29,7 +29,7 @@ let guard_event = function
 let evaluate ~algorithm ~budget nest =
   let config = { Flow.default_config with budget } in
   let sink, events = Trace.collector () in
-  let result = Flow.run_checked ~config ~algorithm ~trace:sink nest in
+  let result = Flow.checked ~config ~algorithm ~trace:sink nest in
   (result, events ())
 
 (* Upper bound on simulated RAM traffic: every reference touching RAM on

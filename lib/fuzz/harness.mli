@@ -2,7 +2,7 @@
 
     Each case goes through the total pipeline
     ({!Srfa_frontend.Parser.parse_result}, then
-    {!Srfa_core.Flow.run_checked}) and the outcome is judged against the
+    {!Srfa_core.Flow.checked}) and the outcome is judged against the
     robustness contract:
 
     - no input may escape as an uncaught exception ({!Crash});

@@ -118,6 +118,13 @@ let parse_request line =
       | Some (Int i) -> Ok (Some i)
       | Some _ -> Error (Printf.sprintf "field %S must be an integer" key)
     in
+    (* A negative guard or deadline is refused where the line is read. *)
+    let non_negative key =
+      match int key with
+      | Ok (Some n) when n < 0 ->
+        Error (Printf.sprintf "field %S must be a non-negative integer" key)
+      | r -> r
+    in
     let bool_field key =
       match member key json with
       | None -> Ok false
@@ -134,13 +141,8 @@ let parse_request line =
     let* device = str "device" in
     let* algorithm = str "algorithm" in
     let* budget = int "budget" in
-    let* cut_work_limit =
-      match int "cut_work_limit" with
-      | Ok (Some n) when n < 0 ->
-        Error "field \"cut_work_limit\" must be a non-negative integer"
-      | r -> r
-    in
-    let* deadline_ms = int "deadline_ms" in
+    let* cut_work_limit = non_negative "cut_work_limit" in
+    let* deadline_ms = non_negative "deadline_ms" in
     let* stream = str "stream" in
     let* orders = str "orders" in
     let* tiles = str "tiles" in

@@ -15,8 +15,9 @@
       it is the mandatory event target);
     - ["cut_work_limit"]: optional override of the CPA cut-work guard,
       a non-negative integer;
-    - ["deadline_ms"]: optional per-request wall-clock deadline
-      (overrides the server default; tripping it is [E-DEADLINE]);
+    - ["deadline_ms"]: optional per-request wall-clock deadline, a
+      non-negative integer (overrides the server default; tripping it is
+      [E-DEADLINE]);
     - ["stream"]: optional rebudget session name (default
       ["default"]) — requests naming the same kernel, device and stream
       mutate the same live allocation (DESIGN.md §16);

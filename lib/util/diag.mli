@@ -10,7 +10,7 @@
     The module also owns the exception boundary: {!of_exn} classifies the
     exceptions the library layers raise ([Invalid_argument], [Failure],
     [Not_found], [Sys_error], [Stack_overflow], ...) into coded
-    diagnostics, so [Flow.run_checked] and the CLI never re-implement the
+    diagnostics, so [Flow.checked] and the CLI never re-implement the
     mapping. *)
 
 type severity =

@@ -1,5 +1,5 @@
-(* End-to-end coverage of the Flow facade (the functions behind the CLI
-   and the bench harness). *)
+(* End-to-end coverage of Flow's entry points (the functions behind the
+   CLI and the bench harness). *)
 
 open Srfa_test_helpers
 module Flow = Srfa_core.Flow
@@ -28,8 +28,10 @@ let test_evaluate_all_versions () =
 let test_evaluate_consistent_with_parts () =
   let nest = Helpers.small_mat () in
   let config = small_config 12 in
-  let direct = Flow.evaluate ~config Srfa_core.Allocator.Cpa_ra nest in
   let analysis = Flow.analyze nest in
+  let direct =
+    Flow.evaluate_analysis config Srfa_core.Allocator.Cpa_ra analysis
+  in
   let alloc = Flow.allocation ~config Srfa_core.Allocator.Cpa_ra analysis in
   let sim = Srfa_sched.Simulator.run ~config:config.Flow.sim alloc in
   Alcotest.(check int) "cycles agree" sim.Srfa_sched.Simulator.total_cycles

@@ -183,6 +183,31 @@ let test_parallel_equals_serial () =
       Alcotest.(check string) "jobs=4 == jobs=1" serial
         (json ~pool example_space nest))
 
+(* The trace half of the same contract: each variant's events are
+   buffered under a pool and spliced back in variant order. Exhaustive
+   spaces only, since which points a pruned run cuts depends on
+   scheduling. example_space already strip-mines by 2. *)
+let test_parallel_trace_equals_serial () =
+  let module T = Srfa_util.Trace in
+  let nest = Helpers.example () in
+  let events ?pool space =
+    let sink, events = T.collector () in
+    ignore (Core.explore ~trace:sink ?pool ~space Core.default_config nest);
+    List.map T.to_json (events ())
+  in
+  List.iter
+    (fun (label, space) ->
+      let space = { space with Core.prune = false } in
+      let serial = events space in
+      Pool.with_pool ~jobs:4 (fun pool ->
+          Alcotest.(check (list string))
+            (label ^ ": jobs=4 == jobs=1")
+            serial (events ~pool space)))
+    [
+      ("example space", example_space);
+      ("certified", { example_space with Core.certify = true });
+    ]
+
 let test_memo_fires_on_saturating_ladder () =
   (* Budgets at and beyond full replacement produce identical entries,
      so one simulation must serve the whole tail of the ladder. *)
@@ -434,7 +459,8 @@ let prop_lower_bounds_sound =
       List.for_all
         (fun algorithm ->
           let r =
-            Core.evaluate_prepared ~sim_scratch config algorithm prepared
+            Core.evaluate_analysis ~prepared:prepared.Core.cpa ~sim_scratch
+              config algorithm prepared.Core.analysis
           in
           let ok =
             slices_lb <= r.Srfa_estimate.Report.slices
@@ -464,6 +490,8 @@ let () =
             test_memoised_equals_naive;
           Alcotest.test_case "jobs=4 == jobs=1" `Quick
             test_parallel_equals_serial;
+          Alcotest.test_case "traced jobs=4 == jobs=1" `Quick
+            test_parallel_trace_equals_serial;
         ] );
       ( "perf layers",
         [

@@ -57,7 +57,7 @@ let test_cut_guard_falls_back () =
     }
   in
   let sink, events = Trace.collector () in
-  match Flow.run_checked ~config:guarded ~algorithm:Allocator.Cpa_ra ~trace:sink nest with
+  match Flow.checked ~config:guarded ~algorithm:Allocator.Cpa_ra ~trace:sink nest with
   | Error _ -> Alcotest.fail "guarded CPA-RA run rejected the fir kernel"
   | Ok (report, warnings) -> (
     Alcotest.(check bool) "W-GUARD-CUT warning" true
@@ -65,7 +65,7 @@ let test_cut_guard_falls_back () =
     Alcotest.(check bool) "fallback.pr_ra event" true
       (has_event "fallback.pr_ra" (events ()));
     let unguarded = { guarded with Flow.guards = Flow.default_guards } in
-    match Flow.run_checked ~config:unguarded ~algorithm:Allocator.Pr_ra nest with
+    match Flow.checked ~config:unguarded ~algorithm:Allocator.Pr_ra nest with
     | Error _ -> Alcotest.fail "PR-RA reference run rejected the fir kernel"
     | Ok (pr, _) ->
       Alcotest.(check int) "degraded run carries PR-RA's cycles"
@@ -77,7 +77,7 @@ let test_cut_guard_falls_back () =
 let test_cut_guard_quiet_when_unneeded () =
   let nest = Helpers.small_fir () in
   let sink, events = Trace.collector () in
-  match Flow.run_checked ~algorithm:Allocator.Cpa_ra ~trace:sink nest with
+  match Flow.checked ~algorithm:Allocator.Cpa_ra ~trace:sink nest with
   | Error _ -> Alcotest.fail "default run rejected the fir kernel"
   | Ok (_, warnings) ->
     Alcotest.(check bool) "no guard warning" false
@@ -116,14 +116,14 @@ let test_event_cap_falls_back () =
     }
   in
   let sink, events = Trace.collector () in
-  match Flow.run_checked ~config:capped ~trace:sink nest with
+  match Flow.checked ~config:capped ~trace:sink nest with
   | Error _ -> Alcotest.fail "capped run rejected the fir kernel"
   | Ok (report, warnings) -> (
     Alcotest.(check bool) "W-GUARD-EVENT warning" true
       (has_warning "W-GUARD-EVENT" warnings);
     Alcotest.(check bool) "fallback.cycle_model event" true
       (has_event "fallback.cycle_model" (events ()));
-    match Flow.run_checked nest with
+    match Flow.checked nest with
     | Error _ -> Alcotest.fail "unguarded run rejected the fir kernel"
     | Ok (plain, _) ->
       Alcotest.(check int) "Cycle_model timing kept" plain.Report.cycles

@@ -130,7 +130,10 @@ let parses what text =
   | _ -> ()
   | exception Json.Malformed msg -> Alcotest.failf "%s: %s in %s" what msg text
 
-let report = lazy (Flow.evaluate Allocator.Cpa_ra (Helpers.small_fir ()))
+let report =
+  lazy
+    (Flow.evaluate_analysis Flow.default_config Allocator.Cpa_ra
+       (Flow.analyze (Helpers.small_fir ())))
 
 let diag =
   Diag.make ~code:"E-TEST-001" ~span:{ Diag.line = 3; col = 9 }

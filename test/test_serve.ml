@@ -135,6 +135,17 @@ let test_parse_request () =
   Alcotest.(check string)
     "zero cut_work_limit" "(ok)"
     (code {|{"kernel": "fir", "cut_work_limit": 0}|});
+  (* So is a negative deadline, which would otherwise trip at once. *)
+  (match Protocol.parse_request {|{"kernel": "fir", "deadline_ms": -1}|} with
+  | Error d ->
+    Alcotest.(check string) "negative deadline_ms" "E-PROTO-002" d.Diag.code;
+    Alcotest.(check string)
+      "negative deadline_ms message"
+      {|field "deadline_ms" must be a non-negative integer|} d.Diag.message
+  | Ok _ -> Alcotest.fail "negative deadline_ms accepted");
+  Alcotest.(check string)
+    "zero deadline_ms" "(ok)"
+    (code {|{"kernel": "fir", "deadline_ms": 0}|});
   (match Protocol.parse_request {|{"op": "stats"}|} with
   | Ok r -> Alcotest.(check bool) "stats op" true (r.Protocol.op = Protocol.Stats)
   | Error _ -> Alcotest.fail "stats request rejected");
@@ -1304,6 +1315,8 @@ let test_binary () =
   ignore (Client.rpc c {|{"op": "shutdown"}|});
   Client.close c;
   Alcotest.(check int) "exit 0 after shutdown" 0 (exit_code pid);
+  let pid = spawn [ "--deadline-ms=-5" ] null in
+  Alcotest.(check int) "negative deadline is a usage error" 124 (exit_code pid);
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let pid = spawn [ "--faults"; "disk.spin:error@0.5" ] err_w in
   Unix.close err_w;

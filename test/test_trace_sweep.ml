@@ -98,7 +98,9 @@ let test_sweep_matches_evaluate () =
   List.iter
     (fun (p : Flow.sweep_point) ->
       let config = { Flow.default_config with Flow.budget = p.Flow.budget } in
-      let direct = Flow.evaluate ~config p.Flow.algorithm nest in
+      let direct =
+        Flow.evaluate_analysis config p.Flow.algorithm (Flow.analyze nest)
+      in
       Alcotest.(check int)
         (Printf.sprintf "cycles at b=%d agree with evaluate" p.Flow.budget)
         direct.Report.cycles p.Flow.report.Report.cycles;
