@@ -733,10 +733,11 @@ let explore_cmd =
 (* The events file is JSON: either a bare array of events, or an object
    {"initial": N, "events": [...]} that also pins the opening budget.
    Each event is an absolute target — a bare integer or {"budget": N} —
-   or a relative {"delta": D} against the previous effective budget.
-   The file is read where the option is parsed, so a malformed one is a
-   usage error like a missing one. The value is the pinned opening
-   budget, if any, and each event as a function of the previous target. *)
+   or a relative {"delta": D} against the previous target (the opening
+   budget for the first event). The file is read where the option is
+   parsed, so a malformed one is a usage error like a missing one. The
+   value is the pinned opening budget, if any, and each event as a
+   function of the previous target. *)
 let events_conv =
   let module J = Srfa_util.Json in
   let event = function
@@ -778,7 +779,7 @@ let rebudget_cmd =
       "JSON budget-event stream to replay: an array of events, or an \
        object {\"initial\": N, \"events\": [...]}. Events are absolute \
        targets (integers or {\"budget\": N}) or relative \
-       ({\"delta\": -8}) against the previous effective budget."
+       ({\"delta\": -8}) against the previous target."
     in
     Arg.(
       required
@@ -801,7 +802,7 @@ let rebudget_cmd =
     let module Flow = Srfa_core.Flow in
     let initial = Option.value pinned ~default:initial in
     let last = ref initial in
-    let events = List.map (fun target -> last := target !last; !last) events in
+    let events = List.map (fun next -> last := next !last; !last) events in
     let prepared = Flow.Core.prepare nest in
     let steps =
       Flow.Core.rebudget Flow.default_config prepared ~initial ~events

@@ -886,19 +886,18 @@ module Core = struct
                           adopted = outcome.Certify.adopted;
                         } )
                   end
-                  else if space.naive then
-                    ( Allocator.run ~latency ~trace
-                        ?cut_work_limit:cfg.guards.cut_work_limit
-                        ~sim_config:cfg.sim alg (point_analysis ()) ~budget:b,
-                      None,
-                      None )
-                  else if alg = Allocator.Cpa_ra then
-                    (Lazy.force candidate, None, None)
                   else
-                    ( allocation ~config:cfg ~trace ~prepared:cpa ~sim_scratch
-                        alg analysis,
-                      None,
-                      None )
+                    let alloc =
+                      if space.naive then
+                        Allocator.run ~latency ~trace
+                          ?cut_work_limit:cfg.guards.cut_work_limit
+                          ~sim_config:cfg.sim alg (point_analysis ()) ~budget:b
+                      else if alg = Allocator.Cpa_ra then Lazy.force candidate
+                      else
+                        allocation ~config:cfg ~trace ~prepared:cpa
+                          ~sim_scratch alg analysis
+                    in
+                    (alloc, None, None)
                 in
                 let alg = if certified then Allocator.Portfolio else alg in
                 add_point ~serial:!serial ~budget:b
