@@ -154,7 +154,7 @@ module Core : sig
     ?budgets:int list -> ?trace:Srfa_util.Trace.sink ->
     ?pool:Srfa_util.Pool.t ->
     (string * Nest.t) list -> sweep_point list
-  (** Batch driver: kernels × algorithms × budgets in one pass, one
+  (** The batch sweep: kernels × algorithms × budgets in one pass, one
       {!sweep_kernel} per kernel; [config.budget] is superseded by
       [budgets]. Budgets below a kernel's feasibility minimum (one
       register per reference group) are skipped rather than raising, so
