@@ -27,8 +27,11 @@ for k in fir dec-fir imi mat pat bic example conv2d moving-average \
   corner-turn gradient-pair; do
   run alloc "$k"
   run compare "$k"
+  run sweep "$k" --jobs 1
   run sweep "$k" --jobs 1 --json
+  run explore "$k" --jobs 1
   run explore "$k" --jobs 1 --json
+  run rebudget "$k" --events cli_events.json
   run rebudget "$k" --json --events cli_events.json
 done
 for f in ../test/bad_kernels/*.k ../kernels_src/*.k; do

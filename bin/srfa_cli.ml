@@ -82,10 +82,8 @@ let fail_diags ?file diags =
    uncaught-exception crash. *)
 let guarded f =
   try f ()
-  with
-  | ( Srfa_frontend.Parser.Error _ | Srfa_frontend.Lexer.Error _
-    | Sys_error _ | Invalid_argument _ | Failure _ | Not_found ) as exn ->
-    fail_diags [ Srfa_frontend.Parser.diag_of_exn exn ]
+  with (Sys_error _ | Invalid_argument _ | Failure _ | Not_found) as exn ->
+    fail_diags [ Srfa_util.Diag.of_exn exn ]
 
 (* kernels *)
 let kernels_cmd =

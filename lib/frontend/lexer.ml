@@ -22,11 +22,12 @@ type token =
 
 type located = { token : token; line : int; col : int }
 
-exception Error of string
+module Diag = Srfa_util.Diag
 
-let fail line col fmt =
+let fail ~code line col fmt =
   Format.kasprintf
-    (fun msg -> raise (Error (Printf.sprintf "line %d, column %d: %s" line col msg)))
+    (fun msg ->
+      raise (Diag.Failed (Diag.make ~code ~span:{ Diag.line; col } msg)))
     fmt
 
 let is_digit c = c >= '0' && c <= '9'
@@ -45,7 +46,8 @@ let keyword line col = function
       let suffix = String.sub word 3 (String.length word - 3) in
       match int_of_string_opt suffix with
       | Some w when w > 0 && w <= 64 -> Kw_int w
-      | Some w -> fail line col "unsupported integer width %d" w
+      | Some w ->
+        fail ~code:"E-LEX-004" line col "unsupported integer width %d" w
       | None -> Ident word
     end
     else Ident word
@@ -85,7 +87,7 @@ let tokenize src =
         end
         else advance ()
       done;
-      if not !closed then fail l0 c0 "unterminated comment"
+      if not !closed then fail ~code:"E-LEX-003" l0 c0 "unterminated comment"
     end
     else if is_digit c then begin
       let start = !i in
@@ -94,8 +96,11 @@ let tokenize src =
       done;
       let text = String.sub src start (!i - start) in
       if !i < n && is_alpha src.[!i] then
-        fail l0 c0 "malformed number %S" text;
-      emit (Int (int_of_string text)) l0 c0
+        fail ~code:"E-LEX-002" l0 c0 "malformed number %S" text;
+      match int_of_string_opt text with
+      | Some v -> emit (Int v) l0 c0
+      | None ->
+        fail ~code:"E-LEX-002" l0 c0 "integer literal %s is out of range" text
     end
     else if is_alpha c then begin
       let start = !i in
@@ -128,7 +133,7 @@ let tokenize src =
       | '|', _ -> one Pipe
       | '^', _ -> one Caret
       | '<', _ -> one Lt
-      | _ -> fail l0 c0 "unexpected character %C" c
+      | _ -> fail ~code:"E-LEX-001" l0 c0 "unexpected character %C" c
     end
   done;
   emit Eof !line !col;

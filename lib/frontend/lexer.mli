@@ -1,6 +1,6 @@
 (** Tokenizer for the kernel source language (a small C-like DSL; see
-    {!Parser} for the grammar). Tracks line/column for error messages and
-    skips [//] line comments and [/* ... */] block comments. *)
+    {!Parser} for the grammar). Tracks line/column for every token and
+    error, and skips [//] line comments and [/* ... */] block comments. *)
 
 type token =
   | Ident of string
@@ -26,12 +26,10 @@ type token =
 
 type located = { token : token; line : int; col : int }
 
-exception Error of string
-(** Lexical errors; the message includes the position. *)
-
 val tokenize : string -> located list
 (** The whole input as tokens, ending with [Eof].
-    @raise Error on an unrecognised character or malformed token. *)
+    @raise Srfa_util.Diag.Failed with an [E-LEX-...] code and the span of
+    the offending character, number, width or comment. *)
 
 val describe : token -> string
 (** Human-readable token name for error messages. *)

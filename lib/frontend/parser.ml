@@ -1,6 +1,5 @@
 open Srfa_ir
-
-exception Error of string
+module Diag = Srfa_util.Diag
 
 type state = {
   tokens : Lexer.located array;
@@ -9,28 +8,33 @@ type state = {
   mutable loop_vars : string list; (* outermost first *)
 }
 
-let fail (st : state) fmt =
+(* Every failure is raised at the current token, with the code its site
+   names. *)
+let fail (st : state) ~code fmt =
   let { Lexer.line; col; _ } = st.tokens.(st.pos) in
   Format.kasprintf
     (fun msg ->
-      raise (Error (Printf.sprintf "line %d, column %d: %s" line col msg)))
+      raise (Diag.Failed (Diag.make ~code ~span:{ Diag.line; col } msg)))
     fmt
 
 let current st = st.tokens.(st.pos).Lexer.token
 let advance st = st.pos <- st.pos + 1
 
+(* The syntax error: the current token is not what the rule needs. *)
+let expected st what =
+  fail st ~code:"E-PARSE-001" "expected %s, found %s" what
+    (Lexer.describe (current st))
+
 let expect st token =
   if current st = token then advance st
-  else
-    fail st "expected %s, found %s" (Lexer.describe token)
-      (Lexer.describe (current st))
+  else expected st (Lexer.describe token)
 
 let ident st =
   match current st with
   | Lexer.Ident name ->
     advance st;
     name
-  | t -> fail st "expected an identifier, found %s" (Lexer.describe t)
+  | _ -> expected st "an identifier"
 
 let integer st =
   match current st with
@@ -43,8 +47,8 @@ let integer st =
     | Lexer.Int v ->
       advance st;
       -v
-    | t -> fail st "expected an integer after '-', found %s" (Lexer.describe t))
-  | t -> fail st "expected an integer, found %s" (Lexer.describe t)
+    | _ -> expected st "an integer after '-'")
+  | _ -> expected st "an integer"
 
 let find_decl st name = List.assoc_opt name st.decls
 let is_loop_var st name = List.mem name st.loop_vars
@@ -61,13 +65,13 @@ let affine_term st =
       advance st;
       let v = ident st in
       if not (is_loop_var st v) then
-        fail st "%s is not an enclosing loop variable" v;
+        fail st ~code:"E-PARSE-002" "%s is not an enclosing loop variable" v;
       Affine.var ~coeff v
     | _ -> Affine.const coeff)
   | Lexer.Ident v -> (
     advance st;
     if not (is_loop_var st v) then
-      fail st
+      fail st ~code:"E-PARSE-002"
         "%s is not an enclosing loop variable (array references cannot \
          appear inside indices)"
         v;
@@ -78,9 +82,9 @@ let affine_term st =
       | Lexer.Int coeff ->
         advance st;
         Affine.var ~coeff v
-      | t -> fail st "expected a constant coefficient, found %s" (Lexer.describe t))
+      | _ -> expected st "a constant coefficient")
     | _ -> Affine.var v)
-  | t -> fail st "expected an index term, found %s" (Lexer.describe t)
+  | _ -> expected st "an index term"
 
 let affine_expr st =
   let acc = ref (affine_term st) in
@@ -99,7 +103,7 @@ let affine_expr st =
 
 let reference st name =
   match find_decl st name with
-  | None -> fail st "undeclared array %s" name
+  | None -> fail st ~code:"E-PARSE-002" "undeclared array %s" name
   | Some decl ->
     let rec indices acc =
       match current st with
@@ -112,8 +116,8 @@ let reference st name =
     in
     let index = indices [] in
     if List.length index <> Decl.rank decl then
-      fail st "%s has rank %d but %d indices were given" name (Decl.rank decl)
-        (List.length index);
+      fail st ~code:"E-PARSE-003" "%s has rank %d but %d indices were given"
+        name (Decl.rank decl) (List.length index);
     Expr.ref_ decl index
 
 (* --- value expressions --------------------------------------------------- *)
@@ -207,13 +211,13 @@ and primary st =
   | Lexer.Ident ("min" | "max" | "abs") -> call st
   | Lexer.Ident name ->
     if is_loop_var st name then
-      fail st
+      fail st ~code:"E-PARSE-001"
         "loop variable %s cannot be used as a value (store the values it \
          would contribute in an input array)"
         name;
     advance st;
     Expr.Load (reference st name)
-  | t -> fail st "expected an expression, found %s" (Lexer.describe t)
+  | _ -> expected st "an expression"
 
 and call st =
   let name = ident st in
@@ -228,7 +232,7 @@ and call st =
     let b = expr st in
     expect st Lexer.Rparen;
     Expr.Binary ((if name = "min" then Op.Min else Op.Max), a, b)
-  | other -> fail st "unknown function %s" other
+  | other -> fail st ~code:"E-PARSE-002" "unknown function %s" other
 
 (* --- declarations, loops, statements ------------------------------------ *)
 
@@ -238,7 +242,7 @@ let declaration st =
     | Lexer.Kw_input -> Decl.Input
     | Lexer.Kw_output -> Decl.Output
     | Lexer.Kw_local -> Decl.Local
-    | t -> fail st "expected input/output/local, found %s" (Lexer.describe t)
+    | _ -> expected st "input/output/local"
   in
   advance st;
   let bits =
@@ -246,16 +250,18 @@ let declaration st =
     | Lexer.Kw_int w ->
       advance st;
       w
-    | t -> fail st "expected a type, found %s" (Lexer.describe t)
+    | _ -> expected st "a type"
   in
   let name = ident st in
-  if find_decl st name <> None then fail st "array %s declared twice" name;
+  if find_decl st name <> None then
+    fail st ~code:"E-PARSE-005" "array %s declared twice" name;
   let rec dims acc =
     match current st with
     | Lexer.Lbracket ->
       advance st;
       let d = integer st in
-      if d <= 0 then fail st "array extent must be positive, got %d" d;
+      if d <= 0 then
+        fail st ~code:"E-PARSE-004" "array extent must be positive, got %d" d;
       expect st Lexer.Rbracket;
       dims (d :: acc)
     | _ -> List.rev acc
@@ -278,7 +284,7 @@ let statement st =
     let e = expr st in
     expect st Lexer.Semicolon;
     Expr.Assign (target, Expr.Binary (Op.Add, Expr.Load target, e))
-  | t -> fail st "expected '=' or '+=', found %s" (Lexer.describe t)
+  | _ -> expected st "'=' or '+='"
 
 let rec loops st acc_loops =
   match current st with
@@ -286,21 +292,27 @@ let rec loops st acc_loops =
     advance st;
     expect st Lexer.Lparen;
     let v = ident st in
-    if is_loop_var st v then fail st "loop variable %s reused" v;
+    if is_loop_var st v then
+      fail st ~code:"E-PARSE-005" "loop variable %s reused" v;
     if find_decl st v <> None then
-      fail st "loop variable %s collides with an array" v;
+      fail st ~code:"E-PARSE-005" "loop variable %s collides with an array" v;
     expect st Lexer.Assign;
     let lo = integer st in
-    if lo <> 0 then fail st "loops must start at 0 (got %d)" lo;
+    if lo <> 0 then
+      fail st ~code:"E-PARSE-004" "loops must start at 0 (got %d)" lo;
     expect st Lexer.Semicolon;
     let v2 = ident st in
-    if v2 <> v then fail st "loop condition must test %s, found %s" v v2;
+    if v2 <> v then
+      fail st ~code:"E-PARSE-001" "loop condition must test %s, found %s" v v2;
     expect st Lexer.Lt;
     let count = integer st in
-    if count <= 0 then fail st "trip count must be positive, got %d" count;
+    if count <= 0 then
+      fail st ~code:"E-PARSE-004" "trip count must be positive, got %d" count;
     expect st Lexer.Semicolon;
     let v3 = ident st in
-    if v3 <> v then fail st "loop increment must bump %s, found %s" v v3;
+    if v3 <> v then
+      fail st ~code:"E-PARSE-001" "loop increment must bump %s, found %s"
+        v v3;
     expect st Lexer.Plus_plus;
     expect st Lexer.Rparen;
     st.loop_vars <- st.loop_vars @ [ v ];
@@ -315,12 +327,12 @@ let rec loops st acc_loops =
       | _ -> stmts (statement st :: acc)
     in
     let body = stmts [] in
-    if body = [] then fail st "empty loop body";
+    if body = [] then fail st ~code:"E-PARSE-006" "empty loop body";
     (acc_loops, body)
   | Lexer.Ident _ ->
     (* single unbraced statement *)
     (acc_loops, [ statement st ])
-  | t -> fail st "expected 'for', '{' or a statement, found %s" (Lexer.describe t)
+  | _ -> expected st "'for', '{' or a statement"
 
 let parse src =
   let st =
@@ -342,9 +354,10 @@ let parse src =
     | _ -> ()
   in
   decls ();
-  if current st = Lexer.Rbrace then fail st "kernel %s has no loop nest" name;
+  if current st = Lexer.Rbrace then
+    fail st ~code:"E-PARSE-006" "kernel %s has no loop nest" name;
   let loops, body = loops st [] in
-  if loops = [] then fail st "kernel %s has no loops" name;
+  if loops = [] then fail st ~code:"E-PARSE-006" "kernel %s has no loops" name;
   expect st Lexer.Rbrace;
   expect st Lexer.Eof;
   let arrays = List.rev_map snd st.decls in
@@ -362,22 +375,15 @@ let parse_file path =
 
 (* --- checked entry points ------------------------------------------------ *)
 
-module Diag = Srfa_util.Diag
-
-let diag_of_exn = function
-  | Error msg -> Diag.of_parser_error msg
-  | Lexer.Error msg -> Diag.of_lexer_error msg
-  | exn -> Diag.of_exn exn
-
 let parse_result src =
   match parse src with
   | nest -> Ok nest
-  | exception exn -> Result.Error [ diag_of_exn exn ]
+  | exception exn -> Result.Error [ Diag.of_exn exn ]
 
 let parse_file_result path =
   match parse_file path with
   | nest -> Ok nest
-  | exception exn -> Result.Error [ diag_of_exn exn ]
+  | exception exn -> Result.Error [ Diag.of_exn exn ]
 
 (* --- printing ------------------------------------------------------------ *)
 

@@ -24,11 +24,10 @@ kernel fir {
 
     Loop variables are not values; scalars are zero-dimensional arrays. *)
 
-exception Error of string
-(** Syntax and scoping errors; the message includes the position. *)
-
 val parse : string -> Srfa_ir.Nest.t
-(** @raise Error on malformed input;
+(** @raise Srfa_util.Diag.Failed on malformed input, with the
+    [E-LEX-...] or [E-PARSE-...] code its raise site names and the span
+    of the token it stopped at;
     @raise Invalid_argument when the nest fails {!Srfa_ir.Nest.make}'s
     semantic checks (e.g. out-of-bounds indices). *)
 
@@ -39,19 +38,12 @@ val parse_file : string -> Srfa_ir.Nest.t
 val parse_result :
   string -> (Srfa_ir.Nest.t, Srfa_util.Diag.t list) result
 (** Never-raising {!parse}: lexer, parser and semantic-validation failures
-    come back as coded diagnostics ([E-LEX-...], [E-PARSE-...],
-    [E-SEM-...]) with the source span extracted from the message where
-    available. *)
+    come back as coded diagnostics ([E-LEX-...] and [E-PARSE-...] with
+    their span, [E-SEM-...] without one). *)
 
 val parse_file_result :
   string -> (Srfa_ir.Nest.t, Srfa_util.Diag.t list) result
 (** Never-raising {!parse_file}; an unreadable file is an [E-IO-001]. *)
-
-val diag_of_exn : exn -> Srfa_util.Diag.t
-(** The frontend's exception classifier: {!Error} and {!Lexer.Error} get
-    their positioned [E-PARSE-...]/[E-LEX-...] codes, everything else
-    falls through to {!Srfa_util.Diag.of_exn}. Exposed for callers (CLI,
-    fuzz harness) that catch exceptions around a larger pipeline span. *)
 
 val print : Srfa_ir.Nest.t -> string
 (** Renders a nest back into parseable source. Round trips preserve the

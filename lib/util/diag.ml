@@ -16,24 +16,12 @@ let make ?(severity = Error) ?span ?(context = []) ~code message =
 let warning ?span ?context ~code message =
   make ~severity:Warning ?span ?context ~code message
 
+exception Failed of t
+
 let severity_name = function
   | Warning -> "warning"
   | Error -> "error"
   | Fatal -> "fatal"
-
-(* The frontend prefixes positions as "line %d, column %d: ..." (see
-   Lexer.fail and Parser.fail). [split_span] peels that prefix off so the
-   span lives in the record and the message stays position-free. *)
-let split_span msg =
-  let scan () =
-    Scanf.sscanf msg "line %d, column %d: %n" (fun line col ofs ->
-        (Some { line; col }, String.sub msg ofs (String.length msg - ofs)))
-  in
-  match scan () with
-  | result -> result
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> (None, msg)
-
-let span_of_message msg = fst (split_span msg)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -43,42 +31,6 @@ let contains ~sub s =
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
-
-let of_lexer_error msg =
-  let span, body = split_span msg in
-  let code =
-    if contains ~sub:"unexpected character" body then "E-LEX-001"
-    else if contains ~sub:"malformed number" body then "E-LEX-002"
-    else if contains ~sub:"unterminated comment" body then "E-LEX-003"
-    else if contains ~sub:"unsupported integer width" body then "E-LEX-004"
-    else "E-LEX-001"
-  in
-  make ?span ~code body
-
-let of_parser_error msg =
-  let span, body = split_span msg in
-  let code =
-    if
-      contains ~sub:"undeclared array" body
-      || contains ~sub:"unknown function" body
-      || contains ~sub:"not an enclosing loop variable" body
-    then "E-PARSE-002"
-    else if contains ~sub:"has rank" body then "E-PARSE-003"
-    else if
-      contains ~sub:"must be positive" body
-      || contains ~sub:"loops must start at 0" body
-    then "E-PARSE-004"
-    else if
-      contains ~sub:"declared twice" body
-      || contains ~sub:"reused" body
-      || contains ~sub:"collides" body
-    then "E-PARSE-005"
-    else if
-      contains ~sub:"has no loop" body || contains ~sub:"empty loop body" body
-    then "E-PARSE-006"
-    else "E-PARSE-001"
-  in
-  make ?span ~code body
 
 let of_invalid_arg msg =
   if has_prefix ~prefix:"nest " msg || has_prefix ~prefix:"Nest." msg then
@@ -101,6 +53,7 @@ let of_invalid_arg msg =
   else make ~severity:Fatal ~code:"E-INTERNAL-001" msg
 
 let of_exn = function
+  | Failed d -> d
   | Invalid_argument msg -> of_invalid_arg msg
   | Failure msg -> make ~severity:Fatal ~code:"E-INTERNAL-003" msg
   | Sys_error msg -> make ~code:"E-IO-001" msg

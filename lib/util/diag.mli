@@ -7,11 +7,11 @@
     payload. The full code registry and the severity-to-exit-code mapping
     are documented in DESIGN.md §10.
 
-    The module also owns the exception boundary: {!of_exn} classifies the
-    exceptions the library layers raise ([Invalid_argument], [Failure],
-    [Not_found], [Sys_error], [Stack_overflow], ...) into coded
-    diagnostics, so [Flow.checked] and the CLI never re-implement the
-    mapping. *)
+    The frontend builds its diagnostics where it detects each failure and
+    raises them as {!Failed}. The layers below it raise ordinary
+    exceptions ([Invalid_argument], [Failure], [Not_found], [Sys_error],
+    [Stack_overflow], ...), and {!of_exn} owns the boundary that codes
+    them, so [Flow.checked] and the CLI never re-implement the mapping. *)
 
 type severity =
   | Warning  (** degraded but answered, e.g. a guard fallback *)
@@ -36,29 +36,23 @@ val make :
 val warning :
   ?span:span -> ?context:(string * string) list -> code:string -> string -> t
 
+exception Failed of t
+(** A failure diagnosed where it was detected: the raise site chose the
+    code and the span. The lexer and the parser raise it. *)
+
 val severity_name : severity -> string
 (** ["warning"], ["error"], ["fatal"]. *)
-
-val span_of_message : string -> span option
-(** Recover a {!span} from the frontend's ["line %d, column %d: ..."]
-    message prefix (the lexer and parser both use it); [None] when the
-    message carries no position. *)
-
-val of_lexer_error : string -> t
-(** Classify a {!Srfa_frontend.Lexer.Error} message into an [E-LEX-*]
-    code, extracting the span. *)
-
-val of_parser_error : string -> t
-(** Classify a {!Srfa_frontend.Parser.Error} message into an [E-PARSE-*]
-    code, extracting the span. *)
 
 val of_invalid_arg : string -> t
 (** Classify an [Invalid_argument] message by its module prefix
     (["nest ..."] is semantic validation, ["allocator: budget ..."] is
-    [E-BUDGET-001], and so on; see DESIGN.md §10 for the table). *)
+    [E-BUDGET-001], and so on; see DESIGN.md §10 for the table). The
+    layers below the frontend write those prefixes, so user text cannot
+    change the code. *)
 
 val of_exn : exn -> t
-(** The generic exception boundary. Knows [Invalid_argument], [Failure],
+(** The generic exception boundary. [Failed d] is [d]. Otherwise it knows
+    [Invalid_argument] (coded by {!of_invalid_arg}), [Failure],
     [Not_found], [Sys_error], [Stack_overflow] and [Out_of_memory];
     anything else becomes a [Fatal] [E-INTERNAL-002] carrying
     [Printexc.to_string]. Never raises. *)

@@ -43,6 +43,14 @@ let cases =
     ("duplicate_decl.k", "E-PARSE-005", Some (3, 15), "declared twice");
     ("truncated.k", "E-PARSE-001", Some (7, 1), "end of input");
     ("oob_index.k", "E-SEM-001", None, "extent 4");
+    ("overflow_literal.k", "E-LEX-002", Some (2, 16), "out of range");
+    ("malformed_number.k", "E-LEX-002", Some (6, 19), "malformed number");
+    ("int_width.k", "E-LEX-004", Some (2, 10), "integer width 99");
+    ("empty_body.k", "E-PARSE-006", Some (7, 1), "empty loop body");
+    (* "reused" is a user's name in these two; it does not pick the code. *)
+    ( "stray_identifier.k", "E-PARSE-001", Some (6, 17),
+      "identifier \"reused\"" );
+    ("no_loop_nest.k", "E-PARSE-006", Some (3, 1), "reused has no loop nest");
   ]
 
 let test_missing_file () =

@@ -3,6 +3,7 @@ open Srfa_reuse
 open Srfa_test_helpers
 module Lexer = Srfa_frontend.Lexer
 module Parser = Srfa_frontend.Parser
+module Diag = Srfa_util.Diag
 
 (* --- lexer ---------------------------------------------------------------- *)
 
@@ -46,7 +47,7 @@ let test_lexer_errors () =
         (try
            ignore (Lexer.tokenize src);
            false
-         with Lexer.Error _ -> true))
+         with Diag.Failed d -> String.starts_with ~prefix:"E-LEX-" d.Diag.code))
     [ "@"; "12ab"; "/* unterminated" ]
 
 let test_lexer_positions () =
@@ -172,15 +173,18 @@ let rejects ?(exn = `Parser) name src =
            ignore (Parser.parse src);
            false
          with
-        | Parser.Error _ when exn = `Parser -> true
-        | Lexer.Error _ when exn = `Lexer -> true
+        | Diag.Failed d when exn = `Parser ->
+          String.starts_with ~prefix:"E-PARSE-" d.Diag.code
+        | Diag.Failed d when exn = `Lexer ->
+          String.starts_with ~prefix:"E-LEX-" d.Diag.code
         | Invalid_argument _ when exn = `Semantic -> true))
 
 let error_message_mentions src fragment =
   try
     ignore (Parser.parse src);
     false
-  with Parser.Error msg -> Helpers.contains_substring msg fragment
+  with Diag.Failed d when String.starts_with ~prefix:"E-PARSE-" d.Diag.code ->
+    Helpers.contains_substring d.Diag.message fragment
 
 let test_error_messages () =
   Alcotest.(check bool) "undeclared array named" true
@@ -196,8 +200,12 @@ let test_error_messages () =
        {|kernel k { input int a[4][4]; output int y[4];
           for (i = 0; i < 4; i++) y[i] = a[i]; }|}
        "rank 2");
-  Alcotest.(check bool) "position included" true
-    (error_message_mentions {|kernel k { input int a[4]; }|} "line 1")
+  Alcotest.(check (option (pair int int))) "position in the span"
+    (Some (1, 28))
+    (match Parser.parse {|kernel k { input int a[4]; }|} with
+    | _ -> None
+    | exception Diag.Failed { Diag.span; _ } ->
+      Option.map (fun { Diag.line; col } -> (line, col)) span)
 
 (* --- round trip ----------------------------------------------------------- *)
 

@@ -129,6 +129,63 @@ let test_event_cap_falls_back () =
       Alcotest.(check int) "Cycle_model timing kept" plain.Report.cycles
         report.Report.cycles)
 
+(* The frontend's diagnostic oracle over campaign 42's 9,920 cases: a
+   broken case's first diagnostic carries its defect's code, and every
+   span lies inside the source (column [length + 1] is the line's end,
+   where a truncated source's end-of-input token sits). *)
+let span_inside source (s : Diag.span) =
+  let lines = Array.of_list (String.split_on_char '\n' source) in
+  s.Diag.line >= 1
+  && s.Diag.line <= Array.length lines
+  && s.Diag.col >= 1
+  && s.Diag.col <= String.length lines.(s.Diag.line - 1) + 1
+
+let test_frontend_codes_match_defects () =
+  let seen = Hashtbl.create 16 in
+  for id = 0 to 9919 do
+    let case = Gen.generate ~seed:42 ~id in
+    match case.Gen.kind with
+    | Gen.Valid | Gen.Mask_stress -> ()
+    | Gen.Broken label -> (
+      Hashtbl.replace seen label ();
+      let where = Printf.sprintf "case %d (%s)" id label in
+      match Srfa_frontend.Parser.parse_result case.Gen.source with
+      | Ok _ ->
+        (* Starving the budget leaves the source valid; a truncation
+           parses only when it cut just the final newline. *)
+        if
+          not
+            (label = "starved-budget"
+            || (label = "truncate"
+               && String.ends_with ~suffix:"}" case.Gen.source))
+        then Alcotest.failf "%s parsed" where
+      | Error [] -> Alcotest.failf "%s rejected without a diagnostic" where
+      | Error (d :: _ as diags) ->
+        let code_ok =
+          match label with
+          | "garbage-char" -> d.Diag.code = "E-LEX-001"
+          | "unterminated-comment" -> d.Diag.code = "E-LEX-003"
+          | "zero-trip" -> d.Diag.code = "E-PARSE-004"
+          | "undeclared-array" -> d.Diag.code = "E-PARSE-002"
+          | "rank-mismatch" -> d.Diag.code = "E-PARSE-003"
+          | "dup-var" -> d.Diag.code = "E-PARSE-005"
+          | "oob-index" -> d.Diag.code = "E-SEM-001" && d.Diag.span = None
+          | "truncate" -> String.starts_with ~prefix:"E-PARSE-" d.Diag.code
+          | _ -> false
+        in
+        if not code_ok then
+          Alcotest.failf "%s answered %s" where (Diag.to_string d);
+        List.iter
+          (fun (d : Diag.t) ->
+            match d.Diag.span with
+            | Some s when not (span_inside case.Gen.source s) ->
+              Alcotest.failf "%s: span outside the source: %s" where
+                (Diag.to_string d)
+            | _ -> ())
+          diags)
+  done;
+  Alcotest.(check int) "every defect label drawn" 9 (Hashtbl.length seen)
+
 let test_minimize_shrinks_to_witness () =
   let source = "alpha\nbeta\ngamma\nMAGIC\ndelta\n" in
   let keeps s = Helpers.contains_substring s "MAGIC" in
@@ -152,6 +209,8 @@ let () =
           Alcotest.test_case "generator deterministic" `Quick
             test_generator_deterministic;
           Alcotest.test_case "outcomes replay" `Quick test_outcome_replays;
+          Alcotest.test_case "diagnostics name the defect"
+            `Quick test_frontend_codes_match_defects;
         ] );
       ( "guards",
         [
