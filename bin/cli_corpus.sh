@@ -1,30 +1,49 @@
 #!/bin/sh
 # The CLI corpus pinned in cli.expected: each invocation's command line,
-# stdout, stderr (when there is any) and exit code. Usage:
+# stdout, stderr (when there is any) and exit code, and for a traced run
+# the JSONL trace it wrote. Usage:
 #   cli_corpus.sh SRFA_CLI
 # from a directory that holds cli_events.json and sits beside test/ and
 # kernels_src/ (the rule in bin/dune runs it in _build/default/bin).
 
 export LC_ALL=C
-cli=$1
+case $1 in
+/*) cli=$1 ;;
+*) cli=$PWD/$1 ;;
+esac
 out=$(mktemp)
 err=$(mktemp)
-trap 'rm -f "$out" "$err"' EXIT
+dir=$(mktemp -d)
+trap 'rm -rf "$out" "$err" "$dir"' EXIT
 
-run() {
-  printf '$ srfa %s\n' "$*"
-  "$cli" "$@" >"$out" 2>"$err"
-  code=$?
+show() {
   cat "$out"
   if [ -s "$err" ]; then
     echo "[stderr]"
     cat "$err"
   fi
-  echo "[exit $code]"
+  echo "[exit $1]"
 }
 
-for k in fir dec-fir imi mat pat bic example conv2d moving-average \
-  corner-turn gradient-pair; do
+run() {
+  printf '$ srfa %s\n' "$*"
+  "$cli" "$@" >"$out" 2>"$err"
+  show $?
+}
+
+# Run from an empty directory, so the path the CLI prints is the same
+# at every run.
+traced() {
+  printf '$ srfa %s --trace trace.jsonl\n' "$*"
+  (cd "$dir" && "$cli" "$@" --trace trace.jsonl) >"$out" 2>"$err"
+  show $?
+  echo "[trace]"
+  cat "$dir/trace.jsonl"
+}
+
+kernels="fir dec-fir imi mat pat bic example conv2d moving-average \
+corner-turn gradient-pair"
+for k in $kernels; do
   run alloc "$k"
   run compare "$k"
   run sweep "$k" --jobs 1
@@ -34,6 +53,13 @@ for k in fir dec-fir imi mat pat bic example conv2d moving-average \
   run rebudget "$k" --events cli_events.json
   run rebudget "$k" --json --events cli_events.json
 done
+for k in $kernels; do
+  run cuts "$k"
+  run orders "$k"
+done
+traced alloc example
+traced alloc example --certify
+traced explore example --jobs 1
 for f in ../test/bad_kernels/*.k ../kernels_src/*.k; do
   run check "$f"
 done
