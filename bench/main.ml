@@ -37,10 +37,10 @@
                            oscillating budget events) vs one certified
                            portfolio point per event from scratch
                            (BENCH_rebudget.json)
-     perf-explore          the joint design-space explorer vs its naive
-                           full-product arm on the matmul space, with
-                           prune/memo rates and the byte-identity
-                           differential re-checked (BENCH_explore.json) *)
+     perf-explore          the joint design-space explorer vs the test
+                           helpers' from-scratch oracle on the matmul
+                           space, with prune/memo rates and the oracle's
+                           check re-run (BENCH_explore.json) *)
 
 module Allocator = Srfa_core.Allocator
 module Flow = Srfa_core.Flow
@@ -887,8 +887,9 @@ let perf_cuts () =
         in
         let flow, flow_t =
           measure ~samples:11 (fun () ->
-              Option.map snd
-                (Srfa_dfg.Cut.cheapest cg ~eligible:improvable ~weight))
+              Option.map
+                (fun (a : Srfa_dfg.Cut.answer) -> a.Srfa_dfg.Cut.weight)
+                (Srfa_dfg.Cut.cheapest_answer cg ~eligible:improvable ~weight))
         in
         (* What Cpa_ra.allocate did before the flow engine: enumerate every
            minimal cut, keep the all-improvable ones, fold to the cheapest. *)
@@ -1260,19 +1261,20 @@ let perf_rebudget () =
 
 (* ---------------------------------------------------------- perf-explore *)
 
-(* The joint design-space explorer vs its own naive arm (DESIGN.md
-   §17). The workload is the matmul space — all legal orders x
-   strip-mine factors {2,4} x a five-rung budget ladder x two
-   algorithms — plus the running example on the same axes. The naive
-   arm evaluates the full product and re-derives analysis, DFG and
-   simulation from scratch per point (space.naive, no pruning, no
-   memo); the optimized arm runs the shipped path: variant-level and
-   point-level dominance cuts from lower bounds, one preparation per
-   variant, and the entries-keyed simulation memo. Both arms draw the
-   same frontier by construction, and the bench re-checks that byte
-   equality (plus jobs=1 vs jobs=N) before reporting any ratio. *)
+(* The joint design-space explorer vs the test helpers' from-scratch
+   oracle (DESIGN.md §17). The workload is the matmul space — all legal
+   orders x strip-mine factors {2,4} x a five-rung budget ladder x two
+   algorithms — plus the running example on the same axes. The oracle
+   arm evaluates every point of the full product, duplicate variants
+   included, with analysis, allocation and simulation from scratch
+   (Explore_oracle.points); the explorer arm runs the shipped path:
+   variant-level and point-level dominance cuts from lower bounds, one
+   preparation per variant, and the entries-keyed simulation memo.
+   Before reporting any ratio the bench holds the explorer's frontier
+   to the oracle (Explore_oracle.check) and jobs=1 to jobs=N. *)
 let perf_explore () =
-  section "perf-explore: naive product vs pruned+memoised explorer";
+  section "perf-explore: from-scratch oracle vs pruned+memoised explorer";
+  let module Oracle = Srfa_test_helpers.Explore_oracle in
   let space =
     {
       Flow.Core.default_space with
@@ -1281,9 +1283,6 @@ let perf_explore () =
       space_budgets = [ 8; 16; 32; 64; 128 ];
       space_algorithms = [ Allocator.Cpa_ra; Allocator.Fr_ra ];
     }
-  in
-  let naive_space =
-    { space with Flow.Core.prune = false; Flow.Core.naive = true }
   in
   let kernels =
     [
@@ -1295,27 +1294,29 @@ let perf_explore () =
   let table =
     T.create
       ~headers:
-        ((("kernel", T.Left) :: ("points", T.Right) :: timed "naive")
+        ((("kernel", T.Left) :: ("points", T.Right) :: timed "oracle")
         @ timed "explorer"
         @ [
             ("speedup", T.Right); ("prune rate", T.Right);
             ("memo rate", T.Right);
           ]
         @ timed (Printf.sprintf "%d-domain" jobs)
-        @ [ ("identical", T.Left) ])
+        @ [ ("agrees", T.Left) ])
   in
   let points =
     Pool.with_pool ~jobs (fun pool ->
         List.map
           (fun (name, nest) ->
-            let explore ?pool space () =
+            let explore ?pool () =
               Flow.Core.explore ?pool ~space Flow.default_config nest
             in
-            let naive_f, naive = measure ~samples:3 (explore naive_space) in
-            let opt_f, opt = measure ~samples:3 (explore space) in
-            let pooled_f, pooled = measure ~samples:3 (explore ~pool space) in
-            let identical =
-              Flow.Core.frontier_json naive_f = Flow.Core.frontier_json opt_f
+            let everything, oracle =
+              measure ~samples:3 (fun () -> Oracle.points space nest)
+            in
+            let opt_f, opt = measure ~samples:3 explore in
+            let pooled_f, pooled = measure ~samples:3 (explore ~pool) in
+            let agrees =
+              Oracle.check everything opt_f = Ok ()
               && Flow.Core.frontier_json opt_f
                  = Flow.Core.frontier_json pooled_f
             in
@@ -1330,9 +1331,9 @@ let perf_explore () =
               float_of_int s.Flow.Core.sim_memo_hits
               /. float_of_int s.Flow.Core.points_evaluated
             in
-            let speedup = naive.median /. opt.median in
+            let speedup = oracle.median /. opt.median in
             T.add_row table
-              ((name :: string_of_int total :: cells naive)
+              ((name :: string_of_int total :: cells oracle)
               @ cells opt
               @ [
                   Printf.sprintf "%.1fx" speedup;
@@ -1340,9 +1341,9 @@ let perf_explore () =
                   Printf.sprintf "%.0f%%" (100.0 *. memo_rate);
                 ]
               @ cells pooled
-              @ [ (if identical then "yes" else "MISMATCH") ]);
-            ( name, total, naive, opt, pooled, speedup, prune_rate, memo_rate,
-              identical ))
+              @ [ (if agrees then "yes" else "MISMATCH") ]);
+            ( name, total, oracle, opt, pooled, speedup, prune_rate,
+              memo_rate, agrees ))
           kernels)
   in
   T.print table;
@@ -1353,42 +1354,41 @@ let perf_explore () =
       0.0 points
   in
   let target_ok = mat_speedup >= 5.0 in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, id) -> id) points
-  in
+  let all_agree = List.for_all (fun (_, _, _, _, _, _, _, _, a) -> a) points in
   Printf.printf
-    "\nmatmul space: %.1fx naive-vs-explorer (target >= 5x: %s); frontiers \
-     byte-identical across naive/pruned/pooled arms: %s\n"
+    "\nmatmul space: %.1fx oracle-vs-explorer (target >= 5x: %s); frontiers \
+     agree with the oracle and across the pooled arm: %s\n"
     mat_speedup (verdict target_ok)
-    (if all_identical then "yes" else "MISMATCH");
+    (if all_agree then "yes" else "MISMATCH");
   write_bench "explore" ~pooled:true
     ~unit:
-      "ns per whole-space exploration; naive = full product, per-point \
-       analysis/DFG/simulation from scratch; explorer = dominance cuts + \
-       per-variant preparation + entries memo"
+      "ns per whole-space exploration; oracle = every point of the full \
+       product (duplicate variants included) with analysis, allocation and \
+       simulation from scratch; explorer = dominance cuts + per-variant \
+       preparation + entries memo"
     [
       ("matmul_speedup", num 3 mat_speedup);
       ("target_speedup", num 3 5.0);
       ("target_ok", Json.Bool target_ok);
-      ("frontiers_identical", Json.Bool all_identical);
+      ("frontiers_agree", Json.Bool all_agree);
       ( "kernels",
         Json.Arr
           (List.map
              (fun
-               ( name, total, naive, opt, pooled, speedup, prune_rate,
-                 memo_rate, identical )
+               ( name, total, oracle, opt, pooled, speedup, prune_rate,
+                 memo_rate, agrees )
              ->
                Json.Obj
                  [
                    ("kernel", Json.Str name);
                    ("ladder_points", Json.Int total);
-                   ("naive", stats_json naive);
+                   ("oracle", stats_json oracle);
                    ("explorer", stats_json opt);
                    ("pooled", stats_json pooled);
                    ("speedup", num 3 speedup);
                    ("prune_rate", num 3 prune_rate);
                    ("memo_hit_rate", num 3 memo_rate);
-                   ("identical", Json.Bool identical);
+                   ("agrees", Json.Bool agrees);
                  ])
              points) );
     ]

@@ -644,7 +644,6 @@ let explore_cmd =
         space_algorithms = algorithms;
         certify;
         prune = not no_prune;
-        naive = false;
       }
     in
     let finish, trace =

@@ -62,18 +62,6 @@ let needs_writeback t gid =
   && ((Group.decl g).Srfa_ir.Decl.storage = Srfa_ir.Decl.Output
      || needs_prologue t gid)
 
-let prologue_loads t =
-  let analysis = t.allocation.Allocation.analysis in
-  let add acc gid =
-    let i = Analysis.info analysis gid in
-    if not (Group.is_read i.Analysis.group) then acc
-    else
-      match t.accesses.(gid) with
-      | Ram_always | Window_opaque _ -> acc
-      | Window_full { beta; _ } | Window_partial { beta; _ } -> acc + beta
-  in
-  List.fold_left add 0 (List.init (Array.length t.accesses) Fun.id)
-
 type edge_strategy = Reload_window | Shift_window
 
 (* Windows of a group = iterations of its carrying loop = product of the

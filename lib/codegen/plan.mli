@@ -41,10 +41,6 @@ val needs_writeback : t -> int -> bool
     windows of live-out arrays, and written windows that a later prologue
     would otherwise reload stale. *)
 
-val prologue_loads : t -> int
-(** Register loads the peeled prologue must perform per window entry
-    (sum of resident window sizes of groups that are read). *)
-
 type edge_strategy =
   | Reload_window
       (** naive peeling: refill every covered slot at each window entry *)

@@ -37,11 +37,11 @@ val run :
     non-CPA algorithms.
 
     [cut_work_limit] (default unlimited) caps the max-flow effort of every
-    CPA cut query (see {!Srfa_dfg.Cut.cheapest}). When the guard trips,
-    the CPA variants degrade to PR-RA on the same analysis and budget — a
-    ["fallback.pr_ra"] event is emitted on [trace] and the PR-RA
-    allocation is returned; no exception escapes. The guard is ignored by
-    the non-CPA algorithms, which ask no cut queries.
+    CPA cut query (see {!Srfa_dfg.Cut.cheapest_answer}). When the guard
+    trips, the CPA variants degrade to PR-RA on the same analysis and
+    budget — a ["fallback.pr_ra"] event is emitted on [trace] and the
+    PR-RA allocation is returned; no exception escapes. The guard is
+    ignored by the non-CPA algorithms, which ask no cut queries.
 
     [sim_config] is the simulator configuration {!Portfolio}'s
     certification pass measures cycles under (default

@@ -3,12 +3,13 @@
 
     Starting from one pinned register per group, the algorithm repeatedly:
     extracts the Critical Graph of the body's DFG under the current
-    allocation, asks the polynomial cut engine ({!Srfa_dfg.Cut.cheapest},
-    max-flow over the node-split CG) for the improvable cut with the
-    smallest additional register requirement, and fully allocates it. When the cheapest
-    cut no longer fits, the remaining registers are divided evenly between
-    that cut's references (partial reuse on a whole cut, so every critical
-    path still improves on the covered iterations), and the algorithm
+    allocation, asks the polynomial cut engine
+    ({!Srfa_dfg.Cut.cheapest_answer}, max-flow over the node-split CG)
+    for the improvable cut with the smallest additional register
+    requirement, and fully allocates it. When the cheapest cut no longer
+    fits, the remaining registers are divided evenly between that cut's
+    references (partial reuse on a whole cut, so every critical path
+    still improves on the covered iterations), and the algorithm
     stops. Cuts containing a reference without temporal reuse cannot be
     improved and are skipped. *)
 

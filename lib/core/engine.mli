@@ -11,9 +11,9 @@
     Invariants maintained:
     - [remaining t = budget - total registers held by the entries];
     - betas never exceed the group's window size [nu], and never drop
-      except through the explicit takebacks {!reclaim} and {!take_back}
-      (the repair layer's full and partial moves, also driven by
-      {!rebudget}'s shrink walk);
+      except through the explicit takebacks: {!reclaim} (the repair
+      layer's full move) and {!rebudget}'s shrink walk, which also takes
+      back part of a window;
     - an entry is pinned exactly when some assignment touched it
       (CPA-style strategies pin the rest at {!finalize} time).
 
@@ -88,14 +88,6 @@ val reclaim : ?reason:string -> t -> int -> int
     This is the one sanctioned way a beta decreases — the repair layer
     uses it to undo partial cut shares that simulated worse than a
     greedy baseline before re-spending them benefit/cost-first. *)
-
-val take_back : ?reason:string -> t -> int -> amount:int -> int
-(** [take_back t gid ~amount] removes up to [amount] registers from the
-    group (never below the feasibility register, beta 1), credits them
-    to the remaining budget and returns the count actually taken. The
-    partial sibling of {!reclaim} — same ["repair.reclaim"] trace event,
-    same pinned-flag preservation — used by {!rebudget}'s shrink walk so
-    a small deficit does not strip a whole window. *)
 
 type rebudget_outcome = {
   requested : int;  (** the budget the event asked for *)

@@ -418,7 +418,6 @@ module Core = struct
     space_algorithms : Allocator.algorithm list;
     certify : bool;  (** evaluate points through the certified portfolio *)
     prune : bool;  (** dominance cuts; [false] = exhaustive (the differential arm) *)
-    naive : bool;  (** re-derive analysis/DFG/simulation per point (bench baseline) *)
   }
 
   let default_space =
@@ -429,7 +428,6 @@ module Core = struct
       space_algorithms = [ Allocator.Cpa_ra ];
       certify = false;
       prune = true;
-      naive = false;
     }
 
   type coords = {
@@ -687,15 +685,12 @@ module Core = struct
     let depth = Srfa_ir.Nest.depth nest in
     let latency = config.sim.Sim.latency in
     let cm = Srfa_sched.Cycle_model.prepare ~dfg:prepared.dfg ~latency in
-    (* The naive arm re-derives the analysis for every point. *)
-    let point_analysis () = if space.naive then analyze nest else analysis in
     (* The all-RAM baseline: one unpinned feasibility register per group
        (the engine's starting state), nothing resident. Evaluated
        unconditionally — it anchors the frontier's register/area/clock
        floor and is what the dominance cuts prune against. *)
     let floor_alloc =
-      Allocation.make ~analysis:(point_analysis ()) ~budget:n
-        ~algorithm:"floor"
+      Allocation.make ~analysis ~budget:n ~algorithm:"floor"
         (Array.make (Analysis.num_groups analysis)
            { Allocation.beta = 1; Allocation.pinned = false })
     in
@@ -765,9 +760,10 @@ module Core = struct
               ]);
         sim
       | None ->
-        let scratch = if space.naive then None else Some sim_scratch in
-        let sim = Sim.run ~trace ~config:config.sim ?scratch alloc in
-        if not space.naive then Hashtbl.add sim_memo key sim;
+        let sim =
+          Sim.run ~trace ~config:config.sim ~scratch:sim_scratch alloc
+        in
+        Hashtbl.add sim_memo key sim;
         sim
     in
     (* Certification's simulations: a lookup of what has already run,
@@ -866,13 +862,8 @@ module Core = struct
                 let alloc, sim, cert =
                   if certified then begin
                     let outcome =
-                      if space.naive then
-                        Allocator.run_portfolio ~latency ~trace
-                          ?cut_work_limit:cfg.guards.cut_work_limit
-                          ~sim_config:cfg.sim (point_analysis ()) ~budget:b
-                      else
-                        Certify.certify ~trace ~sim_config:cfg.sim
-                          ~sim_scratch ~simulate:memo_sim (Lazy.force candidate)
+                      Certify.certify ~trace ~sim_config:cfg.sim ~sim_scratch
+                        ~simulate:memo_sim (Lazy.force candidate)
                     in
                     ( outcome.Certify.allocation,
                       outcome.Certify.sim,
@@ -888,11 +879,7 @@ module Core = struct
                   end
                   else
                     let alloc =
-                      if space.naive then
-                        Allocator.run ~latency ~trace
-                          ?cut_work_limit:cfg.guards.cut_work_limit
-                          ~sim_config:cfg.sim alg (point_analysis ()) ~budget:b
-                      else if alg = Allocator.Cpa_ra then Lazy.force candidate
+                      if alg = Allocator.Cpa_ra then Lazy.force candidate
                       else
                         allocation ~config:cfg ~trace ~prepared:cpa
                           ~sim_scratch alg analysis

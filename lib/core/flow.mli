@@ -223,16 +223,12 @@ module Core : sig
             keeps the frontier identical with and without pruning. *)
     prune : bool;
         (** dominance cuts; [false] evaluates the full product (the
-            differential-testing and bench-baseline arm) *)
-    naive : bool;
-        (** re-derive analysis, DFG and simulation from scratch per
-            point — the bench's "no reuse" baseline; output is equal to
-            the memoised path *)
+            differential-testing arm) *)
   }
 
   val default_space : space
   (** All legal orders, no tiling, {!default_budgets}, CPA-RA only,
-      no certification, pruning on, memoised. *)
+      no certification, pruning on. *)
 
   type coords = {
     cycles : int;
@@ -293,8 +289,8 @@ module Core : sig
     ?space:space -> config -> Nest.t -> frontier
   (** Explore one kernel's design space. [config.budget] is superseded
       by [space.space_budgets]. The frontier (points, order, labels) is
-      byte-identical across [prune] on/off, [naive] on/off and any
-      [pool] size; only [frontier_stats] varies. Per-variant trace
+      byte-identical across [prune] on/off and any [pool] size; only
+      [frontier_stats] varies. Per-variant trace
       events are buffered and spliced in variant order, like {!sweep}.
       @raise Invalid_argument when [space.space_algorithms] is empty. *)
 

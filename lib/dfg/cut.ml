@@ -220,8 +220,3 @@ let cheapest_answer ?(trace = Srfa_util.Trace.null) ?(work_limit = max_int)
     Srfa_util.Trace.emit trace (fun () -> flow_event answer);
     Some answer
   end
-
-let cheapest ?trace ?work_limit cg ~eligible ~weight =
-  Option.map
-    (fun a -> (a.cut, a.weight))
-    (cheapest_answer ?trace ?work_limit cg ~eligible ~weight)

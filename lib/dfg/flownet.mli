@@ -1,11 +1,12 @@
 (** Dinic's max-flow, and the node-split construction that turns a
     minimum-weight vertex cut of a DAG into a max-flow instance.
 
-    This is the polynomial engine behind {!Cut.cheapest}: every vertex [u]
-    becomes an arc [in(u) -> out(u)] carrying the vertex's weight (or
-    {!inf} for vertices that may not be cut), every DAG edge [u -> v]
-    becomes an infinite arc [out(u) -> in(v)], and a super-source/sink pair
-    is wired to the given source and sink vertices. By max-flow/min-cut
+    This is the polynomial engine behind {!Cut.cheapest_answer}: every
+    vertex [u] becomes an arc [in(u) -> out(u)] carrying the vertex's
+    weight (or {!inf} for vertices that may not be cut), every DAG edge
+    [u -> v] becomes an infinite arc [out(u) -> in(v)], and a
+    super-source/sink pair is wired to the given source and sink
+    vertices. By max-flow/min-cut
     duality, the value of the maximum flow equals the weight of the
     cheapest vertex set whose removal disconnects every source-to-sink
     path — in O(V^2 E) instead of the exponential subset enumeration. *)
@@ -38,9 +39,10 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Cumulative work counters since {!create}. {!Cut.cheapest} reads them
-    before and after a query to report how much max-flow effort the cut
-    decision cost (the delta goes into the decision trace). *)
+(** Cumulative work counters since {!create}. {!Cut.cheapest_answer}
+    reads them before and after a query to report how much max-flow
+    effort the cut decision cost (the delta goes into the decision
+    trace). *)
 
 exception Work_limit_exceeded of stats
 (** Raised by {!max_flow} when [work_limit] is exhausted; carries the

@@ -8,10 +8,12 @@ type state = {
   mutable loop_vars : string list; (* outermost first *)
 }
 
-(* Every failure is raised at the current token, with the code its site
-   names. *)
-let fail (st : state) ~code fmt =
-  let { Lexer.line; col; _ } = st.tokens.(st.pos) in
+(* Every failure is raised at a token, the current one unless [at] names
+   an earlier one, with the code its site names. *)
+let fail ?at (st : state) ~code fmt =
+  let { Lexer.line; col; _ } =
+    st.tokens.(Option.value at ~default:st.pos)
+  in
   Format.kasprintf
     (fun msg ->
       raise (Diag.Failed (Diag.make ~code ~span:{ Diag.line; col } msg)))
@@ -208,7 +210,9 @@ and primary st =
     let e = expr st in
     expect st Lexer.Rparen;
     e
-  | Lexer.Ident ("min" | "max" | "abs") -> call st
+  | Lexer.Ident "abs" -> unary_call st Op.Abs
+  | Lexer.Ident "min" -> binary_call st Op.Min
+  | Lexer.Ident "max" -> binary_call st Op.Max
   | Lexer.Ident name ->
     if is_loop_var st name then
       fail st ~code:"E-PARSE-001"
@@ -219,31 +223,29 @@ and primary st =
     Expr.Load (reference st name)
   | _ -> expected st "an expression"
 
-and call st =
-  let name = ident st in
+(* A call's name, already matched by [primary], its '(' and its first
+   argument. *)
+and first_argument st =
+  advance st;
   expect st Lexer.Lparen;
-  let a = expr st in
-  match name with
-  | "abs" ->
-    expect st Lexer.Rparen;
-    Expr.Unary (Op.Abs, a)
-  | "min" | "max" ->
-    expect st Lexer.Comma;
-    let b = expr st in
-    expect st Lexer.Rparen;
-    Expr.Binary ((if name = "min" then Op.Min else Op.Max), a, b)
-  | other -> fail st ~code:"E-PARSE-002" "unknown function %s" other
+  expr st
+
+and unary_call st op =
+  let a = first_argument st in
+  expect st Lexer.Rparen;
+  Expr.Unary (op, a)
+
+and binary_call st op =
+  let a = first_argument st in
+  expect st Lexer.Comma;
+  let b = expr st in
+  expect st Lexer.Rparen;
+  Expr.Binary (op, a, b)
 
 (* --- declarations, loops, statements ------------------------------------ *)
 
-let declaration st =
-  let storage =
-    match current st with
-    | Lexer.Kw_input -> Decl.Input
-    | Lexer.Kw_output -> Decl.Output
-    | Lexer.Kw_local -> Decl.Local
-    | _ -> expected st "input/output/local"
-  in
+(* One declaration, from the storage keyword [decls] matched. *)
+let declaration st storage =
   advance st;
   let bits =
     match current st with
@@ -319,6 +321,8 @@ let rec loops st acc_loops =
     loops st (acc_loops @ [ Nest.loop v count ])
   | Lexer.Lbrace ->
     advance st;
+    if current st = Lexer.Rbrace then
+      fail st ~code:"E-PARSE-006" "empty loop body";
     let rec stmts acc =
       match current st with
       | Lexer.Rbrace ->
@@ -326,9 +330,7 @@ let rec loops st acc_loops =
         List.rev acc
       | _ -> stmts (statement st :: acc)
     in
-    let body = stmts [] in
-    if body = [] then fail st ~code:"E-PARSE-006" "empty loop body";
-    (acc_loops, body)
+    (acc_loops, stmts [])
   | Lexer.Ident _ ->
     (* single unbraced statement *)
     (acc_loops, [ statement st ])
@@ -347,17 +349,24 @@ let parse src =
   let name = ident st in
   expect st Lexer.Lbrace;
   let rec decls () =
-    match current st with
-    | Lexer.Kw_input | Lexer.Kw_output | Lexer.Kw_local ->
-      declaration st;
+    let declare storage =
+      declaration st storage;
       decls ()
+    in
+    match current st with
+    | Lexer.Kw_input -> declare Decl.Input
+    | Lexer.Kw_output -> declare Decl.Output
+    | Lexer.Kw_local -> declare Decl.Local
     | _ -> ()
   in
   decls ();
   if current st = Lexer.Rbrace then
     fail st ~code:"E-PARSE-006" "kernel %s has no loop nest" name;
+  (* A body without loops is reported where the first [for] belongs. *)
+  let first = st.pos in
   let loops, body = loops st [] in
-  if loops = [] then fail st ~code:"E-PARSE-006" "kernel %s has no loops" name;
+  if loops = [] then
+    fail ~at:first st ~code:"E-PARSE-006" "kernel %s has no loops" name;
   expect st Lexer.Rbrace;
   expect st Lexer.Eof;
   let arrays = List.rev_map snd st.decls in

@@ -20,11 +20,8 @@ let ( + ) = binary Op.Add
 let ( - ) = binary Op.Sub
 let ( * ) = binary Op.Mul
 let ( / ) = binary Op.Div
-let min_ = binary Op.Min
-let max_ = binary Op.Max
 let eq = binary Op.Eq
 let lt = binary Op.Lt
-let abs_ e = Expr.Unary (Op.Abs, e)
 let neg e = Expr.Unary (Op.Neg, e)
 
 let ( <-- ) r e = Expr.Assign (r, e)

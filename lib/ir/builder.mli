@@ -38,11 +38,8 @@ val ( + ) : rexpr -> rexpr -> rexpr
 val ( - ) : rexpr -> rexpr -> rexpr
 val ( * ) : rexpr -> rexpr -> rexpr
 val ( / ) : rexpr -> rexpr -> rexpr
-val min_ : rexpr -> rexpr -> rexpr
-val max_ : rexpr -> rexpr -> rexpr
 val eq : rexpr -> rexpr -> rexpr
 val lt : rexpr -> rexpr -> rexpr
-val abs_ : rexpr -> rexpr
 val neg : rexpr -> rexpr
 
 val ( <-- ) : Expr.ref_ -> rexpr -> Expr.stmt

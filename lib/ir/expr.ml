@@ -20,11 +20,6 @@ let ref_equal a b =
   && List.length a.index = List.length b.index
   && List.for_all2 Affine.equal a.index b.index
 
-let ref_compare a b =
-  let c = Decl.compare a.decl b.decl in
-  if c <> 0 then c
-  else List.compare Affine.compare a.index b.index
-
 let rec loads = function
   | Load r -> [ r ]
   | Const _ -> []

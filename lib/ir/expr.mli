@@ -23,8 +23,6 @@ val ref_ : Decl.t -> Affine.t list -> ref_
 val ref_equal : ref_ -> ref_ -> bool
 (** Same array and same index functions (reference-group identity). *)
 
-val ref_compare : ref_ -> ref_ -> int
-
 val loads : t -> ref_ list
 (** All [Load] references of an expression, left-to-right, duplicates kept. *)
 

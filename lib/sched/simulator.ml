@@ -12,7 +12,6 @@ type config = {
   ram_policy : ram_policy;
   residency : Residency.policy;
   execution : execution;
-  mask_group_cap : int;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     ram_policy = Private_banks;
     residency = Residency.Pinned;
     execution = Serial;
-    mask_group_cap = 60;
   }
 
 type result = {
@@ -265,9 +263,9 @@ let replay_suffix sc replay =
    up per-point values, and a set's cost depends on nothing else. Loop
    bodies have few groups, so there are few sets even though the suffix
    is long. The key is an int bitmask; bodies with more groups than
-   [mask_cap] allows fall back to a bytes key — the same counts, a
-   little slower per point, never an abort. *)
-let mask_cap config = min config.mask_group_cap (Sys.int_size - 2)
+   [mask_cap] fall back to a bytes key — the same counts, a little
+   slower per point, never an abort. *)
+let mask_cap = min 60 (Sys.int_size - 2)
 
 let count_reset sc =
   Arena.Table.reset sc.s_counts;
@@ -377,15 +375,14 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
     Cycle_model.create ~prepared:sc.s_prepared ~dfg:sc.s_dfg
       ~latency:config.latency ~ram_map ()
   in
-  let cap = mask_cap config in
-  let use_mask = ngroups <= cap in
+  let use_mask = ngroups <= mask_cap in
   if not use_mask then
     Srfa_util.Trace.emit trace (fun () ->
         let open Srfa_util.Trace in
         event "guard.mask"
           [
             ("groups", Int ngroups);
-            ("cap", Int cap);
+            ("cap", Int mask_cap);
             ("fallback", String "bytes-key memo");
           ]);
   count_reset sc;
@@ -491,7 +488,7 @@ let cycles_floor ?(config = default_config) sc ~beta_max =
   let beta_max =
     if config.residency = Residency.Pinned then beta_max else max_int
   in
-  let use_mask = ngroups <= mask_cap config in
+  let use_mask = ngroups <= mask_cap in
   Array.fill sc.s_limit 0 ngroups beta_max;
   count_reset sc;
   count_suffix sc ~use_mask ~ngroups;
@@ -503,8 +500,6 @@ let cycles_floor ?(config = default_config) sc ~beta_max =
         + Cycle_model.charged_path_bound sc.s_prepared ~charged
           * points * sc.s_outer);
   !total
-
-let memory_cycles_only ?config alloc = (run ?config alloc).memory_cycles
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -45,11 +45,6 @@ type config = {
   residency : Residency.policy;
       (** register-file management discipline; the paper's is {!Residency.Pinned} *)
   execution : execution;
-  mask_group_cap : int;
-      (** widest charged-group set counted on an int bitmask (default 60).
-          Nests with more reference groups fall back to a string key:
-          identical results, slightly slower lookups, and a
-          ["guard.mask"] trace event instead of the former hard abort. *)
 }
 
 val default_config : config
@@ -97,9 +92,10 @@ val run :
   ?scratch:scratch ->
   Allocation.t ->
   result
-(** Simulates the allocation's nest. [trace] receives a ["guard.mask"]
-    event when the nest exceeds [config.mask_group_cap] groups and the
-    walk degrades to string keys. A [scratch] built from a
+(** Simulates the allocation's nest. A walk counts charged sets on an
+    int bitmask up to 60 reference groups; past that it keys them by a
+    bytes string (the same counts, slightly slower lookups) and [trace]
+    receives a ["guard.mask"] event. A [scratch] built from a
     different analysis or latency table is ignored (a fresh one is made),
     so threading one through heterogeneous call sites is always safe. *)
 
@@ -125,9 +121,6 @@ val cycles_floor : ?config:config -> scratch -> beta_max:int -> int
     charged set. At budget [b] over [n]
     groups every group holds at most [b - (n - 1)] registers. The
     design-space explorer prunes with this bound. *)
-
-val memory_cycles_only : ?config:config -> Allocation.t -> int
-(** Convenience: the [memory_cycles] field alone (the paper's T_mem). *)
 
 val ram_map_for : config -> Allocation.t -> Srfa_hw.Ram_map.t
 (** The array-to-block mapping the simulation uses: every array backed by

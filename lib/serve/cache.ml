@@ -399,7 +399,6 @@ let space_of_request (req : Protocol.request) =
       space_algorithms;
       certify = req.Protocol.certify;
       prune = true;
-      naive = false;
     }
   in
   let join ns = String.concat "," (List.map string_of_int ns) in

@@ -57,8 +57,6 @@ type resolved = {
   cut_work_limit : int option;
 }
 
-val device_of_name : string -> Srfa_hw.Device.t option
-
 val resolve : Protocol.request -> (resolved, Diag.t list) result
 (** Look up a named kernel or parse an inline source (diagnostics come
     back with their [E-LEX-*]/[E-PARSE-*]/[E-SEM-*] codes), validate

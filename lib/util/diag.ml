@@ -32,6 +32,8 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* An [Invalid_argument] message, coded by the module prefix the layers
+   below the frontend write. *)
 let of_invalid_arg msg =
   if has_prefix ~prefix:"nest " msg || has_prefix ~prefix:"Nest." msg then
     make ~code:"E-SEM-001" msg

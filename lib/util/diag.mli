@@ -40,22 +40,16 @@ exception Failed of t
 (** A failure diagnosed where it was detected: the raise site chose the
     code and the span. The lexer and the parser raise it. *)
 
-val severity_name : severity -> string
-(** ["warning"], ["error"], ["fatal"]. *)
-
-val of_invalid_arg : string -> t
-(** Classify an [Invalid_argument] message by its module prefix
-    (["nest ..."] is semantic validation, ["allocator: budget ..."] is
-    [E-BUDGET-001], and so on; see DESIGN.md §10 for the table). The
-    layers below the frontend write those prefixes, so user text cannot
-    change the code. *)
-
 val of_exn : exn -> t
 (** The generic exception boundary. [Failed d] is [d]. Otherwise it knows
-    [Invalid_argument] (coded by {!of_invalid_arg}), [Failure],
-    [Not_found], [Sys_error], [Stack_overflow] and [Out_of_memory];
-    anything else becomes a [Fatal] [E-INTERNAL-002] carrying
-    [Printexc.to_string]. Never raises. *)
+    [Invalid_argument], [Failure], [Not_found], [Sys_error],
+    [Stack_overflow] and [Out_of_memory]; anything else becomes a
+    [Fatal] [E-INTERNAL-002] carrying [Printexc.to_string]. An
+    [Invalid_argument] is coded by its message's module prefix (["nest
+    ..."] is semantic validation, ["allocator: budget ..."] is
+    [E-BUDGET-001], and so on; see DESIGN.md §10 for the table); the
+    layers below the frontend write those prefixes, so user text cannot
+    change the code. Never raises. *)
 
 val exit_code : t list -> int
 (** Process exit code for a diagnostic set: [0] when nothing is worse than

@@ -46,7 +46,8 @@ let cases =
     ("overflow_literal.k", "E-LEX-002", Some (2, 16), "out of range");
     ("malformed_number.k", "E-LEX-002", Some (6, 19), "malformed number");
     ("int_width.k", "E-LEX-004", Some (2, 10), "integer width 99");
-    ("empty_body.k", "E-PARSE-006", Some (7, 1), "empty loop body");
+    ("empty_body.k", "E-PARSE-006", Some (6, 3), "empty loop body");
+    ("no_loops.k", "E-PARSE-006", Some (5, 3), "kernel nl has no loops");
     (* "reused" is a user's name in these two; it does not pick the code. *)
     ( "stray_identifier.k", "E-PARSE-001", Some (6, 17),
       "identifier \"reused\"" );

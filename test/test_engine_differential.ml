@@ -78,9 +78,9 @@ module Legacy = struct
         let cg = Critical.make ~scratch dfg ~latency ~charged in
         let mem_len = Graph.memory_path_length dfg ~latency ~charged in
         if mem_len > 0 then begin
-          match Cut.cheapest cg ~eligible:improvable ~weight:need with
+          match Cut.cheapest_answer cg ~eligible:improvable ~weight:need with
           | None -> ()
-          | Some (cut, req) ->
+          | Some { Cut.cut; weight = req; _ } ->
             if req <= !remaining then begin
               let fill g =
                 betas.(g.Group.id) <- (info g.Group.id).Analysis.nu

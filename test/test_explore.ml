@@ -1,8 +1,9 @@
 (* The design-space explorer's contract (DESIGN.md §17): the frontier
    Flow.Core.explore returns is byte-identical whether the dominance
-   cuts are on or off, whether the memoised or the naive evaluation
-   path runs, and whether the variants fan out over a pool or run
-   serially. On top of the differential checks, a golden pins the
+   cuts are on or off and whether the variants fan out over a pool or
+   run serially, and it is what a from-scratch evaluation of the whole
+   space says it must be (Explore_oracle). On top of the differential
+   checks, a golden pins the
    frontier JSON of the paper's running example, the entries memo is
    shown to actually fire on a saturating ladder, non-permutable nests
    degrade to the identity with W-GUARD-EXPLORE instead of raising,
@@ -72,11 +73,11 @@ let test_partial_funding_not_pruned () =
     (json { space with Core.prune = false } nest)
     (json space nest)
 
-(* The memoised path shares one CPA-RA allocation per (variant, budget)
+(* The explorer shares one CPA-RA allocation per (variant, budget)
    between the CPA-RA point and the certified points, and certifies
-   through the simulation memo; the naive path runs and simulates
-   everything afresh. Frontiers, certification stamps included, must
-   agree whichever algorithm comes first in the ladder. *)
+   through the simulation memo; the oracle runs and simulates every
+   point afresh. The frontier, certification stamps included, must be
+   the oracle's whichever algorithm comes first in the ladder. *)
 let sharing_spaces base =
   let algorithms l = { base with Core.space_algorithms = l } in
   [
@@ -90,20 +91,22 @@ let sharing_spaces base =
       } );
   ]
 
-let check_memoised_equals_naive ~base (name, nest) =
+let check_memoised_equals_oracle ~base (name, nest) =
   List.iter
     (fun (label, space) ->
-      let naive = json { space with Core.naive = true; prune = false } nest in
-      Alcotest.(check string)
-        (Printf.sprintf "%s, %s: memoised == naive" name label)
-        naive (json space nest))
+      let frontier = Core.explore ~space Core.default_config nest in
+      match
+        Explore_oracle.check (Explore_oracle.points space nest) frontier
+      with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s, %s: %s" name label msg)
     (sharing_spaces base)
 
 (* The fuzz kernels run under a smaller space: identity order, one
    strip-mine factor, four budgets. *)
-let test_memoised_equals_naive () =
+let test_memoised_equals_oracle () =
   List.iter
-    (check_memoised_equals_naive ~base:example_space)
+    (check_memoised_equals_oracle ~base:example_space)
     [ ("example", Helpers.example ()); ("bic", Helpers.small_bic ()) ];
   let base =
     {
@@ -114,7 +117,7 @@ let test_memoised_equals_naive () =
   in
   List.iter
     (fun (id, nest) ->
-      check_memoised_equals_naive ~base (Printf.sprintf "gen %d" id, nest))
+      check_memoised_equals_oracle ~base (Printf.sprintf "gen %d" id, nest))
     (Lazy.force valid_cases)
 
 (* One CPA-RA decision stream per evaluated (variant, budget): the
@@ -486,8 +489,8 @@ let () =
             test_pruned_equals_exhaustive;
           Alcotest.test_case "partially funded points survive pruning" `Quick
             test_partial_funding_not_pruned;
-          Alcotest.test_case "memoised == naive" `Quick
-            test_memoised_equals_naive;
+          Alcotest.test_case "memoised == from-scratch oracle" `Quick
+            test_memoised_equals_oracle;
           Alcotest.test_case "jobs=4 == jobs=1" `Quick
             test_parallel_equals_serial;
           Alcotest.test_case "traced jobs=4 == jobs=1" `Quick

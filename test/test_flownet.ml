@@ -99,9 +99,9 @@ let test_fig2_round1_cut () =
   let dfg = Graph.build analysis in
   let charged, improvable, weight = round1 analysis in
   let cg = Critical.make dfg ~latency ~charged in
-  match Cut.cheapest cg ~eligible:improvable ~weight with
+  match Cut.cheapest_answer cg ~eligible:improvable ~weight with
   | None -> Alcotest.fail "no cut on the Fig. 2 CG"
-  | Some (cut, w) ->
+  | Some { Cut.cut; weight = w; _ } ->
     Alcotest.(check (list string)) "round 1 picks {d}" [ "d[i][k]" ] (names cut);
     Alcotest.(check int) "29 extra registers" 29 w
 
@@ -126,9 +126,9 @@ let test_fig2_round2_cut () =
   in
   let weight (g : Group.t) = (info g.Group.id).Analysis.nu - 1 in
   let cg = Critical.make dfg ~latency ~charged in
-  match Cut.cheapest cg ~eligible:improvable ~weight with
+  match Cut.cheapest_answer cg ~eligible:improvable ~weight with
   | None -> Alcotest.fail "no cut on the round-2 CG"
-  | Some (cut, w) ->
+  | Some { Cut.cut; weight = w; _ } ->
     Alcotest.(check (list string)) "round 2 splits {a, b}"
       [ "a[k]"; "b[k][j]" ] (names cut);
     (* nu_a + nu_b - 2: far over the 30 registers left after {d}, which is
@@ -214,10 +214,10 @@ let test_property_flow_matches_exhaustive () =
       (Printf.sprintf "seed %d stays under the oracle's wall" seed)
       true (ngroups <= 14);
     let reference = reference_cheapest cg ~eligible:improvable ~weight in
-    let flow = Cut.cheapest cg ~eligible:improvable ~weight in
+    let flow = Cut.cheapest_answer cg ~eligible:improvable ~weight in
     (match (reference, flow) with
     | None, None -> incr agreements
-    | Some (rcut, rw), Some (fcut, fw) ->
+    | Some (rcut, rw), Some { Cut.cut = fcut; weight = fw; _ } ->
       Alcotest.(check int)
         (Printf.sprintf "seed %d: cheapest weight" seed)
         rw fw;
@@ -232,7 +232,7 @@ let test_property_flow_matches_exhaustive () =
     | Some (rcut, _), None ->
       Alcotest.failf "seed %d: flow missed cut {%s}" seed
         (String.concat ", " (names rcut))
-    | None, Some (fcut, _) ->
+    | None, Some { Cut.cut = fcut; _ } ->
       Alcotest.failf "seed %d: flow invented cut {%s}" seed
         (String.concat ", " (names fcut)));
     (* The CG under the all-in-RAM state must also agree (a different,
@@ -240,11 +240,11 @@ let test_property_flow_matches_exhaustive () =
     let cg_all = Critical.make dfg ~latency ~charged:(fun _ -> true) in
     if List.length (Critical.charged_ref_groups cg_all) <= 14 then begin
       let r = reference_cheapest cg_all ~eligible:improvable ~weight in
-      let f = Cut.cheapest cg_all ~eligible:improvable ~weight in
+      let f = Cut.cheapest_answer cg_all ~eligible:improvable ~weight in
       Alcotest.(check (option (pair (list string) int)))
         (Printf.sprintf "seed %d: all-in-RAM state" seed)
         (Option.map (fun (c, w) -> (names c, w)) r)
-        (Option.map (fun (c, w) -> (names c, w)) f)
+        (Option.map (fun (a : Cut.answer) -> (names a.Cut.cut, a.Cut.weight)) f)
     end
   done;
   Alcotest.(check int) "all seeds agree" 120 !agreements;

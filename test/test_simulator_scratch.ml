@@ -10,7 +10,8 @@
    permuted variants, negative index coefficients, a coupled group with
    several windows in the suffix and valid fuzz kernels, in both
    execution modes. The cycle floor is held to a whole-nest reference,
-   and the bytes-key fallback to the bitmask path for every consumer.
+   and a kernel past the bitmask cap to the reference for every
+   consumer of the bytes-key fallback.
    The last checks pin the allocation of a warm evaluation and of a
    cold scratch build. *)
 
@@ -245,35 +246,6 @@ let test_differential_dynamic () =
         [ Residency.Lru; Residency.Direct_mapped ])
     kernels
 
-(* Degrading the bitmask keys to the bytes-key fallback must not change a
-   single number, for any consumer of the counted sets: run, profile and
-   the cycle floor, at the feasibility minimum and at 64. *)
-let test_mask_fallback () =
-  List.iter
-    (fun (name, nest) ->
-      let analysis = Flow.analyze nest in
-      let scratch = Simulator.scratch analysis in
-      let degraded =
-        { Simulator.default_config with Simulator.mask_group_cap = 1 }
-      in
-      let minimum = Srfa_core.Ordering.feasibility_minimum analysis in
-      List.iter
-        (fun budget ->
-          let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
-          let label = Printf.sprintf "%s budget %d mask fallback" name budget in
-          check_same label (Simulator.run alloc)
-            (Simulator.run ~config:degraded ~scratch alloc);
-          Alcotest.(check (list (pair int int)))
-            (label ^ " profile") (Simulator.profile alloc)
-            (Simulator.profile ~config:degraded ~scratch alloc);
-          let beta_max = budget - (Analysis.num_groups analysis - 1) in
-          Alcotest.(check int)
-            (label ^ " floor")
-            (Simulator.cycles_floor (Simulator.scratch analysis) ~beta_max)
-            (Simulator.cycles_floor ~config:degraded scratch ~beta_max))
-        (List.sort_uniq compare [ minimum; 64 ]))
-    kernels
-
 (* A scratch built for one analysis is ignored for another (fresh state
    built on the fly) instead of corrupting the result. *)
 let test_foreign_scratch_ignored () =
@@ -345,6 +317,44 @@ let test_floor_reference () =
             (Simulator.cycles_floor scratch ~beta_max))
         [ 1; 2; 3; 5; 8; 16; 64; max_int ])
     inputs
+
+(* Past the bitmask cap (60 groups) the walks key charged sets by bytes.
+   A 64-group kernel must give the boxed reference's numbers through
+   every consumer of the counted sets (run, profile and the cycle
+   floor), and announce the fallback as guard.mask and W-GUARD-MASK. *)
+let test_mask_fallback () =
+  let module Trace = Srfa_util.Trace in
+  let nest = Srfa_kernels.Extra.synthetic_cut ~groups:64 () in
+  let analysis = Flow.analyze nest in
+  let groups = Analysis.num_groups analysis in
+  Alcotest.(check int) "groups" 64 groups;
+  let scratch = Simulator.scratch analysis in
+  List.iter
+    (fun budget ->
+      let label = Printf.sprintf "64 groups, budget %d" budget in
+      let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget in
+      let expected, expected_profile = reference alloc in
+      let sink, events = Trace.collector () in
+      check_same label expected (Simulator.run ~trace:sink ~scratch alloc);
+      Alcotest.(check bool) (label ^ ": guard.mask") true
+        (List.exists (fun (e : Trace.event) -> e.Trace.name = "guard.mask")
+           (events ()));
+      Alcotest.(check (list (pair int int)))
+        (label ^ " profile") expected_profile
+        (Simulator.profile ~scratch alloc);
+      let beta_max = budget - (groups - 1) in
+      Alcotest.(check int) (label ^ " floor")
+        (reference_floor analysis ~beta_max)
+        (Simulator.cycles_floor scratch ~beta_max);
+      match Flow.checked ~config:{ Flow.default_config with budget } nest with
+      | Ok (_, warnings) ->
+        Alcotest.(check bool) (label ^ ": W-GUARD-MASK") true
+          (List.exists
+             (fun (d : Srfa_util.Diag.t) ->
+               d.Srfa_util.Diag.code = "W-GUARD-MASK")
+             warnings)
+      | Error _ -> Alcotest.failf "%s: rejected" label)
+    [ 64; 128; 256 ]
 
 (* Warm evaluations must stay off the allocator: after one warming run,
    for every library kernel, both a scratch-threaded simulation and a
