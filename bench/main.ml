@@ -1311,7 +1311,8 @@ let perf_explore () =
               Flow.Core.explore ?pool ~space Flow.default_config nest
             in
             let everything, oracle =
-              measure ~samples:3 (fun () -> Oracle.points space nest)
+              measure ~samples:3 (fun () ->
+                  Oracle.points ~space Flow.default_config nest)
             in
             let opt_f, opt = measure ~samples:3 explore in
             let pooled_f, pooled = measure ~samples:3 (explore ~pool) in

@@ -30,16 +30,10 @@ type point = {
 
 (* The loop orders the space asks for, over one (possibly tiled) nest. *)
 let orders (space : Core.space) nest =
-  let id = List.init (Nest.depth nest) Fun.id in
   match space.Core.orders with
-  | Core.Identity_order -> [ id ]
+  | Core.Identity_order -> [ List.init (Nest.depth nest) Fun.id ]
   | Core.All_orders -> fst (Permute.legal_orders nest)
-  | Core.Orders os ->
-    let legal = Permute.fully_permutable nest in
-    id
-    :: List.filter
-         (fun o -> legal && o <> id && List.sort Int.compare o = id)
-         os
+  | Core.Orders _ -> invalid_arg "Explore_oracle: explicit orders"
 
 let variants (space : Core.space) nest =
   let tilings =
@@ -79,11 +73,9 @@ let variant_points (config : Core.config) (space : Core.space)
     in
     { tiling; order; budget; algorithm; report; cert }
   in
-  let minimum =
-    Srfa_core.Ordering.feasibility_minimum (Analysis.analyze nest)
-  in
+  let analysis = Analysis.analyze nest in
+  let minimum = Srfa_core.Ordering.feasibility_minimum analysis in
   let floor =
-    let analysis = Analysis.analyze nest in
     point ~budget:minimum ~algorithm:"floor" ~version:"floor"
       (Allocation.make ~analysis ~budget:minimum ~algorithm:"floor"
          (Array.make (Analysis.num_groups analysis)
@@ -123,13 +115,12 @@ let variant_points (config : Core.config) (space : Core.space)
          else List.map (ladder budget) space.Core.space_algorithms)
        space.Core.space_budgets
 
-(* Every point of [space] over [nest], each evaluated from scratch. *)
-let points ?(config = Core.default_config) space nest =
+(* Every point of [space] over [nest] under [config] (its budget aside,
+   as in Flow.Core.explore), each evaluated from scratch. *)
+let points ~space config nest =
   List.concat_map (variant_points config space) (variants space nest)
 
-type coords = int * int * int * float
-
-let coords_of (r : Report.t) : coords =
+let coords_of (r : Report.t) =
   (r.Report.cycles, r.Report.total_registers, r.Report.slices,
    r.Report.clock_ns)
 

@@ -2,12 +2,12 @@
    Flow.Core.explore returns is byte-identical whether the dominance
    cuts are on or off and whether the variants fan out over a pool or
    run serially, and it is what a from-scratch evaluation of the whole
-   space says it must be (Explore_oracle). On top of the differential
-   checks, a golden pins the
-   frontier JSON of the paper's running example, the entries memo is
-   shown to actually fire on a saturating ladder, non-permutable nests
-   degrade to the identity with W-GUARD-EXPLORE instead of raising,
-   and certification composes (every real point carries an outcome). *)
+   space says it must be (Explore_oracle). On top of these checks, a
+   golden pins the frontier JSON of the paper's running example, the
+   entries memo is shown to actually fire on a saturating ladder,
+   non-permutable nests degrade to the identity with W-GUARD-EXPLORE
+   instead of raising, and certification composes (every real point
+   carries an outcome). *)
 
 open Srfa_ir
 open Srfa_test_helpers
@@ -96,7 +96,9 @@ let check_memoised_equals_oracle ~base (name, nest) =
     (fun (label, space) ->
       let frontier = Core.explore ~space Core.default_config nest in
       match
-        Explore_oracle.check (Explore_oracle.points space nest) frontier
+        Explore_oracle.check
+          (Explore_oracle.points ~space Core.default_config nest)
+          frontier
       with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s, %s: %s" name label msg)
