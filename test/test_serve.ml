@@ -957,6 +957,69 @@ let test_stateful_golden () =
   Alcotest.(check (pair string string))
     "MD5 of the first and the second pass" stateful_digests digests
 
+(* The inline-source path's bytes, pinned the same way. Every registry
+   kernel is sent as its canonical text and as a reformatted copy (a
+   leading comment, every line followed by a blank one), on both
+   devices, under two (algorithm, budget) pairs; then one rebudget and
+   one explore request by source, a lexer error and a source truncated
+   inside its last index. The reformatted copies canonicalise to their
+   canonical twins, so the first pass already answers them from tier 2.
+   The digests were recorded while every inline source was still parsed
+   afresh on every request. *)
+let inline_line ?(extra = []) ~id text =
+  Srfa_util.Json.to_string
+    (Protocol.Obj
+       (("id", Protocol.Str id) :: ("source", Protocol.Str text) :: extra))
+
+let reformatted text =
+  "/* a reformatted copy */\n\n"
+  ^ String.concat "\n\n" (String.split_on_char '\n' text)
+
+let inline_corpus =
+  let canonical name = Parser.canonical_source (Option.get (Kernels.find name)) in
+  let fir = canonical "fir" in
+  List.concat_map
+    (fun name ->
+      List.concat_map
+        (fun text ->
+          List.concat_map
+            (fun device ->
+              List.map
+                (fun (algorithm, budget) ->
+                  inline_line ~id:"s" text
+                    ~extra:
+                      [
+                        ("device", Protocol.Str device);
+                        ("algorithm", Protocol.Str algorithm);
+                        ("budget", Protocol.Int budget);
+                      ])
+                [ ("cpa-ra", 64); ("pr-ra", 32) ])
+            [ "xcv1000"; "xc2v6000" ])
+        [ canonical name; reformatted (canonical name) ])
+    Kernels.names
+  @ [
+      inline_line ~id:"r" (reformatted fir)
+        ~extra:[ ("op", Protocol.Str "rebudget"); ("budget", Protocol.Int 24) ];
+      inline_line ~id:"x" (canonical "example")
+        ~extra:
+          [ ("op", Protocol.Str "explore"); ("budgets", Protocol.Str "16,64") ];
+      inline_line ~id:"e" "kernel lex { input int a[4]; ? }";
+      inline_line ~id:"t" (String.sub fir 0 (String.rindex fir ']'));
+    ]
+
+let inline_digests =
+  ("d3a4410de52da8d4531942a809a9ab42", "afa4b945168045d340b6a22f383bfd14")
+
+let test_inline_golden () =
+  let _, second, digests = two_passes "inline" inline_corpus inline_digests in
+  Alcotest.(check int) "corpus lines" 92 (List.length inline_corpus);
+  Alcotest.(check (pair string string))
+    "MD5 of the first and the second pass" inline_digests digests;
+  check "the lexer error is E-LEX-001"
+    (has_code "E-LEX-001" (List.nth second 90));
+  check "the truncated source ends in E-PARSE-001"
+    (has_code "E-PARSE-001" (List.nth second 91))
+
 (* One daemon, one stateful sequence: the cold / analysis-reuse / hit
    paths, an inline source and a parse error, the protocol error codes,
    a guard trip, an infeasible budget, a rebudget stream, explore, a
@@ -1380,6 +1443,7 @@ let () =
           Alcotest.test_case "response golden" `Quick test_response_golden;
           Alcotest.test_case "rebudget and explore golden" `Quick
             test_stateful_golden;
+          Alcotest.test_case "inline-source golden" `Quick test_inline_golden;
           Alcotest.test_case "limits" `Quick test_limits;
           Alcotest.test_case "worker isolation" `Quick test_worker_isolation;
           Alcotest.test_case "short write" `Quick test_short_write;
