@@ -51,74 +51,78 @@ let devices =
 
 let device_of_name name = List.assoc_opt name devices
 
-(* Named kernels resolve once per process: the nest, its canonical
-   source and its tier-1 keys depend on nothing but the spelling. The
-   memo is keyed on the lowercased spelling ([Kernels.find] ignores
-   case) and filled only when [Kernels.find] succeeds, so it holds at
-   most one entry per name or alias the registry accepts. IR values are
-   immutable, so every request may share the nest. [resolve] runs on
-   whichever domain calls it, hence the lock. *)
-type named = {
-  named_nest : Srfa_ir.Nest.t;
-  named_source : string;
-  named_keys : (Srfa_hw.Device.t * string) list;  (* tier-1 key per device *)
+(* Each way of naming a kernel resolves once per process: a registry
+   spelling, lowercased ([Kernels.find] ignores case), or an inline
+   source's raw text. The nest, its canonical source and its tier-1 key
+   on each device depend on nothing but that spelling, so a repeated
+   inline text costs one hash lookup instead of a parse, a print and
+   two MD5s, and its content address is still the canonical source's.
+   IR values are immutable, so every request may share the nest.
+
+   The memo is one byte-bounded LRU, each entry charged like [insert]
+   charges a store value, plus its key. Only a spelling that resolves
+   is stored. An entry remembers which way it was named, so a source
+   text that spells a registry name, or a name that spells a stored
+   text, never hits the other's entry. The memo is not a namespace of
+   the store: [resolve] runs before any store is consulted and takes
+   none. It runs on whichever domain calls it, hence the lock. *)
+type known = {
+  from_text : bool;  (* keyed on a raw source text, not a registry name *)
+  known_nest : Srfa_ir.Nest.t;
+  known_source : string;
+  known_keys : (Srfa_hw.Device.t * string) list;  (* tier-1 key per device *)
 }
 
-let named_memo : (string, named) Hashtbl.t = Hashtbl.create 32
+let word_bytes = Sys.word_size / 8
 
-let named_lock = Mutex.create ()
+let memo : known Lru.t = Lru.create ~capacity:(4 * 1024 * 1024)
 
-let find_named name =
-  let spelling = String.lowercase_ascii name in
-  Mutex.protect named_lock (fun () ->
-      match Hashtbl.find_opt named_memo spelling with
-      | Some _ as hit -> hit
-      | None -> (
-        match Srfa_kernels.Kernels.find spelling with
-        | None -> None
-        | Some nest ->
-          let source = Srfa_frontend.Parser.canonical_source nest in
-          let n =
-            {
-              named_nest = nest;
-              named_source = source;
-              named_keys =
-                List.map
-                  (fun (_, device) -> (device, tier1_key ~device source))
-                  devices;
-            }
-          in
-          Hashtbl.add named_memo spelling n;
-          Some n))
+let memo_lock = Mutex.create ()
+
+(* The memoized resolution of [key], or [build key]'s, stored when it
+   succeeds. The build runs outside the lock: two domains racing on one
+   new spelling both build it, and the later store wins. *)
+let known ~from_text key build =
+  match Mutex.protect memo_lock (fun () -> Lru.find memo key) with
+  | Some k when k.from_text = from_text -> Ok k
+  | _ ->
+    Result.map
+      (fun nest ->
+        (* The content address hashes the canonical rendering, never
+           the raw request text, so formatting and comments never
+           fragment the cache. *)
+        let source = Srfa_frontend.Parser.canonical_source nest in
+        let k =
+          {
+            from_text;
+            known_nest = nest;
+            known_source = source;
+            known_keys =
+              List.map
+                (fun (_, device) -> (device, tier1_key ~device source))
+                devices;
+          }
+        in
+        let cost = (1 + Obj.reachable_words (Obj.repr (key, k))) * word_bytes in
+        Mutex.protect memo_lock (fun () -> ignore (Lru.add memo key ~cost k));
+        k)
+      (build key)
 
 let resolve (r : Protocol.request) =
-  (* The kernel's nest, canonical source and tier-1 key on a device. *)
-  let* nest, source, key_on =
+  let* k =
     match r.Protocol.kernel with
     | None -> Error [ Protocol.field_error "allocate request without a kernel" ]
-    | Some (Protocol.Named name) -> (
-      match find_named name with
-      | Some n ->
-        Ok
-          ( n.named_nest,
-            n.named_source,
-            fun device -> List.assq device n.named_keys )
-      | None ->
-        Error
-          [
-            Protocol.field_error
-              (Printf.sprintf "unknown kernel %S (try: %s)" name
-                 (String.concat ", " Srfa_kernels.Kernels.names));
-          ])
+    | Some (Protocol.Named name) ->
+      known ~from_text:false (String.lowercase_ascii name) (fun spelling ->
+          Option.to_result (Srfa_kernels.Kernels.find spelling)
+            ~none:
+              [
+                Protocol.field_error
+                  (Printf.sprintf "unknown kernel %S (try: %s)" name
+                     (String.concat ", " Srfa_kernels.Kernels.names));
+              ])
     | Some (Protocol.Source text) ->
-      Result.map
-        (fun nest ->
-          (* The content address hashes the canonical rendering, never
-             the raw request text, so formatting and comments never
-             fragment the cache. *)
-          let source = Srfa_frontend.Parser.canonical_source nest in
-          (nest, source, fun device -> tier1_key ~device source))
-        (Srfa_frontend.Parser.parse_result text)
+      known ~from_text:true text Srfa_frontend.Parser.parse_result
   in
   let* device =
     match r.Protocol.device with
@@ -148,10 +152,10 @@ let resolve (r : Protocol.request) =
   in
   Ok
     {
-      nest;
-      source;
+      nest = k.known_nest;
+      source = k.known_source;
       device;
-      t1 = key_on device;
+      t1 = List.assq device k.known_keys;
       algorithm;
       budget = Option.value r.Protocol.budget ~default:64;
       cut_work_limit = r.Protocol.cut_work_limit;
@@ -244,8 +248,6 @@ let find t ns key =
   let hit = Lru.find s.lru key in
   emit t s (if Option.is_some hit then "cache.hit" else "cache.miss") key;
   hit
-
-let word_bytes = Sys.word_size / 8
 
 (* The cache.insert fault site: an injected failure means the store did
    not happen (a full disk, an allocation failure). Whatever the action,

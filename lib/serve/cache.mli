@@ -62,14 +62,18 @@ val resolve : Protocol.request -> (resolved, Diag.t list) result
     back with their [E-LEX-*]/[E-PARSE-*]/[E-SEM-*] codes), validate
     device and algorithm names, default budget 64.
 
-    Named kernels are memoized per process: the first request for a
-    spelling builds the nest, renders its canonical source and hashes
-    its tier-1 key for every device; later requests share all three.
-    The memo is keyed on the lowercased spelling and gains an entry only
-    when {!Srfa_kernels.Kernels.find} accepts it, so it is bounded by
-    the registry's names and aliases. It is guarded by a mutex, so any
-    domain may call [resolve]. An inline source is parsed, rendered and
-    hashed on every request. *)
+    Kernels are memoized per process, both ways of naming one: a
+    registry name under its lowercased spelling, an inline source under
+    its raw text. The first request for a spelling builds or parses the
+    nest, renders its canonical source and hashes its tier-1 key for
+    every device; later requests share all three, so a repeated inline
+    text is not parsed again. The content address is still the
+    canonical source's. Only a spelling that resolves gains an entry;
+    a failed parse or an unknown name is rebuilt on every request. The
+    memo is one byte-bounded LRU (4 MB, each entry charged its heap
+    size plus its key's), so it evicts its coldest spellings instead of
+    growing. It is guarded by a mutex, so any domain may call
+    [resolve]. *)
 
 val config_for : resolved -> Flow.config
 (** The pure-core config a resolved request runs under: its budget, its

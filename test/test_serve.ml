@@ -354,6 +354,18 @@ let resolve_exn line =
     | Error ds ->
       Alcotest.failf "resolve: %s" (String.concat "; " (List.map Diag.to_json ds)))
 
+(* An allocate line naming its kernel by source [text], and a copy of
+   [text] with a leading comment and every line followed by a blank
+   one. *)
+let inline_line ?(extra = []) ~id text =
+  Srfa_util.Json.to_string
+    (Protocol.Obj
+       (("id", Protocol.Str id) :: ("source", Protocol.Str text) :: extra))
+
+let reformatted text =
+  "/* a reformatted copy */\n\n"
+  ^ String.concat "\n\n" (String.split_on_char '\n' text)
+
 let respond_exn cache r =
   match Cache.respond cache r with
   | Ok v -> v
@@ -637,6 +649,142 @@ let test_named_memo () =
            example, conv2d, moving-average, corner-turn, gradient-pair)" )
         (unknown ()))
     [ "first"; "second" ]
+
+(* Inline sources resolve through the same memo, keyed on the raw text.
+   Each registry kernel's canonical text and a reformatted copy must
+   give, on the first and the second call on each device, the bytes a
+   fresh parse renders and the tier-1 key they hash to; the second call
+   shares the first one's nest. *)
+let test_inline_memo () =
+  List.iter
+    (fun name ->
+      let canonical =
+        Parser.canonical_source (Option.get (Kernels.find name))
+      in
+      List.iter
+        (fun (form, text) ->
+          let source =
+            Parser.canonical_source (Result.get_ok (Parser.parse_result text))
+          in
+          List.iter
+            (fun (device_name, device) ->
+              let resolve () =
+                resolve_exn
+                  (inline_line ~id:"m" text
+                     ~extra:[ ("device", Protocol.Str device_name) ])
+              in
+              let first = resolve () in
+              let second = resolve () in
+              List.iter
+                (fun (call, (r : Cache.resolved)) ->
+                  let what =
+                    Printf.sprintf "%s, %s text on %s, %s call" name form
+                      device_name call
+                  in
+                  Alcotest.(check string)
+                    (what ^ ": source") source r.Cache.source;
+                  Alcotest.(check string)
+                    (what ^ ": tier-1 key")
+                    (Cache.tier1_key ~device source)
+                    r.Cache.t1)
+                [ ("first", first); ("second", second) ];
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s text: the second call shares the nest"
+                   name form)
+                true
+                (first.Cache.nest == second.Cache.nest))
+            [ ("xcv1000", Device.xcv1000); ("xc2v6000", Device.xc2v6000) ])
+        [ ("canonical", canonical); ("reformatted", reformatted canonical) ])
+    Kernels.names
+
+(* A diagnostic's code, span and message. *)
+let diag_parts (d : Diag.t) =
+  ( d.Diag.code,
+    Option.map (fun (s : Diag.span) -> (s.Diag.line, s.Diag.col)) d.Diag.span,
+    d.Diag.message )
+
+(* A text that fails to parse is never memoized: resolved twice, it
+   gives a fresh parse's diagnostics both times, also when it is as long
+   as a memoized text and differs from it only in its last byte, and
+   when it spells a memoized registry name. A name that spells a
+   memoized text is still an unknown kernel. *)
+let test_inline_memo_errors () =
+  let example = Parser.canonical_source (Kernels.example ()) in
+  let n = String.length example in
+  ignore (resolve_exn (inline_line ~id:"m" example));
+  ignore (resolve_exn {|{"kernel": "fir"}|});
+  (match
+     Cache.resolve
+       (Result.get_ok
+          (Protocol.parse_request
+             (Srfa_util.Json.to_string
+                (Protocol.Obj [ ("kernel", Protocol.Str example) ]))))
+   with
+  | Error [ d ] ->
+    Alcotest.(check string) "a name spelling a text" "E-PROTO-002" d.Diag.code
+  | _ -> Alcotest.fail "a name spelling a memoized text resolved");
+  List.iter
+    (fun (what, text) ->
+      let fresh =
+        match Parser.parse_result text with
+        | Ok _ -> Alcotest.failf "%s: parsed" what
+        | Error ds -> List.map diag_parts ds
+      in
+      List.iter
+        (fun call ->
+          let request =
+            Result.get_ok (Protocol.parse_request (inline_line ~id:"m" text))
+          in
+          match Cache.resolve request with
+          | Ok _ -> Alcotest.failf "%s, %s call: resolved" what call
+          | Error ds ->
+            Alcotest.(check (list (triple string (option (pair int int)) string)))
+              (Printf.sprintf "%s, %s call: code, span and message" what call)
+              fresh
+              (List.map diag_parts ds))
+        [ "first"; "second" ])
+    [
+      ("last byte replaced", String.sub example 0 (n - 1) ^ "?");
+      ("truncated", String.sub example 0 (String.rindex example ']'));
+      ("trailing brace", example ^ "}");
+      ("lexer error", "kernel lex { input int a[4]; ? }");
+      ("a registry name", "fir");
+    ]
+
+(* The memo is bounded, and a failed parse takes no room in it. A text
+   padded past 8 kB is charged at least its length, so 640 such texts
+   exceed the memo's 4 MB: 640 broken ones leave a memoized text
+   resident, and 640 valid ones (moving-average variants) evict it.
+   Evicted, it resolves to a physically new nest with the same bytes and
+   tier-1 key. *)
+let test_inline_memo_bound () =
+  let pad = "/* " ^ String.make 8192 '.' ^ " */\n" in
+  let line text = inline_line ~id:"m" text in
+  let text = Parser.canonical_source (Kernels.example ()) in
+  let first = resolve_exn (line text) in
+  for i = 1 to 640 do
+    let broken = pad ^ Printf.sprintf "kernel broken%d {" i in
+    match Cache.resolve (Result.get_ok (Protocol.parse_request (line broken))) with
+    | Ok _ -> Alcotest.failf "broken text %d resolved" i
+    | Error _ -> ()
+  done;
+  let kept = resolve_exn (line text) in
+  Alcotest.(check bool)
+    "after 640 failed parses the text is still memoized" true
+    (kept.Cache.nest == first.Cache.nest);
+  for i = 1 to 640 do
+    let variant =
+      Srfa_kernels.Extra.moving_average ~window:(2 + (i mod 13))
+        ~samples:(64 + i) ()
+    in
+    ignore (resolve_exn (line (pad ^ Parser.canonical_source variant)))
+  done;
+  let again = resolve_exn (line text) in
+  Alcotest.(check bool)
+    "after 640 valid texts the text was evicted" false
+    (again.Cache.nest == first.Cache.nest);
+  Alcotest.(check string) "same source" first.Cache.source again.Cache.source;
+  Alcotest.(check string) "same tier-1 key" first.Cache.t1 again.Cache.t1
 
 (* A tier-1 entry is charged what it holds. The simulator scratch fills
    its rank cache when it is built, so the size measured at insert (right
@@ -966,15 +1114,6 @@ let test_stateful_golden () =
    canonical twins, so the first pass already answers them from tier 2.
    The digests were recorded while every inline source was still parsed
    afresh on every request. *)
-let inline_line ?(extra = []) ~id text =
-  Srfa_util.Json.to_string
-    (Protocol.Obj
-       (("id", Protocol.Str id) :: ("source", Protocol.Str text) :: extra))
-
-let reformatted text =
-  "/* a reformatted copy */\n\n"
-  ^ String.concat "\n\n" (String.split_on_char '\n' text)
-
 let inline_corpus =
   let canonical name = Parser.canonical_source (Option.get (Kernels.find name)) in
   let fir = canonical "fir" in
@@ -1425,6 +1564,11 @@ let () =
           Alcotest.test_case "eviction events" `Quick test_eviction_events;
           Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
           Alcotest.test_case "named-kernel memo" `Quick test_named_memo;
+          Alcotest.test_case "inline-source memo" `Quick test_inline_memo;
+          Alcotest.test_case "inline-source memo never keeps a failure" `Quick
+            test_inline_memo_errors;
+          Alcotest.test_case "inline-source memo is bounded" `Quick
+            test_inline_memo_bound;
           Alcotest.test_case "rebudget sessions" `Quick test_rebudget_sessions;
           Alcotest.test_case "tier-1 bytes charged at insert" `Quick
             test_tier1_bytes;
