@@ -52,6 +52,16 @@ let integer st =
     | _ -> expected st "an integer after '-'")
   | _ -> expected st "an integer"
 
+(* [ident] and [integer], also returning the index of the token they
+   consumed, for a check that raises at that token afterwards. *)
+let ident_at st =
+  let at = st.pos in
+  (ident st, at)
+
+let integer_at st =
+  let at = st.pos in
+  (integer st, at)
+
 let find_decl st name = List.assoc_opt name st.decls
 let is_loop_var st name = List.mem name st.loop_vars
 
@@ -65,18 +75,19 @@ let affine_term st =
     match current st with
     | Lexer.Star ->
       advance st;
-      let v = ident st in
+      let v, at = ident_at st in
       if not (is_loop_var st v) then
-        fail st ~code:"E-PARSE-002" "%s is not an enclosing loop variable" v;
+        fail ~at st ~code:"E-PARSE-002" "%s is not an enclosing loop variable"
+          v;
       Affine.var ~coeff v
     | _ -> Affine.const coeff)
   | Lexer.Ident v -> (
-    advance st;
     if not (is_loop_var st v) then
       fail st ~code:"E-PARSE-002"
         "%s is not an enclosing loop variable (array references cannot \
          appear inside indices)"
         v;
+    advance st;
     match current st with
     | Lexer.Star -> (
       advance st;
@@ -103,9 +114,12 @@ let affine_expr st =
   done;
   !acc
 
-let reference st name =
+(* A reference, from its array's name on; its checks raise at the
+   name. *)
+let reference st =
+  let name, at = ident_at st in
   match find_decl st name with
-  | None -> fail st ~code:"E-PARSE-002" "undeclared array %s" name
+  | None -> fail ~at st ~code:"E-PARSE-002" "undeclared array %s" name
   | Some decl ->
     let rec indices acc =
       match current st with
@@ -118,8 +132,9 @@ let reference st name =
     in
     let index = indices [] in
     if List.length index <> Decl.rank decl then
-      fail st ~code:"E-PARSE-003" "%s has rank %d but %d indices were given"
-        name (Decl.rank decl) (List.length index);
+      fail ~at st ~code:"E-PARSE-003"
+        "%s has rank %d but %d indices were given" name (Decl.rank decl)
+        (List.length index);
     Expr.ref_ decl index
 
 (* --- value expressions --------------------------------------------------- *)
@@ -219,8 +234,7 @@ and primary st =
         "loop variable %s cannot be used as a value (store the values it \
          would contribute in an input array)"
         name;
-    advance st;
-    Expr.Load (reference st name)
+    Expr.Load (reference st)
   | _ -> expected st "an expression"
 
 (* A call's name, already matched by [primary], its '(' and its first
@@ -254,16 +268,17 @@ let declaration st storage =
       w
     | _ -> expected st "a type"
   in
-  let name = ident st in
+  let name, at = ident_at st in
   if find_decl st name <> None then
-    fail st ~code:"E-PARSE-005" "array %s declared twice" name;
+    fail ~at st ~code:"E-PARSE-005" "array %s declared twice" name;
   let rec dims acc =
     match current st with
     | Lexer.Lbracket ->
       advance st;
-      let d = integer st in
+      let d, at = integer_at st in
       if d <= 0 then
-        fail st ~code:"E-PARSE-004" "array extent must be positive, got %d" d;
+        fail ~at st ~code:"E-PARSE-004" "array extent must be positive, got %d"
+          d;
       expect st Lexer.Rbracket;
       dims (d :: acc)
     | _ -> List.rev acc
@@ -273,8 +288,7 @@ let declaration st storage =
   st.decls <- (name, Decl.make ~bits ~storage name dims) :: st.decls
 
 let statement st =
-  let name = ident st in
-  let target = reference st name in
+  let target = reference st in
   match current st with
   | Lexer.Assign ->
     advance st;
@@ -293,27 +307,30 @@ let rec loops st acc_loops =
   | Lexer.Kw_for ->
     advance st;
     expect st Lexer.Lparen;
-    let v = ident st in
+    let v, at = ident_at st in
     if is_loop_var st v then
-      fail st ~code:"E-PARSE-005" "loop variable %s reused" v;
+      fail ~at st ~code:"E-PARSE-005" "loop variable %s reused" v;
     if find_decl st v <> None then
-      fail st ~code:"E-PARSE-005" "loop variable %s collides with an array" v;
+      fail ~at st ~code:"E-PARSE-005" "loop variable %s collides with an array"
+        v;
     expect st Lexer.Assign;
-    let lo = integer st in
+    let lo, at = integer_at st in
     if lo <> 0 then
-      fail st ~code:"E-PARSE-004" "loops must start at 0 (got %d)" lo;
+      fail ~at st ~code:"E-PARSE-004" "loops must start at 0 (got %d)" lo;
     expect st Lexer.Semicolon;
-    let v2 = ident st in
+    let v2, at = ident_at st in
     if v2 <> v then
-      fail st ~code:"E-PARSE-001" "loop condition must test %s, found %s" v v2;
+      fail ~at st ~code:"E-PARSE-001" "loop condition must test %s, found %s"
+        v v2;
     expect st Lexer.Lt;
-    let count = integer st in
+    let count, at = integer_at st in
     if count <= 0 then
-      fail st ~code:"E-PARSE-004" "trip count must be positive, got %d" count;
+      fail ~at st ~code:"E-PARSE-004" "trip count must be positive, got %d"
+        count;
     expect st Lexer.Semicolon;
-    let v3 = ident st in
+    let v3, at = ident_at st in
     if v3 <> v then
-      fail st ~code:"E-PARSE-001" "loop increment must bump %s, found %s"
+      fail ~at st ~code:"E-PARSE-001" "loop increment must bump %s, found %s"
         v v3;
     expect st Lexer.Plus_plus;
     expect st Lexer.Rparen;
@@ -362,11 +379,13 @@ let parse src =
   decls ();
   if current st = Lexer.Rbrace then
     fail st ~code:"E-PARSE-006" "kernel %s has no loop nest" name;
-  (* A body without loops is reported where the first [for] belongs. *)
-  let first = st.pos in
+  (* A body that does not open with a [for] (a statement, a brace, a
+     misspelt or truncated keyword) is reported where the [for] belongs;
+     a source that ends there is reported by [loops] as cut short. *)
+  (match current st with
+  | Lexer.Kw_for | Lexer.Eof -> ()
+  | _ -> fail st ~code:"E-PARSE-006" "kernel %s has no loops" name);
   let loops, body = loops st [] in
-  if loops = [] then
-    fail ~at:first st ~code:"E-PARSE-006" "kernel %s has no loops" name;
   expect st Lexer.Rbrace;
   expect st Lexer.Eof;
   let arrays = List.rev_map snd st.decls in

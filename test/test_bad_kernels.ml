@@ -35,12 +35,12 @@ let check_case (file, code, span, fragment) () =
 
 let cases =
   [
-    ("zero_trip.k", "E-PARSE-004", Some (5, 20), "must be positive");
-    ("undeclared_array.k", "E-PARSE-002", Some (6, 13), "undeclared array b");
-    ("rank_mismatch.k", "E-PARSE-003", Some (6, 19), "has rank 1");
+    ("zero_trip.k", "E-PARSE-004", Some (5, 19), "must be positive");
+    ("undeclared_array.k", "E-PARSE-002", Some (6, 12), "undeclared array b");
+    ("rank_mismatch.k", "E-PARSE-003", Some (6, 12), "has rank 1");
     ("garbage_char.k", "E-LEX-001", Some (4, 1), "unexpected character");
     ("unterminated_comment.k", "E-LEX-003", Some (8, 1), "unterminated comment");
-    ("duplicate_decl.k", "E-PARSE-005", Some (3, 15), "declared twice");
+    ("duplicate_decl.k", "E-PARSE-005", Some (3, 14), "declared twice");
     ("truncated.k", "E-PARSE-001", Some (7, 1), "end of input");
     ("oob_index.k", "E-SEM-001", None, "extent 4");
     ("overflow_literal.k", "E-LEX-002", Some (2, 16), "out of range");
@@ -48,6 +48,7 @@ let cases =
     ("int_width.k", "E-LEX-004", Some (2, 10), "integer width 99");
     ("empty_body.k", "E-PARSE-006", Some (6, 3), "empty loop body");
     ("no_loops.k", "E-PARSE-006", Some (5, 3), "kernel nl has no loops");
+    ("misspelt_for.k", "E-PARSE-006", Some (4, 3), "kernel mf has no loops");
     (* "reused" is a user's name in these two; it does not pick the code. *)
     ( "stray_identifier.k", "E-PARSE-001", Some (6, 17),
       "identifier \"reused\"" );

@@ -130,15 +130,39 @@ let test_event_cap_falls_back () =
         report.Report.cycles)
 
 (* The frontend's diagnostic oracle over campaign 42's 9,920 cases: a
-   broken case's first diagnostic carries its defect's code, and every
-   span lies inside the source (column [length + 1] is the line's end,
-   where a truncated source's end-of-input token sits). *)
+   broken case's first diagnostic carries its defect's code, every span
+   lies inside the source (column [length + 1] is the line's end, where
+   a truncated source's end-of-input token sits), and a diagnostic that
+   quotes a name points at that name. *)
 let span_inside source (s : Diag.span) =
   let lines = Array.of_list (String.split_on_char '\n' source) in
   s.Diag.line >= 1
   && s.Diag.line <= Array.length lines
   && s.Diag.col >= 1
   && s.Diag.col <= String.length lines.(s.Diag.line - 1) + 1
+
+(* The source from [s] to the end of its line; [s] lies inside. *)
+let text_at source (s : Diag.span) =
+  let line = List.nth (String.split_on_char '\n' source) (s.Diag.line - 1) in
+  String.sub line (s.Diag.col - 1) (String.length line - s.Diag.col + 1)
+
+(* The name an undeclared-array, rank-mismatch or dup-var diagnostic
+   quotes: the word after its message's fixed prefix. *)
+let quoted_name label message =
+  let word_after prefix =
+    if String.starts_with ~prefix message then
+      let rest =
+        String.sub message (String.length prefix)
+          (String.length message - String.length prefix)
+      in
+      Some (List.hd (String.split_on_char ' ' rest))
+    else None
+  in
+  match label with
+  | "undeclared-array" -> word_after "undeclared array "
+  | "rank-mismatch" -> word_after ""
+  | "dup-var" -> word_after "loop variable "
+  | _ -> None
 
 let test_frontend_codes_match_defects () =
   let seen = Hashtbl.create 16 in
@@ -175,6 +199,17 @@ let test_frontend_codes_match_defects () =
         in
         if not code_ok then
           Alcotest.failf "%s answered %s" where (Diag.to_string d);
+        (match (label, quoted_name label d.Diag.message, d.Diag.span) with
+        | ("undeclared-array" | "rank-mismatch" | "dup-var"), Some name, Some s
+          when span_inside case.Gen.source s ->
+          if not (String.starts_with ~prefix:name (text_at case.Gen.source s))
+          then
+            Alcotest.failf "%s: the span of %s is not at %s" where
+              (Diag.to_string d) name
+        | ("undeclared-array" | "rank-mismatch" | "dup-var"), _, _ ->
+          Alcotest.failf "%s: no quoted name at a span in %s" where
+            (Diag.to_string d)
+        | _ -> ());
         List.iter
           (fun (d : Diag.t) ->
             match d.Diag.span with
