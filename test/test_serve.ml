@@ -232,6 +232,97 @@ let test_recover_id () =
       (String.is_valid_utf_8 (Protocol.response_stats ?id:r.Protocol.id []))
   | Error d -> Alcotest.failf "stats request rejected: %s" (Diag.to_json d)
 
+(* The request reader under mutation: 20,000 seeded cases, each a valid
+   line (named, inline source, rebudget, explore, stats, a non-ASCII id)
+   with one to three truncations, byte substitutions, insertions or
+   deletions. Neither [parse_request] nor [recover_id] may raise, every
+   rejection must carry an E-PROTO- code, and when the "id" member and
+   everything before it are intact [recover_id] must return that id.
+   Case [i] draws from [Prng.split (Prng.create ~seed) i], so a failure
+   names the seed and index that replay it. *)
+let fuzz_lines =
+  [
+    ( {|{"id": "n1", "kernel": "fir", "budget": 32, "algorithm": "cpa-ra"}|},
+      "n1" );
+    ( {|{"id": "s2", "source": "kernel k {\n  input int a[4];\n  output int y[4];\n  for (i = 0; i < 4; i++)\n    y[i] = a[i];\n}\n", "device": "xc2v6000"}|},
+      "s2" );
+    ( {|{"id": "r3", "op": "rebudget", "kernel": "mat", "budget": 16, "stream": "s"}|},
+      "r3" );
+    ( {|{"id": "x4", "op": "explore", "kernel": "example", "tiles": "2", "budgets": "16,64", "certify": true}|},
+      "x4" );
+    ({|{"op": "stats", "id": "t5"}|}, "t5");
+    ( "{\"id\": \"caf\\u00e9-\xe2\x82\xac\", \"kernel\": \"fir\"}",
+      "caf\xc3\xa9-\xe2\x82\xac" );
+  ]
+
+let mutate rng line =
+  let byte () = String.make 1 (Char.chr (Srfa_util.Prng.int rng 256)) in
+  let edit line =
+    let n = String.length line in
+    let at = Srfa_util.Prng.int rng (max 1 n) in
+    let head = String.sub line 0 (min at n) in
+    let tail k = String.sub line (min (at + k) n) (n - min (at + k) n) in
+    match Srfa_util.Prng.int rng 4 with
+    | 0 -> head
+    | 1 -> head ^ byte () ^ tail 1
+    | 2 -> head ^ byte () ^ tail 0
+    | _ -> head ^ tail 1
+  in
+  let rec go k line = if k = 0 then line else go (k - 1) (edit line) in
+  go (1 + Srfa_util.Prng.int rng 3) line
+
+let test_request_fuzz () =
+  let seed = 42 in
+  let root = Srfa_util.Prng.create ~seed in
+  let lines = Array.of_list fuzz_lines in
+  (* The offset just past the id member's value, in each valid line. *)
+  let id_end line =
+    let key = {|"id": "|} in
+    let rec find i =
+      if String.sub line i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let rec close i =
+      match line.[i] with
+      | '\\' -> close (i + 2)
+      | '"' -> i + 1
+      | _ -> close (i + 1)
+    in
+    close (find 0)
+  in
+  let intact = ref 0 in
+  for index = 0 to 19_999 do
+    let rng = Srfa_util.Prng.split root index in
+    let original, id = lines.(Srfa_util.Prng.int rng (Array.length lines)) in
+    let line = mutate rng original in
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Alcotest.failf "seed %d, index %d, line %S: %s" seed index line msg)
+        fmt
+    in
+    (match Protocol.parse_request line with
+    | Ok _ -> ()
+    | Error d ->
+      if not (String.starts_with ~prefix:"E-PROTO-" d.Diag.code) then
+        fail "rejected with %s" d.Diag.code
+    | exception e -> fail "parse_request raised %s" (Printexc.to_string e));
+    match Protocol.recover_id line with
+    | exception e -> fail "recover_id raised %s" (Printexc.to_string e)
+    | recovered ->
+      let head = String.sub original 0 (id_end original) in
+      if String.starts_with ~prefix:head line then begin
+        incr intact;
+        if recovered <> Some id then
+          fail "recover_id gave %s"
+            (Option.fold ~none:"no id" ~some:(Printf.sprintf "%S") recovered)
+      end
+  done;
+  (* The property is not vacuous: a fair share of cases keep their id. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 20,000 cases keep their id intact" !intact)
+    true (!intact > 5_000)
+
 let test_deadline_field () =
   (match Protocol.parse_request {|{"kernel": "fir", "deadline_ms": 250}|} with
   | Ok r -> Alcotest.(check (option int)) "deadline" (Some 250) r.Protocol.deadline_ms
@@ -1545,6 +1636,7 @@ let () =
           Alcotest.test_case "parse_request" `Quick test_parse_request;
           Alcotest.test_case "json reader" `Quick test_json_reader;
           Alcotest.test_case "recover_id" `Quick test_recover_id;
+          Alcotest.test_case "request reader fuzz" `Quick test_request_fuzz;
           Alcotest.test_case "deadline field" `Quick test_deadline_field;
           Alcotest.test_case "resilience diags" `Quick test_resilience_diags;
         ] );
