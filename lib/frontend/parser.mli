@@ -27,7 +27,8 @@ kernel fir {
 val parse : string -> Srfa_ir.Nest.t
 (** @raise Srfa_util.Diag.Failed on malformed input, with the
     [E-LEX-...] or [E-PARSE-...] code its raise site names and the span
-    of the token it stopped at;
+    of the token it is about: the token it stopped at, or the name or
+    number a failed check had already read;
     @raise Invalid_argument when the nest fails {!Srfa_ir.Nest.make}'s
     semantic checks (e.g. out-of-bounds indices). *)
 

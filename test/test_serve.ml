@@ -457,6 +457,11 @@ let reformatted text =
   "/* a reformatted copy */\n\n"
   ^ String.concat "\n\n" (String.split_on_char '\n' text)
 
+(* [Cache.resolve] of an allocate line naming its kernel by [text]. *)
+let resolve_text text =
+  Cache.resolve
+    (Result.get_ok (Protocol.parse_request (inline_line ~id:"m" text)))
+
 let respond_exn cache r =
   match Cache.respond cache r with
   | Ok v -> v
@@ -800,6 +805,9 @@ let diag_parts (d : Diag.t) =
    when it spells a memoized registry name. A name that spells a
    memoized text is still an unknown kernel. *)
 let test_inline_memo_errors () =
+  let parts =
+    Alcotest.(list (triple string (option (pair int int)) string))
+  in
   let example = Parser.canonical_source (Kernels.example ()) in
   let n = String.length example in
   ignore (resolve_exn (inline_line ~id:"m" example));
@@ -823,16 +831,12 @@ let test_inline_memo_errors () =
       in
       List.iter
         (fun call ->
-          let request =
-            Result.get_ok (Protocol.parse_request (inline_line ~id:"m" text))
-          in
-          match Cache.resolve request with
+          match resolve_text text with
           | Ok _ -> Alcotest.failf "%s, %s call: resolved" what call
           | Error ds ->
-            Alcotest.(check (list (triple string (option (pair int int)) string)))
+            Alcotest.check parts
               (Printf.sprintf "%s, %s call: code, span and message" what call)
-              fresh
-              (List.map diag_parts ds))
+              fresh (List.map diag_parts ds))
         [ "first"; "second" ])
     [
       ("last byte replaced", String.sub example 0 (n - 1) ^ "?");
@@ -855,7 +859,7 @@ let test_inline_memo_bound () =
   let first = resolve_exn (line text) in
   for i = 1 to 640 do
     let broken = pad ^ Printf.sprintf "kernel broken%d {" i in
-    match Cache.resolve (Result.get_ok (Protocol.parse_request (line broken))) with
+    match resolve_text broken with
     | Ok _ -> Alcotest.failf "broken text %d resolved" i
     | Error _ -> ()
   done;
@@ -1203,10 +1207,12 @@ let test_stateful_golden () =
    one explore request by source, a lexer error and a source truncated
    inside its last index. The reformatted copies canonicalise to their
    canonical twins, so the first pass already answers them from tier 2.
-   The digests were recorded while every inline source was still parsed
-   afresh on every request. *)
+   The digests were taken before inline texts were memoized, so they
+   hold the memo to a fresh parse's bytes. *)
 let inline_corpus =
-  let canonical name = Parser.canonical_source (Option.get (Kernels.find name)) in
+  let canonical name =
+    Parser.canonical_source (Option.get (Kernels.find name))
+  in
   let fir = canonical "fir" in
   List.concat_map
     (fun name ->
