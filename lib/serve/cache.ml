@@ -82,7 +82,7 @@ let memo_lock = Mutex.create ()
 (* The memoized resolution of [key], or [build key]'s, stored when it
    succeeds. The build runs outside the lock: two domains racing on one
    new spelling both build it, and the later store wins. *)
-let known ~from_text key build =
+let memoized ~from_text key build =
   match Mutex.protect memo_lock (fun () -> Lru.find memo key) with
   | Some k when k.from_text = from_text -> Ok k
   | _ ->
@@ -113,7 +113,7 @@ let resolve (r : Protocol.request) =
     match r.Protocol.kernel with
     | None -> Error [ Protocol.field_error "allocate request without a kernel" ]
     | Some (Protocol.Named name) ->
-      known ~from_text:false (String.lowercase_ascii name) (fun spelling ->
+      memoized ~from_text:false (String.lowercase_ascii name) (fun spelling ->
           Option.to_result (Srfa_kernels.Kernels.find spelling)
             ~none:
               [
@@ -122,7 +122,7 @@ let resolve (r : Protocol.request) =
                      (String.concat ", " Srfa_kernels.Kernels.names));
               ])
     | Some (Protocol.Source text) ->
-      known ~from_text:true text Srfa_frontend.Parser.parse_result
+      memoized ~from_text:true text Srfa_frontend.Parser.parse_result
   in
   let* device =
     match r.Protocol.device with
