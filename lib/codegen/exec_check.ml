@@ -38,7 +38,10 @@ let iter_window_edge ~counts ~rank_coeffs ~window_level ~point f =
   in
   walk window_level
 
-let run plan ~init =
+(* Executes the plan; [on_ram gid ~iteration] hears each steady-state
+   RAM read or write of group [gid], [iteration] counting the body's
+   executions from 0 (prologue loads and writebacks are not reported). *)
+let execute plan ~init ~on_ram =
   let alloc = plan.Plan.allocation in
   let analysis = alloc.Allocation.analysis in
   let nest = analysis.Analysis.nest in
@@ -114,7 +117,9 @@ let run plan ~init =
       !rank
     | None -> max_int
   in
+  let iteration = ref (-1) in
   let visit point =
+    incr iteration;
     (* Window boundaries: write back the finished window, load the new. *)
     Array.iter
       (fun st ->
@@ -141,7 +146,10 @@ let run plan ~init =
         match edge_params st with Some (b, _) -> b | None -> -1
       in
       if rank < beta then st.win.(rank)
-      else Interp.read store r.Expr.decl.Decl.name coords
+      else begin
+        on_ram g.Group.id ~iteration:!iteration;
+        Interp.read store r.Expr.decl.Decl.name coords
+      end
     in
     let exec (Expr.Assign (target, e)) =
       let v = Expr.eval e ~env ~load in
@@ -152,9 +160,11 @@ let run plan ~init =
         match edge_params st with Some (b, _) -> b | None -> -1
       in
       if rank < beta then st.win.(rank) <- v
-      else
+      else begin
+        on_ram g.Group.id ~iteration:!iteration;
         Interp.write store target.Expr.decl.Decl.name
           (Expr.eval_index target ~env) v
+      end
     in
     List.iter exec nest.Nest.body
   in
@@ -164,6 +174,20 @@ let run plan ~init =
     (fun st -> if st.window.(0) <> min_int then do_writeback st st.window)
     states;
   store
+
+let run plan ~init = execute plan ~init ~on_ram:(fun _ ~iteration:_ -> ())
+
+let ram_iterations plan =
+  let ngroups = Array.length plan.Plan.accesses in
+  let count = Array.make ngroups 0 and last = Array.make ngroups (-1) in
+  let on_ram gid ~iteration =
+    if last.(gid) <> iteration then begin
+      last.(gid) <- iteration;
+      count.(gid) <- count.(gid) + 1
+    end
+  in
+  ignore (execute plan ~init:(fun _ _ -> 0) ~on_ram);
+  count
 
 let equivalent plan ~init =
   let nest = plan.Plan.allocation.Allocation.analysis.Analysis.nest in

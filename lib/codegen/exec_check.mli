@@ -12,6 +12,15 @@ val run : Plan.t -> init:(string -> int array -> int) -> Interp.store
 (** Fresh store, [Input] arrays initialised with [init], transformed
     program executed. *)
 
+val ram_iterations : Plan.t -> int array
+(** Per group id, the iterations of the steady-state body in which the
+    transformed program reads or writes the group in RAM, each iteration
+    counted once however many of its accesses go there; the peeled
+    prologue loads and writeback epilogues are not counted. This is how
+    the simulator charges [group_ram_accesses], so the two agree on every
+    group the plan does not mark [Window_opaque]. The inputs read as 0:
+    which accesses go to RAM does not depend on the data. *)
+
 val equivalent : Plan.t -> init:(string -> int array -> int) -> bool
 (** Whether the transformed execution leaves every [Output] array equal to
     the reference interpreter's result. *)

@@ -684,7 +684,6 @@ module Core = struct
     let iterations = Srfa_ir.Nest.iterations nest in
     let depth = Srfa_ir.Nest.depth nest in
     let latency = config.sim.Sim.latency in
-    let cm = Srfa_sched.Cycle_model.prepare ~dfg:prepared.dfg ~latency in
     (* The all-RAM baseline: one unpinned feasibility register per group
        (the engine's starting state), nothing resident. Evaluated
        unconditionally — it anchors the frontier's register/area/clock
@@ -695,13 +694,14 @@ module Core = struct
            { Allocation.beta = 1; Allocation.pinned = false })
     in
     (* Pipelined cycle floor: the loop-carried recurrence, which is
-       RAM-map independent (ports only raise the initiation interval). *)
+       RAM-map independent (ports only raise the initiation interval).
+       Its cycle model is built only when a Pipelined floor is read. *)
     let recurrence =
       lazy
         (let ram_map = Sim.ram_map_for config.sim floor_alloc in
          let m =
-           Srfa_sched.Cycle_model.create ~prepared:cm ~dfg:prepared.dfg
-             ~latency ~ram_map ()
+           Srfa_sched.Cycle_model.create ~dfg:prepared.dfg ~latency ~ram_map
+             ()
          in
          Srfa_sched.Cycle_model.initiation_interval m ~charged:(fun _ -> false))
     in

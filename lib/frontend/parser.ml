@@ -115,11 +115,15 @@ let affine_expr st =
   !acc
 
 (* A reference, from its array's name on; its checks raise at the
-   name. *)
+   name. A source that ends where the reference could go on (after an
+   unknown name, which may be cut short, or where another index could
+   follow) is reported as cut short. *)
 let reference st =
   let name, at = ident_at st in
   match find_decl st name with
-  | None -> fail ~at st ~code:"E-PARSE-002" "undeclared array %s" name
+  | None ->
+    if current st = Lexer.Eof then expected st "'['";
+    fail ~at st ~code:"E-PARSE-002" "undeclared array %s" name
   | Some decl ->
     let rec indices acc =
       match current st with
@@ -131,6 +135,8 @@ let reference st =
       | _ -> List.rev acc
     in
     let index = indices [] in
+    if List.length index < Decl.rank decl && current st = Lexer.Eof then
+      expected st "'['";
     if List.length index <> Decl.rank decl then
       fail ~at st ~code:"E-PARSE-003"
         "%s has rank %d but %d indices were given" name (Decl.rank decl)
@@ -348,6 +354,9 @@ let rec loops st acc_loops =
       | _ -> stmts (statement st :: acc)
     in
     (acc_loops, stmts [])
+  | Lexer.Ident _ when st.tokens.(st.pos + 1).Lexer.token = Lexer.Lparen ->
+    (* No statement opens with a name and '(': a misspelt loop header. *)
+    expected st "'for'"
   | Lexer.Ident _ ->
     (* single unbraced statement *)
     (acc_loops, [ statement st ])

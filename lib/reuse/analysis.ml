@@ -48,44 +48,63 @@ let element_of coeffs const point =
 
 (* |{sum_l coeffs.(l) * p_l : 0 <= p_l < extents.(l)}| without visiting
    the box. The sums are kept as sorted, disjoint, non-adjacent runs
-   [lo, hi] of consecutive integers, and the levels are added by
-   doubling: with A_m the sums for p_l < m, A_(m+d) = A_m ∪ (A_m + d c_l)
-   for d <= m, one merge of the two run lists per doubling (a negative
-   c_l shifts the copy down; it stays sorted). There are never more runs
-   than sums, and never more sums than box points or values in the
-   reference's index range, so a huge declared array read over a small
-   nest costs no more than the nest; a dense reference is a single run. *)
+   [lo, hi] of consecutive integers, and the levels are added in
+   ascending |c_l| order (a sumset does not depend on the order). While
+   the sums are one run at least |c_l| long, the copies A + p c_l
+   overlap or touch, so the level widens the run by (n_l - 1) |c_l| in
+   one step. Otherwise the level is added by doubling: with A_m the sums
+   for p_l < m, A_(m+d) = A_m ∪ (A_m + d c_l) for d <= m, one merge of
+   the two run lists per doubling (a negative c_l shifts the copy down;
+   it stays sorted). Every sum so far is a sum of the box (the levels
+   not yet added at 0), so there are never more runs than sums, and
+   never more sums than box points or values in the reference's index
+   range: a huge declared array read over a small nest costs no more
+   than the nest. A dense reference stays one run from its unit stride
+   on: bic's im[r+u][c+v] (strides W, 1, W, 1) never splits into rows. *)
 let sumset_size coeffs extents =
+  let order = Array.init (Array.length coeffs) Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare (abs coeffs.(a)) (abs coeffs.(b)))
+    order;
   let lo = ref [| 0 |] and hi = ref [| 0 |] and runs = ref 1 in
-  for l = 0 to Array.length coeffs - 1 do
+  let add_level l =
     let c = coeffs.(l) and n = extents.(l) in
-    let m = ref (if c = 0 then n else 1) in
-    while !m < n do
-      let d = min !m (n - !m) in
-      let shift = d * c and k = !runs and alo = !lo and ahi = !hi in
-      let olo = Array.make (2 * k) 0 and ohi = Array.make (2 * k) 0 in
-      let i = ref 0 and j = ref 0 and o = ref 0 in
-      while !i < k || !j < k do
-        (* The next run by [lo], from A_m or from its shifted copy. *)
-        let from_a = !j >= k || (!i < k && alo.(!i) <= alo.(!j) + shift) in
-        let r = if from_a then !i else !j
-        and s = if from_a then 0 else shift in
-        if from_a then incr i else incr j;
-        let rlo = alo.(r) + s and rhi = ahi.(r) + s in
-        if !o > 0 && rlo <= ohi.(!o - 1) + 1 then
-          ohi.(!o - 1) <- max ohi.(!o - 1) rhi
-        else begin
-          olo.(!o) <- rlo;
-          ohi.(!o) <- rhi;
-          incr o
-        end
-      done;
-      lo := olo;
-      hi := ohi;
-      runs := !o;
-      m := !m + d
-    done
-  done;
+    if c = 0 || n <= 1 then ()
+    else if !runs = 1 && abs c <= !hi.(0) - !lo.(0) + 1 then begin
+      let widen = (n - 1) * c in
+      if widen < 0 then !lo.(0) <- !lo.(0) + widen
+      else !hi.(0) <- !hi.(0) + widen
+    end
+    else begin
+      let m = ref 1 in
+      while !m < n do
+        let d = min !m (n - !m) in
+        let shift = d * c and k = !runs and alo = !lo and ahi = !hi in
+        let olo = Array.make (2 * k) 0 and ohi = Array.make (2 * k) 0 in
+        let i = ref 0 and j = ref 0 and o = ref 0 in
+        while !i < k || !j < k do
+          (* The next run by [lo], from A_m or from its shifted copy. *)
+          let from_a = !j >= k || (!i < k && alo.(!i) <= alo.(!j) + shift) in
+          let r = if from_a then !i else !j
+          and s = if from_a then 0 else shift in
+          if from_a then incr i else incr j;
+          let rlo = alo.(r) + s and rhi = ahi.(r) + s in
+          if !o > 0 && rlo <= ohi.(!o - 1) + 1 then
+            ohi.(!o - 1) <- max ohi.(!o - 1) rhi
+          else begin
+            olo.(!o) <- rlo;
+            ohi.(!o) <- rhi;
+            incr o
+          end
+        done;
+        lo := olo;
+        hi := ohi;
+        runs := !o;
+        m := !m + d
+      done
+    end
+  in
+  Array.iter add_level order;
   let size = ref 0 in
   for r = 0 to !runs - 1 do
     size := !size + !hi.(r) - !lo.(r) + 1

@@ -93,7 +93,10 @@ type scratch = {
   s_latency : Srfa_hw.Latency.t;
   s_dfg : Srfa_dfg.Graph.t;
   s_prepared : Cycle_model.prepared;
-  s_tracker : Analysis.Tracker.tracker;
+  (* Built for the walks that step it: a dynamic policy's, or a Pinned
+     one's past the rank cache (forced when the scratch is built, see
+     [scratch]). A Pinned scratch with its cache never builds it. *)
+  s_tracker : Analysis.Tracker.tracker Lazy.t;
   s_counts : Arena.Table.t; (* charged-set bitmask -> points (mask_cap) *)
   s_counts_str : (string, int ref) Hashtbl.t; (* past the mask cap *)
   s_charged : bool array;
@@ -214,7 +217,7 @@ let scratch ?(config = default_config) ?dfg analysis =
   let ngroups = Analysis.num_groups analysis in
   let level, outer = window_suffix analysis in
   let suffix = Nest.iterations analysis.Analysis.nest / outer in
-  let tracker = Analysis.Tracker.create analysis in
+  let tracker = lazy (Analysis.Tracker.create analysis) in
   let ranks =
     if
       config.residency = Residency.Pinned
@@ -227,6 +230,10 @@ let scratch ?(config = default_config) ?dfg analysis =
     end
     else [||]
   in
+  (* Without the cache every walk steps the tracker, so build it now: the
+     scratch's size is then fixed when it is built (the serving cache
+     charges an entry once, at insert). *)
+  if Array.length ranks = 0 then ignore (Lazy.force tracker);
   {
     s_analysis = analysis;
     s_latency = config.latency;
@@ -255,7 +262,9 @@ let replay_suffix sc replay =
   let ngroups = Analysis.num_groups sc.s_analysis in
   if Array.length sc.s_ranks > 0 then
     replay sc.s_ranks (Array.length sc.s_ranks / ngroups)
-  else track_suffix sc.s_tracker ~level:sc.s_level (fun ranks -> replay ranks 1)
+  else
+    track_suffix (Lazy.force sc.s_tracker) ~level:sc.s_level (fun ranks ->
+        replay ranks 1)
 
 (* Points per charged set. A walk counts how many points charge each
    distinct set of groups, then evaluates the set's cost once and hands
@@ -391,7 +400,8 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
     match config.residency with
     | Residency.Lru | Residency.Direct_mapped ->
       let residency =
-        Residency.create ~tracker:sc.s_tracker config.residency alloc
+        Residency.create ~tracker:(Lazy.force sc.s_tracker) config.residency
+          alloc
       in
       Iterspace.iter nest (fun point ->
           Residency.step residency point;

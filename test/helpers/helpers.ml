@@ -61,6 +61,18 @@ let small_kernels () =
     ("dec-fir", Srfa_kernels.Kernels.dec_fir ~taps:6 ~samples:24 ~decimation:2 ());
   ]
 
+let small_extra () =
+  let module E = Srfa_kernels.Extra in
+  [
+    ("conv2d", E.conv2d ~mask:3 ~image:8 ());
+    ("moving-average", E.moving_average ~window:4 ~samples:16 ());
+    ("corner-turn", E.corner_turn ~size:4 ());
+    ("gradient-pair", E.gradient_pair ~size:6 ());
+  ]
+
+(* The 11 registry kernels, at the small sizes above. *)
+let small_registry () = small_kernels () @ small_extra ()
+
 (* A FIR with reversed operands, y[i] += c[15 - j] * x[i - j + 15]: both
    reads have a negative coefficient on the tap loop. *)
 let reversed_fir () =

@@ -303,6 +303,135 @@ let test_counts_gen () =
     (fun (id, nest) -> check_counts (Printf.sprintf "gen case %d" id, nest))
     cases
 
+(* Nests beyond the fuzz generator's subscript menu: 1-4 loops of 1-7
+   iterations and 1-3 references, each to its own array of rank 1-2.
+   Every subscript is sum c v + k over up to three loop variables with c
+   in [-4, 4]; its offset k and the array's extent leave a slack of 0-2
+   on each side of the range the box reaches, so every index is in
+   bounds. The first reference is the statement's target. *)
+let gen_strided_nest =
+  let open QCheck.Gen in
+  let open Srfa_ir in
+  let* depth = int_range 1 4 in
+  let* counts = list_repeat depth (int_range 1 7) in
+  let loops = List.mapi (fun l n -> (Printf.sprintf "v%d" l, n)) counts in
+  let subscript =
+    let* terms = int_range 0 (min 3 depth) in
+    let* vars = shuffle_l loops in
+    let* coeffs = list_repeat terms (int_range (-4) 4) in
+    let* before = int_range 0 2 in
+    let* after = int_range 0 2 in
+    let add_term (lo, hi, ix) (v, n) c =
+      let reach = c * (n - 1) in
+      let ix = Affine.add ix (Affine.var ~coeff:c v) in
+      (lo + min 0 reach, hi + max 0 reach, ix)
+    in
+    let lo, hi, ix =
+      List.fold_left2 add_term (0, 0, Affine.const 0)
+        (List.filteri (fun k _ -> k < terms) vars)
+        coeffs
+    in
+    return
+      (Affine.add ix (Affine.const (before - lo)), hi - lo + 1 + before + after)
+  in
+  let reference k =
+    let* rank = int_range 1 2 in
+    let* subscripts = list_repeat rank subscript in
+    let storage = if k = 0 then Decl.Output else Decl.Input in
+    let name = Printf.sprintf "a%d" k in
+    let decl = Decl.make ~storage name (List.map snd subscripts) in
+    return (Expr.ref_ decl (List.map fst subscripts))
+  in
+  let* nrefs = int_range 1 3 in
+  let* refs = flatten_l (List.init nrefs reference) in
+  let load (r : Expr.ref_) = Expr.Load r in
+  let rhs =
+    match List.tl refs with
+    | [] -> Expr.Const 1
+    | r :: rest ->
+      List.fold_left
+        (fun e r -> Expr.Binary (Op.Add, e, load r))
+        (load r) rest
+  in
+  return
+    (Nest.make ~name:"strided"
+       ~arrays:(List.map (fun (r : Expr.ref_) -> r.Expr.decl) refs)
+       ~loops:(List.map (fun (v, n) -> Nest.loop v n) loops)
+       ~body:[ Expr.Assign (List.hd refs, rhs) ])
+
+let distinct_by_name nest =
+  let an = Helpers.analyze nest in
+  List.sort compare
+    (Array.to_list
+       (Array.map
+          (fun (i : Analysis.info) ->
+            (Group.name i.Analysis.group, i.Analysis.distinct))
+          an.Analysis.infos))
+
+(* Both counts against the walk, and [distinct] (the elements the whole
+   nest touches, in any order) under every legal interchange. *)
+let prop_counts_strided =
+  QCheck.Test.make ~name:"strided subscripts vs walk and interchange"
+    ~count:600
+    (QCheck.make gen_strided_nest ~print:(fun n ->
+         Format.asprintf "%a" Srfa_ir.Nest.pp n))
+    (fun nest ->
+      check_counts ("strided", nest);
+      let orders, _ = Srfa_ir.Permute.legal_orders nest in
+      let expected = distinct_by_name nest in
+      List.iter
+        (fun order ->
+          let permuted = Srfa_ir.Permute.interchange nest ~order in
+          if distinct_by_name permuted <> expected then
+            Alcotest.failf "order %s moves distinct"
+              (String.concat "," (List.map string_of_int order)))
+        orders;
+      true)
+
+(* The one-run step at its boundary: after j's unit stride the sums are
+   one run of 3, so x[3*i + j]'s copies touch (one run of 12), while
+   x[4*i + j]'s leave a one-element gap (12 sums over 15 values). *)
+let stride_boundary ~stride =
+  Srfa_frontend.Parser.parse
+    (Printf.sprintf
+       {|kernel boundary {
+  input  int x[%d];
+  output int y[4];
+
+  for (i = 0; i < 4; i++)
+    for (j = 0; j < 3; j++)
+      y[i] += x[%d * i + j];
+}|}
+       ((3 * stride) + 3) stride)
+
+let test_counts_run_boundary () =
+  List.iter
+    (fun (stride, expected) ->
+      let nest = stride_boundary ~stride in
+      let name = Printf.sprintf "x[%d*i+j]" stride in
+      check_counts (name, nest);
+      let x = Helpers.info_named (Helpers.analyze nest) name in
+      Alcotest.(check (pair int int)) (name ^ " distinct, nu") expected
+        (x.Analysis.distinct, x.Analysis.nu))
+    [ (3, (12, 3)); (4, (12, 3)) ]
+
+(* The counts' allocation, pinned: a cold [analyze] of each library
+   kernel at its default size allocates at most 48 kB. Adding the levels
+   outermost first split dense references into one run per row and
+   doubled those run lists (imi 188 kB, bic 62 kB); in stride order the
+   most any of them takes is 22 kB, the example's. *)
+let test_allocation_budget () =
+  List.iter
+    (fun (name, nest) ->
+      let _, spent =
+        Helpers.allocated_bytes (fun () -> Analysis.analyze nest)
+      in
+      if spent > 48_000.0 then
+        Alcotest.failf "%s: analyze allocated %.0f bytes (budget 48000)" name
+          spent)
+    (Srfa_kernels.Kernels.all () @ Srfa_kernels.Extra.all ()
+    @ [ ("example", Helpers.example ()) ])
+
 let () =
   Alcotest.run "analysis"
     [
@@ -337,6 +466,16 @@ let () =
             test_counts_gen;
           Alcotest.test_case "huge array over a tiny nest" `Quick
             test_counts_wide_array;
+          Alcotest.test_case "one-run step at the run's length" `Quick
+            test_counts_run_boundary;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 26 |])
+            prop_counts_strided;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "analysis allocation budget" `Quick
+            test_allocation_budget;
         ] );
       ( "tracker",
         [

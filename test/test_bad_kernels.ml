@@ -53,6 +53,12 @@ let cases =
     ( "stray_identifier.k", "E-PARSE-001", Some (6, 17),
       "identifier \"reused\"" );
     ("no_loop_nest.k", "E-PARSE-006", Some (3, 1), "reused has no loop nest");
+    (* A name and '(' where a nested loop belongs is a misspelt header. *)
+    ( "nested_misspelt_for.k", "E-PARSE-001", Some (5, 5),
+      "expected 'for', found identifier \"fo\"" );
+    (* Cut after the first index of a rank-2 reference: the input ends
+       before the rank can be checked. *)
+    ("truncated_reference.k", "E-PARSE-001", Some (7, 1), "end of input");
   ]
 
 let test_missing_file () =

@@ -93,6 +93,76 @@ let test_equivalence_all () =
         Srfa_core.Allocator.all)
     (Helpers.small_kernels ())
 
+(* The access-count oracle: per group, the steady-state iterations in
+   which the executed plan goes to RAM against the simulator's
+   [group_ram_accesses]. They must agree on every group the plan does
+   not mark Window_opaque. The simulator serves an opaque group's first
+   beta first-touched elements from registers while the emitted code
+   reads them from RAM, so a triple (kernel, algorithm, budget) whose
+   only mismatches are opaque groups is counted instead, and the count
+   is pinned until the rank of such windows is closed. *)
+let opaque_gap_triples = 34
+
+let ram_count_gap ~label alloc =
+  let plan = Plan.build alloc in
+  let executed = Exec_check.ram_iterations plan in
+  let simulated =
+    (Srfa_sched.Simulator.run alloc).Srfa_sched.Simulator.group_ram_accesses
+  in
+  let gap = ref false in
+  Array.iteri
+    (fun gid count ->
+      if count <> simulated.(gid) then
+        match Plan.access plan gid with
+        | Plan.Window_opaque _ -> gap := true
+        | Plan.Ram_always | Plan.Window_full _ | Plan.Window_partial _ ->
+          let an = alloc.Allocation.analysis in
+          Alcotest.failf "%s %s: executed %d RAM iterations, simulated %d"
+            label
+            (Group.name (Analysis.info an gid).Analysis.group)
+            count simulated.(gid))
+    executed;
+  !gap
+
+let test_ram_counts () =
+  let triples = ref 0 and gaps = ref 0 in
+  let check name nest budgets =
+    let an = Helpers.analyze nest in
+    let minimum = Srfa_core.Ordering.feasibility_minimum an in
+    List.iter
+      (fun alg ->
+        List.iter
+          (fun budget ->
+            if budget >= minimum then begin
+              incr triples;
+              let label =
+                Printf.sprintf "%s/%s/budget %d" name
+                  (Srfa_core.Allocator.name alg)
+                  budget
+              in
+              if ram_count_gap ~label (Srfa_core.Allocator.run alg an ~budget)
+              then incr gaps
+            end)
+          budgets)
+      Srfa_core.Allocator.all
+  in
+  List.iter
+    (fun (name, nest) -> check name nest [ 8; 16; 32; 64 ])
+    (Helpers.small_registry ());
+  let cases =
+    List.filteri (fun k _ -> k < 300) (Helpers.gen_valid ~seed:42 ~cases:700)
+  in
+  Alcotest.(check int) "300 valid cases" 300 (List.length cases);
+  List.iter
+    (fun (id, nest) ->
+      let case = Srfa_fuzzer.Gen.generate ~seed:42 ~id in
+      check
+        (Printf.sprintf "gen case %d" id)
+        nest [ case.Srfa_fuzzer.Gen.budget ])
+    cases;
+  Alcotest.(check int) "triples" 2064 !triples;
+  Alcotest.(check int) "triples with an opaque gap" opaque_gap_triples !gaps
+
 let test_c_output_shape () =
   let plan = plan_for (Helpers.example ()) Srfa_core.Allocator.Cpa_ra 64 in
   let c = C_source.emit plan in
@@ -236,8 +306,11 @@ let () =
             test_edge_transfers_zero_without_windows;
         ] );
       ( "semantics",
-        [ Alcotest.test_case "transform equivalence" `Slow test_equivalence_all ]
-      );
+        [
+          Alcotest.test_case "transform equivalence" `Slow test_equivalence_all;
+          Alcotest.test_case "RAM iterations: executed vs simulated" `Quick
+            test_ram_counts;
+        ] );
       ( "emitters",
         [
           Alcotest.test_case "c output" `Quick test_c_output_shape;

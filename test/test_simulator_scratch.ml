@@ -173,15 +173,6 @@ let check_weighted (name, nest) =
     (List.sort_uniq compare
        (minimum :: List.filter (fun b -> b >= minimum) [ 16; 64 ]))
 
-let small_extra () =
-  let module E = Srfa_kernels.Extra in
-  [
-    ("conv2d", E.conv2d ~mask:3 ~image:8 ());
-    ("moving-average", E.moving_average ~window:4 ~samples:16 ());
-    ("corner-turn", E.corner_turn ~size:4 ());
-    ("gradient-pair", E.gradient_pair ~size:6 ());
-  ]
-
 (* x[t][j+k] is carried by i, so the suffix (from i on, since c[k] is
    carried by t) holds four of its windows, and its ranks are not affine
    (j + k revisits elements): the rank-cache fill's first-touch pass must
@@ -212,8 +203,7 @@ let test_weighted_kernels () =
 let test_weighted_variants () =
   List.iter
     (fun kernel -> List.iter check_weighted (Helpers.variants kernel))
-    (Helpers.small_kernels ()
-    @ small_extra ()
+    (Helpers.small_registry ()
     @ [
         ("reversed fir", Helpers.reversed_fir ());
         ("coupled inner", coupled_inner ());
@@ -419,6 +409,38 @@ let test_scratch_allocation () =
           name (spent -. float_of_int cache) cache)
     kernels
 
+(* The tracker is built only for the walks that step it. A Pinned
+   scratch with its rank cache holds none, and a Pinned walk builds none;
+   the first dynamic-policy walk on it builds one. A scratch built for a
+   dynamic policy (no rank cache) holds its tracker from the start, so
+   its walks add none: its size is fixed when it is built, which the
+   serving cache's charge at insert relies on. A walk "builds" a tracker
+   when the scratch grows by half a fresh tracker's words or more. *)
+let test_tracker_built_on_demand () =
+  let analysis = Flow.analyze (Helpers.small_fir ()) in
+  let alloc = Allocator.run Allocator.Cpa_ra analysis ~budget:8 in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let tracker = words (Analysis.Tracker.create analysis) - words analysis in
+  let lru =
+    { Simulator.default_config with Simulator.residency = Residency.Lru }
+  in
+  let builds scratch config =
+    let before = words scratch in
+    ignore (Simulator.run ~config ~scratch alloc);
+    2 * (words scratch - before) >= tracker
+  in
+  let check what expected got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (a tracker is %d words)" what tracker)
+      expected got
+  in
+  let pinned = Simulator.scratch analysis in
+  check "a Pinned walk builds one" false
+    (builds pinned Simulator.default_config);
+  check "the first dynamic walk builds one" true (builds pinned lru);
+  let dynamic = Simulator.scratch ~config:lru analysis in
+  check "a dynamic-policy scratch's walk builds one" false (builds dynamic lru)
+
 let () =
   Alcotest.run "simulator_scratch"
     [
@@ -451,5 +473,7 @@ let () =
             test_allocation_budget;
           Alcotest.test_case "cold scratch allocation budget" `Quick
             test_scratch_allocation;
+          Alcotest.test_case "tracker built only for walks that step it"
+            `Quick test_tracker_built_on_demand;
         ] );
     ]
