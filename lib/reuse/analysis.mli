@@ -19,11 +19,16 @@
     The linearised element index is [const + sum_l c_l * p_l] over a box
     — the nest, or the window: outer levels at 0, the carrying level over
     [\[0, delta)], inner levels over their full ranges — so each is the
-    size of a sumset, counted by adding one level at a time by doubling
-    on sorted runs of consecutive sums. Time and memory are bounded by
-    the number of distinct sums — never more than the box's points or
-    the reference's index range — so a large declared array read over a
-    small nest costs what the nest costs; a dense reference is one run.
+    size of a sumset, kept as sorted runs of consecutive sums and grown
+    one level at a time, in ascending [|c_l|] order (the sumset does not
+    depend on the order). While the sums are one run at least [|c_l|]
+    long, the level's [n_l] shifted copies overlap or touch, so the run
+    widens by [(n_l - 1) * |c_l|] in one step; otherwise the level is
+    added by doubling the run list. Time and memory are bounded by the
+    number of distinct sums — never more than the box's points or the
+    reference's index range — so a large declared array read over a
+    small nest costs what the nest costs, and a dense reference such as
+    BIC's [im\[r+u\]\[c+v\]] stays one run throughout.
 
     {b Residency semantics} (calibrated against the Fig. 2 worked example,
     see DESIGN.md §4): with [beta] registers {e pinned} to reuse-window

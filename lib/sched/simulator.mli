@@ -64,9 +64,9 @@ type result = {
 
 type scratch
 (** Reusable simulation state for one (analysis, latency) pair: the DFG,
-    the prepared {!Cycle_model} half, the residency tracker, the
-    charged-set count tables, the per-iteration bit buffers and the
-    Pinned rank cache.
+    the prepared {!Cycle_model} half, the residency tracker (built when a
+    walk first steps it), the charged-set count tables, the per-iteration
+    bit buffers and the Pinned rank cache.
     Passing one to {!run} makes repeated simulations of the same nest (a
     budget ladder, a portfolio, a sweep) allocation-free apart from the
     result record itself. Not thread-safe: keep one scratch per domain. *)
@@ -84,7 +84,11 @@ val scratch :
     odometer over the suffix adds one coefficient per point; any other
     group's element indices get one first-touch pass, restarted at each
     of its windows. Past [2^23] ranks (suffix points times groups)
-    Pinned simulations walk the suffix through the tracker instead. *)
+    Pinned simulations walk the suffix through the residency tracker
+    instead. The tracker is built on the first walk that steps it: at
+    once when the scratch has no rank cache (a dynamic-policy config, or
+    past the cap), so such a scratch's size is fixed when it is built;
+    never for a Pinned scratch that only Pinned walks use. *)
 
 val run :
   ?trace:Srfa_util.Trace.sink ->
