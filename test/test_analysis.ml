@@ -242,8 +242,25 @@ let strided_pair () =
       y[i] += c[j] * x[2 * i + 3 * j];
 }|}
 
-(* Non-unit strides (dec-fir's decimation, a carry distance of 3) and
-   negative coefficients, whose doubling shifts the sums down. *)
+(* The one-run step at its boundary: after j's unit stride the sums are
+   one run of 3, so x[3*i + j]'s copies touch (one run of 12), while
+   x[4*i + j]'s leave a one-element gap (12 sums over 15 values). *)
+let stride_boundary ~stride =
+  Srfa_frontend.Parser.parse
+    (Printf.sprintf
+       {|kernel boundary {
+  input  int x[%d];
+  output int y[4];
+
+  for (i = 0; i < 4; i++)
+    for (j = 0; j < 3; j++)
+      y[i] += x[%d * i + j];
+}|}
+       ((3 * stride) + 3) stride)
+
+(* Non-unit strides (dec-fir's decimation, a carry distance of 3, steps
+   at and one past the run's length) and negative coefficients, whose
+   doubling shifts the sums down. *)
 let test_counts_strides_and_negative () =
   List.iter check_counts
     (List.map
@@ -255,7 +272,11 @@ let test_counts_strides_and_negative () =
         [
           ("strided pair", strided_pair ());
           ("reversed fir", Helpers.reversed_fir ());
-        ]);
+        ]
+    @ [
+        ("touching copies", stride_boundary ~stride:3);
+        ("copies with a gap", stride_boundary ~stride:4);
+      ]);
   let x =
     Helpers.info_named (Helpers.analyze (strided_pair ())) "x[2*i+3*j]"
   in
@@ -267,7 +288,15 @@ let test_counts_strides_and_negative () =
     Helpers.info_named (Helpers.analyze (Helpers.reversed_fir ())) "x[i-j+15]"
   in
   Alcotest.(check (pair int int)) "reversed x distinct, nu" (79, 16)
-    (x.Analysis.distinct, x.Analysis.nu)
+    (x.Analysis.distinct, x.Analysis.nu);
+  List.iter
+    (fun stride ->
+      let name = Printf.sprintf "x[%d*i+j]" stride in
+      let an = Helpers.analyze (stride_boundary ~stride) in
+      let x = Helpers.info_named an name in
+      Alcotest.(check (pair int int)) (name ^ " distinct, nu") (12, 3)
+        (x.Analysis.distinct, x.Analysis.nu))
+    [ 3; 4 ]
 
 (* A huge declared array read over a tiny nest: x[i][j] linearises to
    1000000000 i + j, but the nest and each window touch four elements.
@@ -388,33 +417,6 @@ let prop_counts_strided =
         orders;
       true)
 
-(* The one-run step at its boundary: after j's unit stride the sums are
-   one run of 3, so x[3*i + j]'s copies touch (one run of 12), while
-   x[4*i + j]'s leave a one-element gap (12 sums over 15 values). *)
-let stride_boundary ~stride =
-  Srfa_frontend.Parser.parse
-    (Printf.sprintf
-       {|kernel boundary {
-  input  int x[%d];
-  output int y[4];
-
-  for (i = 0; i < 4; i++)
-    for (j = 0; j < 3; j++)
-      y[i] += x[%d * i + j];
-}|}
-       ((3 * stride) + 3) stride)
-
-let test_counts_run_boundary () =
-  List.iter
-    (fun (stride, expected) ->
-      let nest = stride_boundary ~stride in
-      let name = Printf.sprintf "x[%d*i+j]" stride in
-      check_counts (name, nest);
-      let x = Helpers.info_named (Helpers.analyze nest) name in
-      Alcotest.(check (pair int int)) (name ^ " distinct, nu") expected
-        (x.Analysis.distinct, x.Analysis.nu))
-    [ (3, (12, 3)); (4, (12, 3)) ]
-
 (* The counts' allocation, pinned: a cold [analyze] of each library
    kernel at its default size allocates at most 48 kB. Adding the levels
    outermost first split dense references into one run per row and
@@ -466,8 +468,6 @@ let () =
             test_counts_gen;
           Alcotest.test_case "huge array over a tiny nest" `Quick
             test_counts_wide_array;
-          Alcotest.test_case "one-run step at the run's length" `Quick
-            test_counts_run_boundary;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 26 |])
             prop_counts_strided;
