@@ -13,7 +13,8 @@
    and a kernel past the bitmask cap to the reference for every
    consumer of the bytes-key fallback.
    The last checks pin the allocation of a warm evaluation and of a
-   cold scratch build. *)
+   cold scratch build, and that the residency tracker is built only for
+   the walks that step it. *)
 
 open Srfa_reuse
 open Srfa_test_helpers
