@@ -60,6 +60,11 @@ done
 traced alloc example
 traced alloc example --certify
 traced explore example --jobs 1
+# Usage errors: cmdliner's exit 124, with a message naming the input.
+run explore fir --orders 0,x
+run explore fir --algorithms=
+printf '[1.5]\n' >"$dir/bad_events.json"
+(cd "$dir" && run rebudget fir --events bad_events.json)
 for f in ../test/bad_kernels/*.k ../kernels_src/*.k; do
   run check "$f"
 done

@@ -130,37 +130,27 @@ let alloc_cmd =
     in
     let config = config_of_budget budget in
     let analysis = Srfa_core.Flow.analyze nest in
-    let collect, events = Srfa_util.Trace.collector () in
-    let finish, sink =
+    let trace, finish =
       match trace_file with
-      | None -> (ignore, collect)
+      | None -> (Srfa_util.Trace.null, ignore)
       | Some file ->
         let oc = open_out file in
-        let chan = Srfa_util.Trace.channel oc in
-        let tee =
+        let chan = Srfa_util.Trace.channel oc and written = ref 0 in
+        let counted =
           Srfa_util.Trace.make (fun e ->
-              Srfa_util.Trace.emit chan (fun () -> e);
-              Srfa_util.Trace.emit collect (fun () -> e))
+              incr written;
+              Srfa_util.Trace.emit chan (fun () -> e))
         in
         let finish () =
           close_out oc;
-          Format.printf "trace: %d events written to %s@."
-            (List.length (events ()))
-            file
+          Format.printf "trace: %d events written to %s@." !written file
         in
-        (finish, tee)
+        (counted, finish)
     in
-    let alloc =
-      Srfa_core.Flow.allocation ~config ~trace:sink algorithm analysis
+    let alloc, report =
+      Srfa_core.Flow.evaluate_analysis ~trace config algorithm analysis
     in
     Format.printf "%a@.@." Srfa_reuse.Allocation.pp alloc;
-    let report =
-      Srfa_estimate.Report.build ~sim_config:config.Srfa_core.Flow.sim
-        ~clock_params:config.Srfa_core.Flow.clock_params
-        ~trace_summary:(Srfa_util.Trace.summary (events ()))
-        ~version:(Srfa_core.Allocator.version_label algorithm)
-        alloc
-    in
     Format.printf "%a@." Srfa_estimate.Report.pp report;
     finish ()
   in
@@ -476,8 +466,10 @@ let export_cmd =
   let run nest algorithm budget dir =
     guarded @@ fun () ->
     let config = config_of_budget budget in
-    let analysis = Srfa_core.Flow.analyze nest in
-    let alloc = Srfa_core.Flow.allocation ~config algorithm analysis in
+    let alloc, report =
+      Srfa_core.Flow.evaluate_analysis config algorithm
+        (Srfa_core.Flow.analyze nest)
+    in
     let plan = Srfa_codegen.Plan.build alloc in
     let name = Srfa_codegen.Vhdl.entity_name plan in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -491,12 +483,6 @@ let export_cmd =
     write (name ^ ".c") (Srfa_codegen.C_source.emit plan);
     write (name ^ ".vhd") (Srfa_codegen.Vhdl.emit plan);
     write (name ^ "_tb.vhd") (Srfa_codegen.Vhdl.emit_testbench plan);
-    let report =
-      Srfa_estimate.Report.build ~sim_config:config.Srfa_core.Flow.sim
-        ~clock_params:config.Srfa_core.Flow.clock_params
-        ~version:(Srfa_core.Allocator.version_label algorithm)
-        alloc
-    in
     write (name ^ "_report.txt")
       (Format.asprintf "%a@.@.%a@." Srfa_reuse.Allocation.pp alloc
          Srfa_estimate.Report.pp report)

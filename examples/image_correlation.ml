@@ -43,7 +43,11 @@ let () =
   Format.printf "%a@." Srfa_reuse.Allocation.pp alloc;
 
   (* The design this allocation produces. *)
-  let report = Srfa_estimate.Report.build ~version:"v3" alloc in
+  let report =
+    Srfa_estimate.Report.of_result
+      ~sim_config:Srfa_sched.Simulator.default_config ~version:"v3" alloc
+      (Srfa_sched.Simulator.run alloc)
+  in
   Format.printf "@.=== design ===@.%a@." Srfa_estimate.Report.pp report;
 
   (* The realisation per reference, and the behavioral VHDL artefact. *)

@@ -175,8 +175,6 @@ let execute plan ~init ~on_ram =
     states;
   store
 
-let run plan ~init = execute plan ~init ~on_ram:(fun _ ~iteration:_ -> ())
-
 let ram_iterations plan =
   let ngroups = Array.length plan.Plan.accesses in
   let count = Array.make ngroups 0 and last = Array.make ngroups (-1) in
@@ -192,7 +190,7 @@ let ram_iterations plan =
 let equivalent plan ~init =
   let nest = plan.Plan.allocation.Allocation.analysis.Analysis.nest in
   let reference = Interp.run_fresh nest ~init in
-  let transformed = run plan ~init in
+  let transformed = execute plan ~init ~on_ram:(fun _ ~iteration:_ -> ()) in
   List.for_all
     (fun (d : Decl.t) ->
       match d.Decl.storage with

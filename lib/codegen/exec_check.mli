@@ -6,12 +6,6 @@
     This is the transform's correctness oracle: for every allocation the
     result must equal the untransformed {!Srfa_ir.Interp} run. *)
 
-open Srfa_ir
-
-val run : Plan.t -> init:(string -> int array -> int) -> Interp.store
-(** Fresh store, [Input] arrays initialised with [init], transformed
-    program executed. *)
-
 val ram_iterations : Plan.t -> int array
 (** Per group id, the iterations of the steady-state body in which the
     transformed program reads or writes the group in RAM, each iteration
@@ -22,5 +16,6 @@ val ram_iterations : Plan.t -> int array
     which accesses go to RAM does not depend on the data. *)
 
 val equivalent : Plan.t -> init:(string -> int array -> int) -> bool
-(** Whether the transformed execution leaves every [Output] array equal to
-    the reference interpreter's result. *)
+(** Whether the transformed program, run on a fresh store whose [Input]
+    arrays [init] fills, leaves every [Output] array equal to the
+    reference interpreter's result. *)

@@ -58,33 +58,57 @@ module Core = struct
     in
     (sink, events)
 
-  (* The design-point step every evaluation shares: allocate into [sink],
-     summarise the decisions [events] collected, simulate and estimate.
-     The allocation comes back too, for the checked pipeline's
-     second-opinion schedule check. *)
+  (* A report on [alloc] from [sim] when its simulation has already run
+     (certification's slow path ends in one), else from [simulate alloc].
+     Design points and explore's memoised points report through here. *)
+  let report_of ~config ?trace_summary ~simulate ?sim ~version alloc =
+    let sim = match sim with Some sim -> sim | None -> simulate alloc in
+    Srfa_estimate.Report.of_result ~clock_params:config.clock_params
+      ?trace_summary ~sim_config:config.sim ~version alloc sim
+
+  let portfolio_version = Allocator.version_label Allocator.Portfolio
+
+  (* The step's report half: summarise the decisions [events] collected
+     (fixed before a simulation appends its own guard events to the same
+     stream), then report on [alloc], simulating it into [sink] unless
+     [sim], certification's simulation of it, is given. *)
+  let point_report ~sink ~events ?sim_scratch config ~version ?sim alloc =
+    let trace_summary = Trace.summary (events ()) in
+    let simulate =
+      Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
+        ?scratch:sim_scratch
+    in
+    (alloc, report_of ~config ~trace_summary ~simulate ?sim ~version alloc)
+
+  (* A certified point reports certification's final allocation, reusing
+     its simulation when the slow path ran one. *)
+  let certified_report ~sink ~events ?sim_scratch config outcome =
+    point_report ~sink ~events ?sim_scratch config ~version:portfolio_version
+      ?sim:outcome.Certify.sim outcome.Certify.allocation
+
+  (* The design-point step every evaluation shares: allocate into [sink]
+     (the portfolio through its certification), then report. Returns the
+     allocation with its report. *)
   let evaluate_step ~sink ~events ?prepared ?sim_scratch config algorithm
       analysis =
-    let alloc =
-      allocation ~config ~trace:sink ?prepared ?sim_scratch algorithm analysis
-    in
-    (* Summarise the allocation decisions only (fixed before the simulator
-       appends its own guard events to the same stream). *)
-    let trace_summary = Trace.summary (events ()) in
-    let report =
-      Srfa_estimate.Report.build ~sim_config:config.sim
-        ~clock_params:config.clock_params ~trace:sink ~trace_summary
-        ?sim_scratch
+    match algorithm with
+    | Allocator.Portfolio ->
+      certified_report ~sink ~events ?sim_scratch config
+        (Allocator.run_portfolio
+           ~latency:config.sim.Srfa_sched.Simulator.latency ~trace:sink
+           ?cut_work_limit:config.guards.cut_work_limit ?prepared
+           ~sim_config:config.sim ?sim_scratch analysis ~budget:config.budget)
+    | _ ->
+      point_report ~sink ~events ?sim_scratch config
         ~version:(Allocator.version_label algorithm)
-        alloc
-    in
-    (report, alloc)
+        (allocation ~config ~trace:sink ?prepared ?sim_scratch algorithm
+           analysis)
 
   let evaluate_analysis ?(trace = Trace.null) ?prepared ?sim_scratch config
       algorithm analysis =
     let sink, events = tee_collector trace in
-    fst
-      (evaluate_step ~sink ~events ?prepared ?sim_scratch config algorithm
-         analysis)
+    evaluate_step ~sink ~events ?prepared ?sim_scratch config algorithm
+      analysis
 
   (* ---- prepared kernels ---------------------------------------------- *)
 
@@ -120,16 +144,19 @@ module Core = struct
     let sim_scratch = scratch ~config prepared in
     List.map
       (fun alg ->
-        evaluate_analysis ?trace ~prepared:prepared.cpa ~sim_scratch config alg
-          prepared.analysis)
+        snd
+          (evaluate_analysis ?trace ~prepared:prepared.cpa ~sim_scratch config
+             alg prepared.analysis))
       algorithms
 
   (* ---- checked pipeline ---------------------------------------------- *)
 
-  (* Guard trips announce themselves on the trace; translating the collected
-     events into warning diagnostics here keeps the guard sites free of any
-     Diag dependency. *)
-  let warnings_of_events events =
+  (* A design point's guard warnings. A cut-guard trip announces itself on
+     the trace, and translating the collected events here keeps the guard
+     sites free of any Diag dependency. The bitmask cap is a property of
+     the nest, so W-GUARD-MASK comes from the group count, once per point,
+     whether or not a traced simulation ran. *)
+  let guard_warnings events analysis =
     let field name (e : Trace.event) =
       match List.assoc_opt name e.Trace.fields with
       | Some (Trace.Int v) -> string_of_int v
@@ -138,28 +165,34 @@ module Core = struct
       | Some (Trace.Float f) -> string_of_float f
       | Some (Trace.List _) | None -> "?"
     in
-    List.filter_map
-      (fun (e : Trace.event) ->
-        match e.Trace.name with
-        | "fallback.pr_ra" ->
-          Some
-            (Diag.warning ~code:"W-GUARD-CUT"
-               "cut work limit exceeded; CPA-RA fell back to PR-RA"
-               ~context:
-                 [
-                   ("work_limit", field "work_limit" e);
-                   ("bfs_phases", field "bfs_phases" e);
-                   ("augmenting_paths", field "augmenting_paths" e);
-                 ])
-        | "guard.mask" ->
-          Some
-            (Diag.warning ~code:"W-GUARD-MASK"
-               "group count exceeds the bitmask memo cap; simulator degraded \
-                to the string-keyed memo"
-               ~context:
-                 [ ("groups", field "groups" e); ("cap", field "cap" e) ])
-        | _ -> None)
-      events
+    let cut =
+      List.filter_map
+        (fun (e : Trace.event) ->
+          if e.Trace.name <> "fallback.pr_ra" then None
+          else
+            Some
+              (Diag.warning ~code:"W-GUARD-CUT"
+                 "cut work limit exceeded; CPA-RA fell back to PR-RA"
+                 ~context:
+                   [
+                     ("work_limit", field "work_limit" e);
+                     ("bfs_phases", field "bfs_phases" e);
+                     ("augmenting_paths", field "augmenting_paths" e);
+                   ]))
+        events
+    in
+    let groups = Analysis.num_groups analysis in
+    let cap = Srfa_sched.Simulator.mask_cap in
+    if groups <= cap then cut
+    else
+      cut
+      @ [
+          Diag.warning ~code:"W-GUARD-MASK"
+            "group count exceeds the bitmask memo cap; simulator degraded \
+             to the string-keyed memo"
+            ~context:
+              [ ("groups", string_of_int groups); ("cap", string_of_int cap) ];
+        ]
 
   (* Second-opinion schedule check: re-time the steady-state body with the
      cycle-stepped event model. A divergence is not an error — the report
@@ -199,7 +232,7 @@ module Core = struct
       let sim_scratch =
         match sim_scratch with Some s -> s | None -> scratch ~config prepared
       in
-      let report, alloc =
+      let alloc, report =
         evaluate_step ~sink ~events ~prepared:prepared.cpa ~sim_scratch config
           algorithm prepared.analysis
       in
@@ -207,7 +240,9 @@ module Core = struct
         event_model_warning ~sink ~guards:config.guards ~sim_config:config.sim
           ~dfg:prepared.dfg alloc
       in
-      (report, warnings_of_events (events ()) @ Option.to_list event_warning)
+      ( report,
+        guard_warnings (events ()) prepared.analysis
+        @ Option.to_list event_warning )
     with
     | checked -> Ok checked
     | exception exn -> Result.Error [ Diag.of_exn exn ]
@@ -217,17 +252,6 @@ module Core = struct
     match prepare nest with
     | prepared -> checked_prepared ?trace config algorithm prepared
     | exception exn -> Result.Error [ Diag.of_exn exn ]
-
-  (* A report on [alloc] from [sim] when its simulation has already run
-     (certification's slow path ends in one), else from [simulate alloc].
-     Certified points, rebudget steps and explore points all report
-     through here. *)
-  let report_of ~config ?trace_summary ~simulate ?sim ~version alloc =
-    let sim = match sim with Some sim -> sim | None -> simulate alloc in
-    Srfa_estimate.Report.of_result ~clock_params:config.clock_params
-      ?trace_summary ~sim_config:config.sim ~version alloc sim
-
-  let portfolio_version = Allocator.version_label Allocator.Portfolio
 
   (* Budget monotonicity for the certified portfolio: certification alone
      makes a point never worse than the greedy baselines at its own budget,
@@ -240,21 +264,10 @@ module Core = struct
   let portfolio_point ?(trace = Trace.null) ~prepared ?sim_scratch ~carry
       config kernel analysis =
     let sink, events = tee_collector trace in
-    let outcome =
-      Allocator.run_portfolio
-        ~latency:config.sim.Srfa_sched.Simulator.latency ~trace:sink
-        ?cut_work_limit:config.guards.cut_work_limit ~prepared
-        ~sim_config:config.sim ?sim_scratch analysis ~budget:config.budget
+    let alloc, report =
+      evaluate_step ~sink ~events ~prepared ?sim_scratch config
+        Allocator.Portfolio analysis
     in
-    let alloc = outcome.Certify.allocation in
-    let trace_summary = Trace.summary (events ()) in
-    let build =
-      report_of ~config ~trace_summary ~version:portfolio_version
-        ~simulate:
-          (Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
-             ?scratch:sim_scratch)
-    in
-    let report = build ?sim:outcome.Certify.sim alloc in
     let report, final_alloc =
       match !carry with
       | Some (b0, entries0, cycles0)
@@ -273,7 +286,15 @@ module Core = struct
           Allocation.make ~analysis ~budget:config.budget
             ~algorithm:Certify.algorithm_name entries0
         in
-        (build adopted, adopted)
+        (* The fresh point's summary: the takeover is not an allocation
+           decision. *)
+        ( report_of ~config
+            ?trace_summary:report.Srfa_estimate.Report.trace_summary
+            ~simulate:
+              (Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
+                 ?scratch:sim_scratch)
+            ~version:portfolio_version adopted,
+          adopted )
       | _ -> (report, alloc)
     in
     let final_cycles = report.Srfa_estimate.Report.cycles in
@@ -341,8 +362,9 @@ module Core = struct
                   portfolio_point ?trace ~prepared:cpa ~sim_scratch ~carry
                     { config with budget } kernel analysis
                 | _ ->
-                  evaluate_analysis ?trace ~prepared:cpa ~sim_scratch
-                    { config with budget } algorithm analysis
+                  snd
+                    (evaluate_analysis ?trace ~prepared:cpa ~sim_scratch
+                       { config with budget } algorithm analysis)
               in
               { kernel; algorithm; budget; report })
             algorithms)
@@ -1188,14 +1210,11 @@ module Core = struct
       | None ->
         let config = { session.rb_config with budget = effective } in
         let sim_scratch = session.rb_scratch in
-        let outcome, freed, respent =
+        let (alloc, report), freed, respent =
           match session.rb_current with
           | None ->
-            ( Allocator.run_portfolio
-                ~latency:config.sim.Srfa_sched.Simulator.latency ~trace:sink
-                ?cut_work_limit:config.guards.cut_work_limit
-                ~prepared:prepared.cpa ~sim_config:config.sim ~sim_scratch
-                prepared.analysis ~budget:effective,
+            ( evaluate_step ~sink ~events ~prepared:prepared.cpa ~sim_scratch
+                config Allocator.Portfolio prepared.analysis,
               0,
               0 )
           | Some current ->
@@ -1214,21 +1233,15 @@ module Core = struct
                budget: the reclaimed/re-spent candidate is certified
                against FR-RA and PR-RA exactly like a from-scratch
                portfolio point. *)
-            ( Certify.certify ~trace:sink ~sim_config:config.sim ~sim_scratch
-                candidate,
+            ( certified_report ~sink ~events ~sim_scratch config
+                (Certify.certify ~trace:sink ~sim_config:config.sim
+                   ~sim_scratch candidate),
               moved.Engine.freed,
               respent )
         in
-        let alloc = outcome.Certify.allocation in
-        let trace_summary = Trace.summary (events ()) in
-        let report =
-          report_of ~config ~trace_summary
-            ~simulate:
-              (Srfa_sched.Simulator.run ~trace:sink ~config:config.sim
-                 ~scratch:sim_scratch)
-            ?sim:outcome.Certify.sim ~version:portfolio_version alloc
+        let answer =
+          (alloc, report, guard_warnings (events ()) prepared.analysis)
         in
-        let answer = (alloc, report, warnings_of_events (events ())) in
         Hashtbl.replace session.rb_memo effective answer;
         (answer, freed, respent, false)
     in

@@ -57,12 +57,21 @@ module Core : sig
   val evaluate_analysis :
     ?trace:Srfa_util.Trace.sink -> ?prepared:Cpa_ra.prepared ->
     ?sim_scratch:Srfa_sched.Simulator.scratch ->
-    config -> Allocator.algorithm -> Analysis.t -> Srfa_estimate.Report.t
-  (** Allocate, simulate and estimate one design — the single
-      design-point primitive every entry point reduces to. The allocation
-      runs under an in-memory trace collector either way, so the report's
-      [trace_summary] is always filled in; [trace] additionally receives
-      the raw events (e.g. {!Srfa_util.Trace.channel}). *)
+    config -> Allocator.algorithm -> Analysis.t ->
+    Allocation.t * Srfa_estimate.Report.t
+  (** Allocate, simulate and estimate one design — the design-point step
+      every entry point reduces to ({!checked}, {!sweep}'s points, a
+      rebudget stream's opening event, the CLI's [alloc] and [export],
+      {!Order_explorer}); only the explorer's memoised points report
+      without it. Returns the allocation with its report.
+      {!Allocator.Portfolio} runs through {!Allocator.run_portfolio}, and
+      its report reuses certification's simulation of the final
+      allocation when the slow path ran one; every other point is
+      simulated once. The allocation runs under an in-memory trace
+      collector either way, so the report's [trace_summary] (the
+      allocation's decisions) is always filled in; [trace] additionally
+      receives the raw events (e.g. {!Srfa_util.Trace.channel}),
+      including a simulation's own. *)
 
   type prepared = {
     nest : Nest.t;
@@ -112,12 +121,15 @@ module Core : sig
       budget, internal invariant) comes back as [Error diags] via
       {!Srfa_util.Diag.of_exn}. [Ok (report, warnings)] carries one
       warning diagnostic per tripped resource guard: [W-GUARD-CUT] (CPA
-      fell back to PR-RA on an exhausted cut work budget), [W-GUARD-MASK]
-      (simulator degraded past the bitmask memo cap), [W-GUARD-EVENT]
-      (the event-model second opinion diverged; the report keeps the
-      Cycle_model timing). Every trip is also visible as a trace event
-      ([fallback.pr_ra], [guard.mask], [fallback.cycle_model]) on
-      [trace]. {!prepare} + {!checked_prepared}. *)
+      fell back to PR-RA on an exhausted cut work budget; trace event
+      [fallback.pr_ra]), [W-GUARD-MASK] (the nest has more than
+      {!Srfa_sched.Simulator.mask_cap} reference groups, so the simulator
+      runs past its bitmask memo cap; raised from the group count, and
+      the [guard.mask] trace event appears only where a simulation was
+      traced, which a certified point's slow path does not do),
+      [W-GUARD-EVENT] (the event-model second opinion diverged; the
+      report keeps the Cycle_model timing; trace event
+      [fallback.cycle_model]). {!prepare} + {!checked_prepared}. *)
 
   val portfolio_point :
     ?trace:Srfa_util.Trace.sink -> prepared:Cpa_ra.prepared ->

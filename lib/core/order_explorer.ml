@@ -4,8 +4,6 @@ open Srfa_reuse
 type candidate = {
   order : int list;
   loop_vars : string list;
-  nest : Nest.t;
-  allocation : Allocation.t;
   cycles : int;
   memory_cycles : int;
 }
@@ -17,18 +15,14 @@ let explore ?(config = Flow.default_config) algorithm nest =
     let nest =
       if order = identity then nest else Permute.interchange nest ~order
     in
-    let analysis = Analysis.analyze nest in
-    let allocation = Flow.allocation ~config algorithm analysis in
-    let sim =
-      Srfa_sched.Simulator.run ~config:config.Flow.sim allocation
+    let _, report =
+      Flow.evaluate_analysis config algorithm (Analysis.analyze nest)
     in
     {
       order;
       loop_vars = Nest.loop_vars nest;
-      nest;
-      allocation;
-      cycles = sim.Srfa_sched.Simulator.total_cycles;
-      memory_cycles = sim.Srfa_sched.Simulator.memory_cycles;
+      cycles = report.Srfa_estimate.Report.cycles;
+      memory_cycles = report.Srfa_estimate.Report.memory_cycles;
     }
   in
   let candidates = List.map evaluate orders in
@@ -60,8 +54,3 @@ let explore ?(config = Flow.default_config) algorithm nest =
     else []
   in
   (ranked, warnings)
-
-let best ?config algorithm nest =
-  match explore ?config algorithm nest with
-  | [], _ -> assert false (* legal_orders always yields the identity *)
-  | c :: _, _ -> c

@@ -3,16 +3,15 @@
     The reuse windows that drive every allocation depend on the loop
     order: IMI with the frame loop outermost needs 4096 registers per
     image, with it innermost a single register each. This explorer
-    evaluates every legal interchange of a nest under a chosen allocator
-    and returns the orders ranked by simulated cycles. *)
+    evaluates every legal interchange of a nest under a chosen allocator,
+    each through {!Flow.Core.evaluate_analysis}, and returns the orders
+    ranked by simulated cycles. *)
 
 open Srfa_ir
 
 type candidate = {
   order : int list;          (** permutation applied (old levels, new order) *)
   loop_vars : string list;   (** resulting order, outermost first *)
-  nest : Nest.t;
-  allocation : Srfa_reuse.Allocation.t;
   cycles : int;
   memory_cycles : int;
 }
@@ -27,6 +26,3 @@ val explore :
     [W-GUARD-EXPLORE] warning carrying the illegality reason and the
     skipped-order count ({!Srfa_ir.Permute.legal_orders}) — no exception
     escapes. *)
-
-val best : ?config:Flow.config -> Allocator.algorithm -> Nest.t -> candidate
-(** Head of {!explore} (warnings dropped). *)

@@ -60,14 +60,6 @@ let of_result ?clock_params ?trace_summary ~sim_config ~version alloc
     trace_summary;
   }
 
-let build ?(sim_config = Srfa_sched.Simulator.default_config) ?clock_params
-    ?trace ?trace_summary ?sim_scratch ~version alloc =
-  let sim =
-    Srfa_sched.Simulator.run ?trace ~config:sim_config ?scratch:sim_scratch
-      alloc
-  in
-  of_result ?clock_params ?trace_summary ~sim_config ~version alloc sim
-
 let speedup ~base t = base.exec_time_us /. t.exec_time_us
 
 let cycle_reduction_pct ~base t =

@@ -26,19 +26,6 @@ type t = {
           allocation was not traced *)
 }
 
-val build :
-  ?sim_config:Srfa_sched.Simulator.config ->
-  ?clock_params:Clock.params ->
-  ?trace:Srfa_util.Trace.sink ->
-  ?trace_summary:string ->
-  ?sim_scratch:Srfa_sched.Simulator.scratch ->
-  version:string ->
-  Allocation.t ->
-  t
-(** Runs the simulator and the estimators for one allocation.
-    [sim_scratch] is forwarded to {!Srfa_sched.Simulator.run} so repeated
-    reports over one nest reuse the simulator's warm state. *)
-
 val of_result :
   ?clock_params:Clock.params ->
   ?trace_summary:string ->
@@ -47,7 +34,11 @@ val of_result :
   Allocation.t ->
   Srfa_sched.Simulator.result ->
   t
-(** Like {!build} when the simulation result is already at hand. *)
+(** The report on one allocation from its simulation: the cycle counts
+    come from [sim], the area and clock from the estimators. Every
+    design point reports through here ([Flow]'s design-point step,
+    explore's memoised points); give it the simulation under the same
+    [sim_config]. *)
 
 val speedup : base:t -> t -> float
 (** Wall-clock speedup of a design over the base version. *)

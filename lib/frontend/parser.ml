@@ -27,9 +27,30 @@ let expected st what =
   fail st ~code:"E-PARSE-001" "expected %s, found %s" what
     (Lexer.describe (current st))
 
+(* [expected] where the rule needs the keyword or operator [word]. A
+   source whose last token spells a proper prefix of [word] ([kerne],
+   [in], [+] for [++]) was cut inside it, and is reported at the end of
+   input. *)
+let expected_word st word what =
+  let text =
+    match current st with Lexer.Ident s -> s | Lexer.Plus -> "+" | _ -> ""
+  in
+  if
+    text <> ""
+    && String.length text < String.length word
+    && String.starts_with ~prefix:text word
+    && st.tokens.(st.pos + 1).Lexer.token = Lexer.Eof
+  then advance st;
+  expected st what
+
 let expect st token =
   if current st = token then advance st
-  else expected st (Lexer.describe token)
+  else
+    let what = Lexer.describe token in
+    match token with
+    | Lexer.Kw_kernel -> expected_word st "kernel" what
+    | Lexer.Plus_plus -> expected_word st "++" what
+    | _ -> expected st what
 
 let ident st =
   match current st with
@@ -272,7 +293,7 @@ let declaration st storage =
     | Lexer.Kw_int w ->
       advance st;
       w
-    | _ -> expected st "a type"
+    | _ -> expected_word st "int" "a type"
   in
   let name, at = ident_at st in
   if find_decl st name <> None then

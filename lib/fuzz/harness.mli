@@ -12,8 +12,9 @@
       budget, RAM accesses within [\[0, baseline\]] (saved accesses never
       negative), cycle accounting consistent;
     - mask-stress kernels must show the [W-GUARD-MASK] degradation, and
-      every guard warning must be mirrored by its trace event
-      ([fallback.pr_ra], [guard.mask], [fallback.cycle_model]).
+      every guard warning of the CPA-RA run must be mirrored by its
+      trace event ([fallback.pr_ra], [guard.mask] from its traced
+      simulation, [fallback.cycle_model]).
 
     Comparative invariants come in two strengths. CPA-RA cycles vs FR-RA
     (and CPA+ vs the best greedy baseline) are {e statistical}: the

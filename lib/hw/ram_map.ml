@@ -51,7 +51,6 @@ let build_single_bank device arrays =
     ports_override = Some 1;
   }
 
-let device t = t.device
 let blocks_used t = t.blocks_used
 
 let location t name =

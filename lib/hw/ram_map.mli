@@ -25,8 +25,6 @@ val build_single_bank : Device.t -> Decl.t list -> t
     accesses ever overlap. Quantifies how much of the allocators' gain
     comes from the paper's distinct-RAM concurrency assumption. *)
 
-val device : t -> Device.t
-
 val blocks_used : t -> int
 (** Embedded blocks consumed (never exceeds the device's count). *)
 

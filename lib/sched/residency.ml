@@ -44,59 +44,55 @@ let lru_touch l e =
   end;
   hit
 
-type gstate =
-  | Pinned_state
-  | Lru_state of lru
-  | Direct_state of int array (* slot -> element id currently held, -1 empty *)
+(* Only the pinned discipline reads slot ranks, so only it builds and
+   steps a tracker; the dynamic policies key their state on element
+   indices. *)
+type states =
+  | Pinned_states of Analysis.Tracker.tracker
+  | Lru_states of lru array
+  | Direct_states of int array array
+      (* per group: slot -> element id currently held, -1 empty *)
 
 type t = {
   allocation : Allocation.t;
-  tracker : Analysis.Tracker.tracker;
-  states : gstate array;
+  states : states;
   mutable point : int array;
 }
 
-let create ?tracker policy allocation =
+let create policy allocation =
   let analysis = allocation.Allocation.analysis in
-  let tracker =
-    (* A scratch tracker for the same analysis is reset and reused — the
-       simulator scratch passes one so a warmed-up walk allocates no
-       fresh rank tables; anything else is ignored. *)
-    match tracker with
-    | Some tr when Analysis.Tracker.analysis tr == analysis ->
-      Analysis.Tracker.reset tr;
-      tr
-    | Some _ | None -> Analysis.Tracker.create analysis
-  in
-  let mk gid =
-    let beta = Allocation.beta allocation gid in
+  let groups = Analysis.num_groups analysis in
+  let slots gid = max (Allocation.beta allocation gid) 1 in
+  let states =
     match policy with
-    | Pinned -> Pinned_state
-    | Lru -> Lru_state (lru_create (max beta 1))
-    | Direct_mapped -> Direct_state (Array.make (max beta 1) (-1))
+    | Pinned -> Pinned_states (Analysis.Tracker.create analysis)
+    | Lru -> Lru_states (Array.init groups (fun gid -> lru_create (slots gid)))
+    | Direct_mapped ->
+      Direct_states
+        (Array.init groups (fun gid -> Array.make (slots gid) (-1)))
   in
-  {
-    allocation;
-    tracker;
-    states = Array.init (Analysis.num_groups analysis) mk;
-    point = [||];
-  }
+  { allocation; states; point = [||] }
 
 let step t point =
-  Analysis.Tracker.step t.tracker point;
+  (match t.states with
+  | Pinned_states tracker -> Analysis.Tracker.step tracker point
+  | Lru_states _ | Direct_states _ -> ());
   t.point <- point
 
+let element t gid =
+  Analysis.element_index
+    (Analysis.info t.allocation.Allocation.analysis gid)
+    t.point
+
 let resident t gid =
-  let analysis = t.allocation.Allocation.analysis in
-  let info = Analysis.info analysis gid in
-  match t.states.(gid) with
-  | Pinned_state ->
+  match t.states with
+  | Pinned_states tracker ->
     let e = Allocation.entry t.allocation gid in
-    Analysis.Tracker.resident t.tracker gid ~beta:e.Allocation.beta
+    Analysis.Tracker.resident tracker gid ~beta:e.Allocation.beta
       ~pinned:e.Allocation.pinned
-  | Lru_state l -> lru_touch l (Analysis.element_index info t.point)
-  | Direct_state slots ->
-    let e = Analysis.element_index info t.point in
+  | Lru_states lrus -> lru_touch lrus.(gid) (element t gid)
+  | Direct_states slots ->
+    let slots = slots.(gid) and e = element t gid in
     let slot = e mod Array.length slots in
     let hit = slots.(slot) = e in
     slots.(slot) <- e;

@@ -24,11 +24,12 @@ val policy_of_name : string -> policy option
 
 type t
 
-val create : ?tracker:Analysis.Tracker.tracker -> policy -> Allocation.t -> t
-(** [tracker] donates a reusable {!Srfa_reuse.Analysis.Tracker} (reset on
-    entry) so repeated simulations of the same nest skip rebuilding the
-    per-group rank tables; one built from a different analysis is
-    ignored. *)
+val create : policy -> Allocation.t -> t
+(** Fresh residency state for one walk of the allocation's nest. Only a
+    {!Pinned} state builds (and {!step} advances) a
+    {!Srfa_reuse.Analysis.Tracker}, since only the pinned discipline
+    reads slot ranks; {!Lru} and {!Direct_mapped} key their state on
+    element indices. *)
 
 val step : t -> int array -> unit
 (** Advance to an iteration point (execution order). *)

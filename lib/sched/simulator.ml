@@ -79,10 +79,20 @@ let window_suffix analysis =
    memory; such nests walk the suffix through the tracker instead. *)
 let rank_cache_cap = 1 lsl 23
 
+(* Where a walk reads the suffix's slot ranks from. Ranks are a pure
+   function of (analysis, suffix point) — the allocation only thresholds
+   them (resident = pinned && rank < beta) — so a Pinned scratch under
+   [rank_cache_cap] entries computes them once, [suffix * ngroups] ints
+   from [fill_ranks], and every evaluation reads flat arrays. Any other
+   scratch (a dynamic policy's, or past the cap) holds the tracker its
+   walks step instead. Either is built with the scratch, so its size is
+   fixed then (the serving cache charges an entry once, at insert). *)
+type suffix = Ranks of int array | Tracker of Analysis.Tracker.tracker
+
 (* Everything reusable across simulations of the same nest under the same
-   latency table: the DFG, the flattened cycle-model half, the residency
-   tracker, the charged-set count tables, the per-iteration bit buffers
-   and the Pinned rank cache. One scratch per (analysis, latency); Flow
+   latency table: the DFG, the flattened cycle-model half, the suffix's
+   rank source, the charged-set count tables and the per-iteration bit
+   buffers. One scratch per (analysis, latency); Flow
    threads one through a whole budget ladder the way Cpa_ra.prepare's
    scratch already travels, so a warmed-up evaluation touches the
    allocator only for the result record. Not thread-safe — one scratch
@@ -93,10 +103,7 @@ type scratch = {
   s_latency : Srfa_hw.Latency.t;
   s_dfg : Srfa_dfg.Graph.t;
   s_prepared : Cycle_model.prepared;
-  (* Built for the walks that step it: a dynamic policy's, or a Pinned
-     one's past the rank cache (forced when the scratch is built, see
-     [scratch]). A Pinned scratch with its cache never builds it. *)
-  s_tracker : Analysis.Tracker.tracker Lazy.t;
+  s_suffix : suffix;
   s_counts : Arena.Table.t; (* charged-set bitmask -> points (mask_cap) *)
   s_counts_str : (string, int ref) Hashtbl.t; (* past the mask cap *)
   s_charged : bool array;
@@ -105,14 +112,6 @@ type scratch = {
   s_hist : Arena.Table.t; (* profile: cost -> iteration count *)
   s_level : int; (* first in-window level of the suffix (see window_suffix) *)
   s_outer : int; (* weight of one suffix point *)
-  (* Pinned-residency rank cache: slot ranks are a pure function of
-     (analysis, suffix point) — the allocation only thresholds them
-     (resident = pinned && rank < beta) — so [fill_ranks] computes them
-     once at creation and every evaluation reads flat arrays instead of
-     stepping the tracker. [suffix * ngroups] ints, filled for a Pinned
-     config; empty otherwise and for nests past [rank_cache_cap]
-     entries, which walk the suffix through the tracker. *)
-  s_ranks : int array;
   s_limit : int array; (* per-walk rank limits (see count_suffix) *)
 }
 
@@ -217,8 +216,7 @@ let scratch ?(config = default_config) ?dfg analysis =
   let ngroups = Analysis.num_groups analysis in
   let level, outer = window_suffix analysis in
   let suffix = Nest.iterations analysis.Analysis.nest / outer in
-  let tracker = lazy (Analysis.Tracker.create analysis) in
-  let ranks =
+  let suffix_source =
     if
       config.residency = Residency.Pinned
       && ngroups > 0
@@ -226,20 +224,16 @@ let scratch ?(config = default_config) ?dfg analysis =
     then begin
       let ranks = Array.make (suffix * ngroups) 0 in
       fill_ranks analysis ~level ranks;
-      ranks
+      Ranks ranks
     end
-    else [||]
+    else Tracker (Analysis.Tracker.create analysis)
   in
-  (* Without the cache every walk steps the tracker, so build it now: the
-     scratch's size is then fixed when it is built (the serving cache
-     charges an entry once, at insert). *)
-  if Array.length ranks = 0 then ignore (Lazy.force tracker);
   {
     s_analysis = analysis;
     s_latency = config.latency;
     s_dfg = dfg;
     s_prepared = Cycle_model.prepare ~dfg ~latency:config.latency;
-    s_tracker = tracker;
+    s_suffix = suffix_source;
     s_counts = Arena.Table.create ();
     s_counts_str = Hashtbl.create 64;
     s_charged = Array.make (max ngroups 1) false;
@@ -248,23 +242,20 @@ let scratch ?(config = default_config) ?dfg analysis =
     s_hist = Arena.Table.create ~capacity:64 ();
     s_level = level;
     s_outer = outer;
-    s_ranks = ranks;
     s_limit = Array.make (max ngroups 1) 0;
   }
 
 (* Calls [replay ranks points], where [ranks.(i * ngroups + gid)] is group
    [gid]'s slot rank at the [i]-th of [points] suffix points: once over
-   the whole rank cache, or once per point stepped through the tracker
-   when the cache is empty. [replay] loops over the points itself, which
-   keeps the warm path a plain loop (a call per point costs bic's warm
-   evaluation ~15%). *)
+   the whole rank cache, or once per point stepped through the tracker.
+   [replay] loops over the points itself, which keeps the warm path a
+   plain loop (a call per point costs bic's warm evaluation ~15%). *)
 let replay_suffix sc replay =
-  let ngroups = Analysis.num_groups sc.s_analysis in
-  if Array.length sc.s_ranks > 0 then
-    replay sc.s_ranks (Array.length sc.s_ranks / ngroups)
-  else
-    track_suffix (Lazy.force sc.s_tracker) ~level:sc.s_level (fun ranks ->
-        replay ranks 1)
+  match sc.s_suffix with
+  | Ranks ranks ->
+    replay ranks (Array.length ranks / Analysis.num_groups sc.s_analysis)
+  | Tracker tracker ->
+    track_suffix tracker ~level:sc.s_level (fun ranks -> replay ranks 1)
 
 (* Points per charged set. A walk counts how many points charge each
    distinct set of groups, then evaluates the set's cost once and hands
@@ -399,10 +390,7 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
   let weight =
     match config.residency with
     | Residency.Lru | Residency.Direct_mapped ->
-      let residency =
-        Residency.create ~tracker:(Lazy.force sc.s_tracker) config.residency
-          alloc
-      in
+      let residency = Residency.create config.residency alloc in
       Iterspace.iter nest (fun point ->
           Residency.step residency point;
           for gid = 0 to ngroups - 1 do

@@ -64,9 +64,9 @@ type result = {
 
 type scratch
 (** Reusable simulation state for one (analysis, latency) pair: the DFG,
-    the prepared {!Cycle_model} half, the residency tracker (built when a
-    walk first steps it), the charged-set count tables, the per-iteration
-    bit buffers and the Pinned rank cache.
+    the prepared {!Cycle_model} half, the suffix's slot-rank source (a
+    rank cache or a residency tracker, see {!val-scratch}), the
+    charged-set count tables and the per-iteration bit buffers.
     Passing one to {!run} makes repeated simulations of the same nest (a
     budget ladder, a portfolio, a sweep) allocation-free apart from the
     result record itself. Not thread-safe: keep one scratch per domain. *)
@@ -83,12 +83,19 @@ val scratch :
     {!Srfa_reuse.Analysis.rank_affine} gives the ranks' affine form, an
     odometer over the suffix adds one coefficient per point; any other
     group's element indices get one first-touch pass, restarted at each
-    of its windows. Past [2^23] ranks (suffix points times groups)
-    Pinned simulations walk the suffix through the residency tracker
-    instead. The tracker is built on the first walk that steps it: at
-    once when the scratch has no rank cache (a dynamic-policy config, or
-    past the cap), so such a scratch's size is fixed when it is built;
-    never for a Pinned scratch that only Pinned walks use. *)
+    of its windows. Any other scratch (a dynamic-policy config, or past
+    [2^23] ranks, suffix points times groups) holds an
+    {!Srfa_reuse.Analysis.Tracker} instead, and Pinned walks and
+    {!cycles_floor} step it through the suffix. The scratch holds one
+    source or the other, built here, so its size is fixed when it is
+    built: no walk grows it ({!Residency.Lru} and
+    {!Residency.Direct_mapped} walks read element indices, never a
+    rank). *)
+
+val mask_cap : int
+(** 60: the most reference groups a walk counts charged sets for on an
+    int bitmask. Past it the walk keys them by a bytes string instead
+    (the same counts, slightly slower lookups). *)
 
 val run :
   ?trace:Srfa_util.Trace.sink ->
@@ -96,12 +103,12 @@ val run :
   ?scratch:scratch ->
   Allocation.t ->
   result
-(** Simulates the allocation's nest. A walk counts charged sets on an
-    int bitmask up to 60 reference groups; past that it keys them by a
-    bytes string (the same counts, slightly slower lookups) and [trace]
-    receives a ["guard.mask"] event. A [scratch] built from a
-    different analysis or latency table is ignored (a fresh one is made),
-    so threading one through heterogeneous call sites is always safe. *)
+(** Simulates the allocation's nest. Past {!mask_cap} groups a traced
+    walk announces the bytes-key fallback as a ["guard.mask"] event on
+    [trace]; an untraced one says nothing (Flow raises [W-GUARD-MASK]
+    from the group count). A [scratch] built from a different analysis
+    or latency table is ignored (a fresh one is made), so threading one
+    through heterogeneous call sites is always safe. *)
 
 val profile :
   ?trace:Srfa_util.Trace.sink ->

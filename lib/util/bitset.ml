@@ -6,8 +6,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Array.make ((capacity + bits - 1) / bits) 0; capacity }
 
-let capacity t = t.capacity
-
 let check t i op =
   if i < 0 || i >= t.capacity then
     invalid_arg (Printf.sprintf "Bitset.%s: %d outside [0, %d)" op i t.capacity)
@@ -34,21 +32,13 @@ let popcount w =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let iter f t =
+let to_list t =
+  let acc = ref [] in
   Array.iteri
     (fun wi w ->
       if w <> 0 then
         for b = 0 to bits - 1 do
-          if w land (1 lsl b) <> 0 then f ((wi * bits) + b)
+          if w land (1 lsl b) <> 0 then acc := ((wi * bits) + b) :: !acc
         done)
-    t.words
-
-let of_list capacity xs =
-  let t = create capacity in
-  List.iter (add t) xs;
-  t
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) t;
+    t.words;
   List.rev !acc

@@ -11,8 +11,6 @@ val create : int -> t
 (** [create capacity] is the empty set over [\[0, capacity)].
     @raise Invalid_argument when [capacity < 0]. *)
 
-val capacity : t -> int
-
 val add : t -> int -> unit
 val remove : t -> int -> unit
 
@@ -29,8 +27,5 @@ val is_empty : t -> bool
 val cardinal : t -> int
 (** Population count, one word at a time. *)
 
-val iter : (int -> unit) -> t -> unit
-(** Members in ascending order. *)
-
-val of_list : int -> int list -> t
 val to_list : t -> int list
+(** Members in ascending order. *)

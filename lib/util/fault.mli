@@ -37,9 +37,6 @@ val off : t
 
 val enabled : t -> bool
 
-val sites : string list
-(** The known site names; {!parse} rejects any other. *)
-
 val parse : ?seed:int -> string -> (t, string) result
 (** [parse ~seed plan] compiles a plan string. The empty (or all-blank)
     plan is {!off}. [seed] defaults to 42. *)

@@ -34,7 +34,6 @@ let create ~capacity =
     evictions = 0;
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let used t = t.used
 let hits t = t.hits

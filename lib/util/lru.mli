@@ -18,13 +18,11 @@ val create : capacity:int -> 'v t
     every {!add} is accepted and immediately evicted, {!find} never
     hits — callers get a uniform code path, just with no retention. *)
 
-val capacity : 'v t -> int
-
 val length : 'v t -> int
 (** Resident entry count. *)
 
 val used : 'v t -> int
-(** Summed cost of the resident entries; [used t <= max 0 (capacity t)]. *)
+(** Summed cost of the resident entries; never more than [max 0 capacity]. *)
 
 val find : 'v t -> string -> 'v option
 (** [find t k] returns the resident value and makes [k] the most recently

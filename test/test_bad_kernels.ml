@@ -59,6 +59,10 @@ let cases =
     (* Cut after the first index of a rank-2 reference: the input ends
        before the rank can be checked. *)
     ("truncated_reference.k", "E-PARSE-001", Some (7, 1), "end of input");
+    (* Cut inside the loop's '++': the '+' left over is the cut token,
+       not a wrong one. *)
+    ("truncated_keyword.k", "E-PARSE-001", Some (6, 1),
+     "expected '++', found end of input");
   ]
 
 let test_missing_file () =

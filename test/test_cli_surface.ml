@@ -29,13 +29,75 @@ let test_evaluate_consistent_with_parts () =
   let nest = Helpers.small_mat () in
   let config = small_config 12 in
   let analysis = Flow.analyze nest in
-  let direct =
+  let _, direct =
     Flow.evaluate_analysis config Srfa_core.Allocator.Cpa_ra analysis
   in
   let alloc = Flow.allocation ~config Srfa_core.Allocator.Cpa_ra analysis in
   let sim = Srfa_sched.Simulator.run ~config:config.Flow.sim alloc in
   Alcotest.(check int) "cycles agree" sim.Srfa_sched.Simulator.total_cycles
     direct.Report.cycles
+
+(* The design-point step against its parts, over the registry kernels
+   under every algorithm at budgets 16 and 64 (where feasible): its
+   allocation is Flow.allocation's, and its report is Report.of_result
+   of a fresh simulation of that allocation, whichever certification
+   path a portfolio point took. Both paths occur; the example at 64
+   takes the slow one, whose simulation the step reuses. *)
+let test_step_matches_parts () =
+  let module Allocation = Srfa_reuse.Allocation in
+  let module Allocator = Srfa_core.Allocator in
+  let module Simulator = Srfa_sched.Simulator in
+  let module Trace = Srfa_util.Trace in
+  let entries (a : Allocation.t) =
+    ( a.Allocation.algorithm,
+      Array.init
+        (Srfa_reuse.Analysis.num_groups a.Allocation.analysis)
+        (Allocation.entry a) )
+  in
+  let slow = ref [] and fast = ref 0 in
+  List.iter
+    (fun name ->
+      let analysis = Flow.analyze (Option.get (Srfa_kernels.Kernels.find name)) in
+      List.iter
+        (fun budget ->
+          let config = small_config budget in
+          List.iter
+            (fun algorithm ->
+              let label =
+                Printf.sprintf "%s/%s/%d" name (Allocator.name algorithm) budget
+              in
+              let sink, events = Trace.collector () in
+              let alloc, report =
+                Flow.evaluate_analysis ~trace:sink config algorithm analysis
+              in
+              Alcotest.(check bool) (label ^ ": allocation") true
+                (entries alloc
+                = entries (Flow.allocation ~config algorithm analysis));
+              let fresh =
+                Report.of_result ~clock_params:config.Flow.clock_params
+                  ?trace_summary:report.Report.trace_summary
+                  ~sim_config:config.Flow.sim ~version:report.Report.version
+                  alloc
+                  (Simulator.run ~config:config.Flow.sim alloc)
+              in
+              Alcotest.(check bool) (label ^ ": report") true (report = fresh);
+              if algorithm = Allocator.Portfolio then
+                if
+                  List.exists
+                    (fun (e : Trace.event) -> e.Trace.name = "certify.compare")
+                    (events ())
+                then slow := (name, budget) :: !slow
+                else incr fast)
+            Allocator.all)
+        (List.filter
+           (fun b -> b >= Srfa_core.Ordering.feasibility_minimum analysis)
+           [ 16; 64 ]))
+    Srfa_kernels.Kernels.names;
+  Alcotest.(check int) "registry kernels" 11
+    (List.length Srfa_kernels.Kernels.names);
+  Alcotest.(check bool) "some point certifies on the fast path" true (!fast > 0);
+  Alcotest.(check bool) "the example at 64 takes the slow path" true
+    (List.mem ("example", 64) !slow)
 
 let test_custom_algorithms () =
   let nest = Helpers.small_pat () in
@@ -111,6 +173,8 @@ let () =
           Alcotest.test_case "evaluate_all" `Quick test_evaluate_all_versions;
           Alcotest.test_case "consistent with parts" `Quick
             test_evaluate_consistent_with_parts;
+          Alcotest.test_case "the step matches its parts" `Quick
+            test_step_matches_parts;
           Alcotest.test_case "custom algorithms" `Quick test_custom_algorithms;
           Alcotest.test_case "paper budget default" `Quick
             test_default_budget_is_paper;

@@ -9,6 +9,12 @@ let alloc_with_budget budget =
   let an = Helpers.analyze (Helpers.example ()) in
   Srfa_core.Allocator.run Srfa_core.Allocator.Cpa_ra an ~budget
 
+(* [alloc]'s report under the default simulator. *)
+let report_of ~version alloc =
+  let module Simulator = Srfa_sched.Simulator in
+  Report.of_result ~sim_config:Simulator.default_config ~version alloc
+    (Simulator.run alloc)
+
 let test_area_breakdown_consistent () =
   let alloc = alloc_with_budget 64 in
   let b = Area.estimate ~device ~ram_arrays:5 alloc in
@@ -50,7 +56,7 @@ let test_clock_params_override () =
 
 let test_report_consistency () =
   let alloc = alloc_with_budget 64 in
-  let r = Report.build ~version:"v3" alloc in
+  let r = report_of ~version:"v3" alloc in
   Alcotest.(check string) "kernel name" "example" r.Report.kernel;
   Alcotest.(check string) "algorithm" "cpa-ra" r.Report.algorithm;
   Alcotest.(check int) "registers" 64 r.Report.total_registers;
@@ -65,7 +71,7 @@ let test_report_consistency () =
 
 let test_speedup_identities () =
   let alloc = alloc_with_budget 64 in
-  let r = Report.build ~version:"v3" alloc in
+  let r = report_of ~version:"v3" alloc in
   Alcotest.(check (float 0.0001)) "self speedup" 1.0 (Report.speedup ~base:r r);
   Alcotest.(check (float 0.0001)) "self cycle reduction" 0.0
     (Report.cycle_reduction_pct ~base:r r);
@@ -77,7 +83,7 @@ let test_report_vs_paper_shape () =
      penalty, netting a wall-clock win: the paper's headline behaviour. *)
   let an = Helpers.analyze (Helpers.example ()) in
   let report alg v =
-    Report.build ~version:v (Srfa_core.Allocator.run alg an ~budget:64)
+    report_of ~version:v (Srfa_core.Allocator.run alg an ~budget:64)
   in
   let v1 = report Srfa_core.Allocator.Fr_ra "v1" in
   let v3 = report Srfa_core.Allocator.Cpa_ra "v3" in

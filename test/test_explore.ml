@@ -463,7 +463,7 @@ let prop_lower_bounds_sound =
       in
       List.for_all
         (fun algorithm ->
-          let r =
+          let _, r =
             Core.evaluate_analysis ~prepared:prepared.Core.cpa ~sim_scratch
               config algorithm prepared.Core.analysis
           in

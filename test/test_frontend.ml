@@ -200,6 +200,21 @@ let test_error_messages () =
        {|kernel k { input int a[4][4]; output int y[4];
           for (i = 0; i < 4; i++) y[i] = a[i]; }|}
        "rank 2");
+  (* A keyword or operator the input ends inside reads as cut short; the
+     same spelling before more input is a wrong token. *)
+  List.iter
+    (fun (src, fragment) ->
+      Alcotest.(check bool) src true (error_message_mentions src fragment))
+    [
+      ({|kerne|}, "expected 'kernel', found end of input");
+      ({|kernel k { input in|}, "expected a type, found end of input");
+      ({|kernel k { input i|}, "expected a type, found end of input");
+      ( {|kernel k { input int a[4]; output int y[4]; for (i = 0; i < 4; i+|},
+        "expected '++', found end of input" );
+      ({|kerne k {|}, "expected 'kernel', found identifier");
+      ({|kernel k { input in a[4];|}, "expected a type, found identifier");
+      ({|kernel k { input inx|}, "expected a type, found identifier");
+    ];
   Alcotest.(check (option (pair int int))) "position in the span"
     (Some (1, 28))
     (match Parser.parse {|kernel k { input int a[4]; }|} with

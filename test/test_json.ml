@@ -132,8 +132,9 @@ let parses what text =
 
 let report =
   lazy
-    (Flow.evaluate_analysis Flow.default_config Allocator.Cpa_ra
-       (Flow.analyze (Helpers.small_fir ())))
+    (snd
+       (Flow.evaluate_analysis Flow.default_config Allocator.Cpa_ra
+          (Flow.analyze (Helpers.small_fir ()))))
 
 let diag =
   Diag.make ~code:"E-TEST-001" ~span:{ Diag.line = 3; col = 9 }

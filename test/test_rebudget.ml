@@ -7,7 +7,9 @@
      feasibility minimum clamps there and degrades gracefully — spill,
      trace events, W-GUARD-REBUDGET warning — instead of raising;
    - Flow.Core's session layer: memoized revisits, re-spent grows, the
-     clamp warning, and replay shape;
+     clamp warning, replay shape, and W-GUARD-MASK on every step past
+     the simulator's bitmask cap (the cap's boundary through
+     Flow.checked too);
    - the correctness spine: a fuzzed differential campaign (>= 200
      event streams, >= 2000 events, seed 42) asserting after EVERY
      event that the incremental allocation is coverage-equivalent to a
@@ -194,6 +196,61 @@ let test_flow_replay_shape () =
         (if k = 0 then 16 else List.nth events (k - 1))
         s.Flow.Core.requested)
     steps
+
+(* ---- W-GUARD-MASK from the group count --------------------------------- *)
+
+let mask_warnings warnings =
+  List.length
+    (List.filter (fun (d : Diag.t) -> d.Diag.code = "W-GUARD-MASK") warnings)
+
+(* Past the simulator's bitmask cap every design point warns once,
+   whichever certification path answered it: a stream on 64 groups
+   warns on each of its six steps. *)
+let test_mask_on_every_step () =
+  let prepared =
+    Flow.Core.prepare (Srfa_kernels.Extra.synthetic_cut ~groups:64 ())
+  in
+  let steps =
+    Flow.Core.rebudget config prepared ~initial:128
+      ~events:[ 200; 96; 300; 140; 64 ]
+  in
+  List.iter
+    (fun (s : Flow.Core.rebudget_step) ->
+      Alcotest.(check int)
+        (Printf.sprintf "W-GUARD-MASK at budget %d" s.Flow.Core.requested)
+        1
+        (mask_warnings s.Flow.Core.warnings))
+    steps
+
+(* The cap's boundary: 60 groups fit the bitmask, 61 do not. *)
+let test_mask_cap_boundary () =
+  List.iter
+    (fun (groups, expected) ->
+      let nest = Srfa_kernels.Extra.synthetic_cut ~groups () in
+      let budget = 2 * groups in
+      List.iter
+        (fun algorithm ->
+          match
+            Flow.checked ~config:{ config with Flow.budget } ~algorithm nest
+          with
+          | Ok (_, warnings) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%d groups, %s" groups
+                 (Allocator.name algorithm))
+              expected (mask_warnings warnings)
+          | Error _ -> Alcotest.failf "%d groups: rejected" groups)
+        [ Allocator.Cpa_ra; Allocator.Portfolio ];
+      let session, first =
+        Flow.Core.rebudget_start config (Flow.Core.prepare nest) ~budget
+      in
+      let step = Flow.Core.rebudget_step session ~budget:(budget + 8) in
+      List.iter
+        (fun (what, (s : Flow.Core.rebudget_step)) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d groups, rebudget %s" groups what)
+            expected (mask_warnings s.Flow.Core.warnings))
+        [ ("start", first); ("step", step) ])
+    [ (Simulator.mask_cap, 0); (Simulator.mask_cap + 1, 1) ]
 
 (* ---- the differential campaign ---------------------------------------- *)
 
@@ -413,6 +470,10 @@ let () =
           Alcotest.test_case "replay shape" `Quick test_flow_replay_shape;
           Alcotest.test_case "coverage fast path" `Quick
             test_coverage_fast_path;
+          Alcotest.test_case "W-GUARD-MASK on every step" `Quick
+            test_mask_on_every_step;
+          Alcotest.test_case "W-GUARD-MASK cap boundary" `Quick
+            test_mask_cap_boundary;
         ] );
       ( "differential",
         [ Alcotest.test_case "fuzzed campaign" `Slow test_campaign ] );

@@ -62,7 +62,10 @@ let test_printers () =
   mentions (Format.asprintf "%a" Srfa_reuse.Allocation.pp alloc) "cpa-ra";
   let sim = Srfa_sched.Simulator.run alloc in
   mentions (Format.asprintf "%a" Srfa_sched.Simulator.pp_result sim) "memory";
-  let report = Report.build ~version:"v3" alloc in
+  let report =
+    Report.of_result ~sim_config:Srfa_sched.Simulator.default_config
+      ~version:"v3" alloc sim
+  in
   mentions (Format.asprintf "%a" Report.pp report) "example";
   let s = Summary.of_reports ~version:"v3" (per_kernel ()) in
   mentions (Format.asprintf "%a" Summary.pp s) "geomean";

@@ -98,7 +98,7 @@ let test_sweep_matches_evaluate () =
   List.iter
     (fun (p : Flow.sweep_point) ->
       let config = { Flow.default_config with Flow.budget = p.Flow.budget } in
-      let direct =
+      let _, direct =
         Flow.evaluate_analysis config p.Flow.algorithm (Flow.analyze nest)
       in
       Alcotest.(check int)
